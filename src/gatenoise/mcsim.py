@@ -8,10 +8,20 @@ whose spectrum is flat over the decay bandwidth, |coherence| decays
 exponentially at the analytic rate; validation scenarios therefore require
 cutoff >= 20 * analytic rate and are rejected otherwise.
 
-Determinism contract: trajectory i draws its noise from a stream keyed by
-(master_seed, i), and the reduction over trajectories is a fixed pairwise
-summation tree over the index order.  Results are bit-identical for a given
-configuration at any level of parallelism.
+Noise is drawn only for what the phase reads: the engine projects the site
+cross-spectrum onto the one (linear coupling) or two (quadratic bus coupler)
+linear functionals of the site noises it integrates, factors the per-bin
+covariance of those functionals and draws R <= 2 white sources per bin
+(:func:`gatenoise.noise.functional_spectral_factors`).  A linear combination
+of circular complex Gaussian amplitudes is again one, so this is exact in
+distribution for every topology.
+
+Determinism contract: trajectories are processed in fixed chunks of 512;
+chunk c (trajectories 512 c to 512 c + 511) draws all of its noise from one
+stream keyed by (master_seed, c), in a fixed order: the real parts
+(trajectory, source, bin), then the imaginary parts.  Sums over trajectories
+add rows in index order.  Results are bit-identical for a given configuration
+at any level of parallelism.
 
 Error bars: per-point standard errors of |coherence| come from a leave-one-out
 jackknife over trajectories; the standard error of a fitted rate comes from a
@@ -32,8 +42,8 @@ from scipy.integrate import cumulative_trapezoid
 from .noise import (
     NoiseTopology,
     OhmicBath,
-    SpectralSynthesizer,
     TopologyKind,
+    functional_spectral_factors,
     trajectory_seed_sequence,
 )
 from .rates import (
@@ -108,8 +118,8 @@ class McConfig:
     n_blocks: int = 50
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.n_steps < 2 or self.n_steps & (self.n_steps - 1):
             raise ValueError(f"n_steps must be a power of two, got {self.n_steps}")
         if self.n_trajectories < 100:
@@ -119,7 +129,7 @@ class McConfig:
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         lo, hi = self.fit_window
-        if not (0 <= lo < hi):
+        if not (math.isfinite(hi) and 0 <= lo < hi):
             raise ValueError(f"invalid fit window {self.fit_window}")
         if not 4 <= self.n_blocks <= self.n_trajectories // 2:
             raise ValueError(
@@ -164,98 +174,104 @@ def _report_indices(n_steps: int, n_report: int) -> np.ndarray:
     )
 
 
-class _LinearPhaseEngine:
-    """phase(t) = sum_s weight_s * int_0^t noise_s; coherence from exp(+i phase)."""
-
-    def __init__(self, synth: SpectralSynthesizer, weights: np.ndarray) -> None:
-        self.synth = synth
-        self.weights = np.asarray(weights, dtype=float)
-
-    def z_rows(self, master_seed: int, start: int, stop: int, report_idx: np.ndarray) -> np.ndarray:
-        nt = stop - start
-        spectra = np.empty((nt, self.synth.omega.size), dtype=complex)
-        for row, index in enumerate(range(start, stop)):
-            rng = np.random.Generator(
-                np.random.PCG64(trajectory_seed_sequence(master_seed, index))
-            )
-            spectra[row] = self.weights @ self.synth.draw_spectrum(rng)
-        noise = np.fft.irfft(spectra, n=self.synth.n_steps)
-        phase = cumulative_trapezoid(noise, dx=self.synth.dt, initial=0.0, axis=1)
-        return np.exp(1j * phase[:, report_idx])
+# Trajectories per chunk: chunk c covers trajectories [c * _CHUNK, (c + 1) * _CHUNK)
+# and draws from one stream keyed by (master_seed, c).  The chunking is fixed,
+# so neither the streams nor the arithmetic depend on the number of threads.
+_CHUNK = 512
 
 
-class _BusFullEngine:
-    """Full quadratic shared-line coupler, drive and noise squared together.
+def _draw_functionals(
+    factors: np.ndarray, master_seed: int, chunk: int, nt: int
+) -> np.ndarray:
+    """rfft amplitudes (nt, P, n_bins) of the P noise functionals for one chunk.
+
+    ``factors`` (n_bins, P, R) comes from :func:`functional_spectral_factors`,
+    with R >= 1.  The draw order is part of the determinism contract.
+    """
+    rng = np.random.Generator(
+        np.random.PCG64(trajectory_seed_sequence(master_seed, chunk))
+    )
+    n_bins, n_functionals, n_sources = factors.shape
+    re = rng.standard_normal((nt, n_sources, n_bins))
+    im = rng.standard_normal((nt, n_sources, n_bins))
+    white = np.multiply(im, 1j)
+    white += re
+    white /= np.sqrt(2.0)
+    white[:, :, 0] = re[:, :, 0]  # DC and last bins must be real
+    white[:, :, -1] = re[:, :, -1]
+    del re, im
+    spec = np.empty((nt, n_functionals, n_bins), dtype=complex)
+    for p in range(n_functionals):
+        np.multiply(white[:, 0], factors[:, p, 0], out=spec[:, p])
+        for r in range(1, n_sources):
+            spec[:, p] += white[:, r] * factors[:, p, r]
+    return spec
+
+
+def _bus_phase_rate(noise: np.ndarray, const_left: float, const_right: float) -> np.ndarray:
+    """Phase rate of the full quadratic shared-line coupler, formed in place.
 
     Per trajectory the diagonal energy of label m is (A_m)^2 / 8 with
-    A_m(t) = sum_j (phi_j + xi_j(t)) m_j; the accumulated phase difference
-    between the two labels, minus its noise-free part, gives the coherence
-    exp(-i phase).  Random linear-in-noise parts dephase, the quadratic part
-    adds a mean drift (the classical spurious-coupling signature).
+    A_m(t) = sum_j (phi_j + xi_j(t)) m_j.  From the functionals a = m . xi
+    and b = m' . xi in ``noise`` (nt, 2, n_steps) this returns
+    (A_m'^2 - A_m^2) / 8 minus its noise-free part,
+    (b (b + 2 c_R) - a (a + 2 c_L)) / 8; ``noise`` is overwritten.
     """
-
-    def __init__(
-        self,
-        synth: SpectralSynthesizer,
-        drive: GateDrive,
-        pair: CoherencePair,
-    ) -> None:
-        self.synth = synth
-        self.m_left = np.asarray(pair.left.bits, dtype=float)
-        self.m_right = np.asarray(pair.right.bits, dtype=float)
-        phi = np.asarray(drive.phi, dtype=float)
-        self.const_left = float(phi @ self.m_left)
-        self.const_right = float(phi @ self.m_right)
-
-    def z_rows(self, master_seed: int, start: int, stop: int, report_idx: np.ndarray) -> np.ndarray:
-        nt = stop - start
-        nb = self.synth.omega.size
-        spec_left = np.empty((nt, nb), dtype=complex)
-        spec_right = np.empty((nt, nb), dtype=complex)
-        for row, index in enumerate(range(start, stop)):
-            rng = np.random.Generator(
-                np.random.PCG64(trajectory_seed_sequence(master_seed, index))
-            )
-            spectrum = self.synth.draw_spectrum(rng)
-            spec_left[row] = self.m_left @ spectrum
-            spec_right[row] = self.m_right @ spectrum
-        a = np.fft.irfft(spec_left, n=self.synth.n_steps)
-        b = np.fft.irfft(spec_right, n=self.synth.n_steps)
-        # (A_m^2 - A_m'^2)/8 minus the noise-free deterministic part.
-        integrand = (
-            2.0 * self.const_left * a + a * a - 2.0 * self.const_right * b - b * b
-        ) / 8.0
-        phase = cumulative_trapezoid(integrand, dx=self.synth.dt, initial=0.0, axis=1)
-        return np.exp(-1j * phase[:, report_idx])
+    a, b = noise[:, 0], noise[:, 1]
+    rate = b + 2.0 * const_right
+    rate *= b
+    np.add(a, 2.0 * const_left, out=b)
+    b *= a
+    rate -= b
+    rate /= 8.0
+    return rate
 
 
-def _run_engine(engine, cfg: McConfig, jobs: int) -> CoherenceTrace:
+def _run_engine(factors: np.ndarray, phase_rate, cfg: McConfig, jobs: int) -> CoherenceTrace:
+    """Ensemble mean of exp(i phase) over ``cfg.n_trajectories`` trajectories.
+
+    ``factors`` (n_bins, P, R) are the spectral factors of the P noise
+    functionals the phase reads; ``phase_rate`` maps their time series
+    (nt, P, n_steps) to d(phase)/dt (nt, n_steps).
+    """
     n = cfg.n_trajectories
     report_idx = _report_indices(cfg.n_steps, cfg.n_report)
-    z_all = np.empty((n, report_idx.size), dtype=complex)
-    # Fixed batch size: workers fill disjoint row blocks of identical shape
-    # no matter how many threads run, so the arithmetic (and hence the bytes)
-    # cannot depend on the level of parallelism.
-    chunk = 512
-    ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-
-    def work(span: tuple[int, int]) -> None:
-        start, stop = span
-        z_all[start:stop] = engine.z_rows(cfg.master_seed, start, stop, report_idx)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(work, ranges))
+    if factors.shape[2] == 0:
+        # No noise reaches the functionals: the phase is exactly zero.
+        z_all = np.ones((n, report_idx.size), dtype=complex)
     else:
-        for span in ranges:
-            work(span)
+        z_all = np.empty((n, report_idx.size), dtype=complex)
 
-    total = z_all.sum(axis=0)  # fixed pairwise tree over the index order
+        def work(chunk: int) -> None:
+            start = chunk * _CHUNK
+            stop = min(start + _CHUNK, n)
+            spec = _draw_functionals(factors, cfg.master_seed, chunk, stop - start)
+            noise = np.fft.irfft(spec, n=cfg.n_steps)
+            del spec
+            rate = phase_rate(noise)
+            del noise  # bounds the bus engine's peak memory during integration
+            phase = cumulative_trapezoid(rate, dx=cfg.dt, initial=0.0, axis=1)
+            z_all[start:stop] = np.exp(1j * phase[:, report_idx])
+
+        chunks = range(-(-n // _CHUNK))
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                list(pool.map(work, chunks))
+        else:
+            for chunk in chunks:
+                work(chunk)
+
+    total = z_all.sum(axis=0)  # adds row by row in index order
     mean = total / n
-    # Leave-one-out jackknife of |mean|.
-    loo = np.abs(total[None, :] - z_all) / (n - 1)
-    loo_mean = loo.mean(axis=0)
-    stderr = np.sqrt((n - 1) / n * ((loo - loo_mean) ** 2).sum(axis=0))
+    # Leave-one-out jackknife of |mean|, formed in place chunk by chunk.
+    loo = np.empty((n, report_idx.size))
+    for start in range(0, n, _CHUNK):
+        np.abs(total - z_all[start:start + _CHUNK], out=loo[start:start + _CHUNK])
+    loo /= n - 1
+    loo -= loo.mean(axis=0)
+    np.square(loo, out=loo)
+    stderr = np.sqrt((n - 1) / n * loo.sum(axis=0))
+    del loo
     bounds = np.linspace(0, n, cfg.n_blocks + 1).astype(int)
     block_sums = np.add.reduceat(z_all, bounds[:-1], axis=0)
     return CoherenceTrace(
@@ -291,9 +307,12 @@ def _dephasing_sources(
     pair: CoherencePair,
     bath: OhmicBath,
     topology: NoiseTopology,
-    cfg: McConfig,
-) -> tuple[SpectralSynthesizer, np.ndarray, float]:
-    """Per-source pointer differences and matching synthesizer for a scenario."""
+) -> tuple[np.ndarray, float]:
+    """Per-source pointer differences of a scenario and its analytic rate.
+
+    The phase is ``weights @ noise`` over the sources of ``topology``: the
+    central source, the independent gate pairs, or the bus sites.
+    """
     if pair.n_qubits != arch.n_qubits:
         raise ValueError(
             f"pair length {pair.n_qubits} does not match architecture L = {arch.n_qubits}"
@@ -302,8 +321,7 @@ def _dephasing_sources(
         if topology.kind is not TopologyKind.UNIFORM:
             raise ValueError("a central noise source requires the uniform topology")
         delta_q = pointer_fsa_uniform(pair.left) - pointer_fsa_uniform(pair.right)
-        synth = SpectralSynthesizer(bath, NoiseTopology.independent(), 1, cfg.dt, cfg.n_steps)
-        return synth, np.array([delta_q]), rate_fsa_uniform(bath, pair).gamma
+        return np.array([delta_q]), rate_fsa_uniform(bath, pair).gamma
     if arch.kind is ArchKind.FSA_INDEPENDENT:
         if topology.kind is not TopologyKind.INDEPENDENT:
             raise ValueError("per-gate noise requires the independent topology")
@@ -315,12 +333,7 @@ def _dephasing_sources(
                 dq = pointer_fsa_pair(pair.left, j, k) - pointer_fsa_pair(pair.right, j, k)
                 if dq != 0.0:
                     weights.append(dq * calib)
-        if not weights:
-            weights = [0.0]  # decoherence-free: still run one (inert) source
-        synth = SpectralSynthesizer(
-            bath, NoiseTopology.independent(), len(weights), cfg.dt, cfg.n_steps
-        )
-        return synth, np.asarray(weights), rate_fsa_independent(bath, pair).gamma
+        return np.asarray(weights, dtype=float), rate_fsa_independent(bath, pair).gamma
     if arch.kind is ArchKind.BUS:
         if arch.drive is None:
             raise ValueError("bus scenario requires a gate drive")
@@ -330,8 +343,7 @@ def _dephasing_sources(
         # Per-site weights; their sum is the pointer difference Q - Q', so in
         # the low-frequency limit the decay rate is topology independent.
         weights = float(phi @ m_l) * m_l - float(phi @ m_r) * m_r
-        synth = SpectralSynthesizer(bath, topology, arch.n_qubits, cfg.dt, cfg.n_steps)
-        return synth, weights, rate_bus(bath, pair, arch.drive).gamma
+        return weights, rate_bus(bath, pair, arch.drive).gamma
     raise ValueError(
         f"Monte-Carlo dephasing supports switched-array and bus scenarios, "
         f"not {arch.kind.value}"
@@ -353,9 +365,10 @@ def simulate_dephasing(
     coherence is the ensemble mean of exp(i * phase).  Deterministic given
     ``cfg.master_seed`` at any ``jobs``.
     """
-    synth, weights, gamma = _dephasing_sources(arch, pair, bath, topology, cfg)
+    weights, gamma = _dephasing_sources(arch, pair, bath, topology)
+    factors = functional_spectral_factors(bath, topology, weights, cfg.dt, cfg.n_steps)
     _check_white_noise_limit(bath, gamma)
-    return _run_engine(_LinearPhaseEngine(synth, weights), cfg, jobs)
+    return _run_engine(factors, lambda noise: noise[:, 0], cfg, jobs)
 
 
 def simulate_bus_full(
@@ -381,9 +394,13 @@ def simulate_bus_full(
             f"pair length {pair.n_qubits} does not match drive length {len(drive)}"
         )
     gamma_eff = rate_bus(bath, pair, drive).gamma / 16.0
-    synth = SpectralSynthesizer(bath, topology, pair.n_qubits, cfg.dt, cfg.n_steps)
+    labels = np.array([pair.left.bits, pair.right.bits], dtype=float)
+    factors = functional_spectral_factors(bath, topology, labels, cfg.dt, cfg.n_steps)
     _check_white_noise_limit(bath, gamma_eff)
-    return _run_engine(_BusFullEngine(synth, drive, pair), cfg, jobs)
+    const_left, const_right = labels @ np.asarray(drive.phi, dtype=float)
+    return _run_engine(
+        factors, lambda noise: _bus_phase_rate(noise, const_left, const_right), cfg, jobs
+    )
 
 
 def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate:

@@ -37,6 +37,7 @@ __all__ = [
     "classical_psd",
     "spatial_correlation_matrix",
     "SpectralSynthesizer",
+    "functional_spectral_factors",
     "synthesize_trajectories",
     "trajectory_seed_sequence",
     "estimate_psd",
@@ -237,8 +238,8 @@ def spatial_correlation_matrix(bath: OhmicBath, positions: Sequence, omega: floa
 
 
 def _validate_grid(bath: OhmicBath, dt: float, n_steps: int) -> None:
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if n_steps < 2 or n_steps & (n_steps - 1):
         raise ValueError(f"n_steps must be a power of two >= 2, got {n_steps}")
     if dt * bath.cutoff > 0.5 + 1e-12:
@@ -246,6 +247,90 @@ def _validate_grid(bath: OhmicBath, dt: float, n_steps: int) -> None:
             f"grid too coarse: dt * cutoff = {dt * bath.cutoff:.3g} > 0.5; "
             "decrease dt to resolve the spectral cutoff"
         )
+
+
+def _spectral_grid(bath: OhmicBath, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin frequencies of the rfft grid and the per-bin amplitude variance.
+
+    E|Z_k|^2 = n_steps * S(w_k) / dt reproduces the target spectrum through
+    the inverse DFT.
+    """
+    _validate_grid(bath, dt, n_steps)
+    omega = 2.0 * np.pi * np.fft.rfftfreq(n_steps, d=dt)
+    return omega, n_steps * classical_psd(bath, omega) / dt
+
+
+def _site_kernels(
+    bath: OhmicBath, topology: NoiseTopology, n_sites: int, omega: np.ndarray
+) -> np.ndarray:
+    """Per-bin site correlation matrices K_k, shape (n_bins, L, L).
+
+    All ones for a uniform topology, the identity for an independent one and
+    f(w_k r_jk / v) for a spatial one.
+    """
+    shape = (omega.size, n_sites, n_sites)
+    if topology.kind is TopologyKind.UNIFORM:
+        return np.ones(shape)
+    if topology.kind is TopologyKind.INDEPENDENT:
+        return np.broadcast_to(np.eye(n_sites), shape)
+    if len(topology.positions) != n_sites:
+        raise ValueError(
+            f"spatial topology has {len(topology.positions)} positions "
+            f"for {n_sites} sites"
+        )
+    r = _distance_matrix(topology.positions)
+    return propagation_kernel_f(omega[:, None, None] * r / bath.velocity, bath.geometry)
+
+
+def _psd_eigh(cov: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin eigenpairs of symmetric PSD matrices, round-off negatives set to 0."""
+    eigval, eigvec = np.linalg.eigh(cov)
+    floor = -EIG_CLAMP_TOL * np.maximum(eigval[:, -1:], 0.0)
+    bad = np.flatnonzero((eigval < floor).any(axis=1))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            "spatial correlation matrix is not positive semidefinite "
+            f"(eigenvalue {eigval[k].min():.3e} at omega = {omega[k]:.3g})"
+        )
+    return np.clip(eigval, 0.0, None), eigvec
+
+
+def functional_spectral_factors(
+    bath: OhmicBath,
+    topology: NoiseTopology,
+    weights,
+    dt: float,
+    n_steps: int,
+) -> np.ndarray:
+    """Per-bin factors of P linear functionals of the site noises.
+
+    ``weights`` has shape (P, L): functional p is ``weights[p] @ noise`` over
+    the L sites of ``topology``.  Returns F with shape (n_bins, P, R) and
+    F_k F_k^T = scale_k^2 W K_k W^T, the covariance of the functionals' rfft
+    amplitudes in bin k (see ``_site_kernels`` for K_k).  Eigenvalues at or
+    below EIG_CLAMP_TOL * lambda_max of their bin count as zero, and only the
+    R directions that carry noise in some bin are kept; R = 0 means the
+    functionals are noise free.
+
+    With unit complex Gaussian amplitudes ``white`` (real at the DC and last
+    bins), ``F_k @ white_k`` has exactly the law of
+    ``weights @ SpectralSynthesizer(...).draw_spectrum(rng)`` in every bin, so
+    the functionals are drawn from R sources instead of L.
+    """
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    omega, scale2 = _spectral_grid(bath, dt, n_steps)
+    kernels = _site_kernels(bath, topology, w.shape[1], omega)
+    if not all(np.isfinite(x).all() for x in (w, scale2, kernels)):
+        raise ValueError(
+            "non-finite noise covariance: check the bath, the weights and the "
+            "site positions for NaN or infinite values"
+        )
+    cov = scale2[:, None, None] * (w @ kernels @ w.T)
+    eigval, eigvec = _psd_eigh(cov, omega)
+    eigval[eigval <= EIG_CLAMP_TOL * eigval[:, -1:]] = 0.0
+    keep = (eigval > 0.0).any(axis=0)
+    return (eigvec * np.sqrt(eigval)[:, None, :])[:, :, keep]
 
 
 class SpectralSynthesizer:
@@ -266,7 +351,7 @@ class SpectralSynthesizer:
         dt: float,
         n_steps: int,
     ) -> None:
-        _validate_grid(bath, dt, n_steps)
+        self.omega, scale2 = _spectral_grid(bath, dt, n_steps)
         self.bath = bath
         self.topology = topology
         self.n_trajectories = int(n_trajectories)
@@ -274,41 +359,17 @@ class SpectralSynthesizer:
             raise ValueError("need at least one trajectory")
         self.dt = float(dt)
         self.n_steps = int(n_steps)
-        self.omega = 2.0 * np.pi * np.fft.rfftfreq(self.n_steps, d=self.dt)
         self._n_bins = self.omega.size
-        # Per-bin scale: E|Z_k|^2 = n_steps * S(w_k) / dt reproduces the
-        # target spectrum through the inverse DFT.
-        scale = np.sqrt(self.n_steps * classical_psd(bath, self.omega) / self.dt)
+        scale = np.sqrt(scale2)
         if topology.kind is TopologyKind.SPATIAL:
-            if len(topology.positions) != self.n_trajectories:
-                raise ValueError(
-                    f"spatial topology has {len(topology.positions)} positions "
-                    f"for {self.n_trajectories} trajectories"
-                )
-            self._mixing = self._factor_correlations(scale)
+            # Per-bin mixing matrices B_k with B_k B_k^T = S_jk(w_k).
+            corr = _site_kernels(bath, topology, self.n_trajectories, self.omega)
+            eigval, eigvec = _psd_eigh(corr, self.omega)
+            self._mixing = eigvec * np.sqrt(eigval)[:, None, :] * scale[:, None, None]
             self._scale = None
         else:
             self._mixing = None
             self._scale = scale
-
-    def _factor_correlations(self, scale: np.ndarray) -> np.ndarray:
-        """Per-bin mixing matrices B_k with B_k B_k^T = S_jk(w_k)."""
-        n = self.n_trajectories
-        r = _distance_matrix(self.topology.positions)
-        mixing = np.empty((self._n_bins, n, n))
-        for k, w in enumerate(self.omega):
-            corr = propagation_kernel_f(w * r / self.bath.velocity, self.bath.geometry)
-            eigval, eigvec = np.linalg.eigh(corr)
-            lam_max = max(eigval[-1], 0.0)
-            floor = -EIG_CLAMP_TOL * lam_max
-            if np.any(eigval < floor):
-                raise ValueError(
-                    "spatial correlation matrix is not positive semidefinite "
-                    f"(eigenvalue {eigval.min():.3e} at omega = {w:.3g})"
-                )
-            eigval = np.clip(eigval, 0.0, None)
-            mixing[k] = (eigvec * np.sqrt(eigval)) * scale[k]
-        return mixing
 
     def draw_spectrum(self, rng: np.random.Generator) -> np.ndarray:
         """One bundle in the frequency domain: complex array (L, n_bins).

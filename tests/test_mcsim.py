@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
+from gatenoise import mcsim
 from gatenoise.mcsim import (
     CoherenceTrace,
     FitWindowError,
@@ -14,9 +18,19 @@ from gatenoise.mcsim import (
     simulate_dephasing,
     validate_against_analytic,
 )
-from gatenoise.noise import NoiseTopology, OhmicBath
+from gatenoise.noise import (
+    NoiseTopology,
+    OhmicBath,
+    functional_spectral_factors,
+    trajectory_seed_sequence,
+)
 from gatenoise.rates import ArchKind, ArchitectureModel, worst_case_pair
-from gatenoise.register import CoherencePair, GateDrive, label_with_total_spin
+from gatenoise.register import (
+    CoherencePair,
+    GateDrive,
+    label_with_total_spin,
+    pointer_fsa_uniform,
+)
 
 
 def synthetic_trace(times, abs_c, stderr=None):
@@ -51,6 +65,23 @@ def test_mcconfig_validation():
         McConfig(dt=0.01, n_steps=256, fit_window=(2.0, 1.0))
     with pytest.raises(ValueError):
         McConfig(dt=0.01, n_steps=256, n_blocks=2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dt", float("nan")),
+        ("dt", float("inf")),
+        ("dt", float("-inf")),
+        ("fit_window", (0.5, float("inf"))),
+        ("fit_window", (float("nan"), 2.0)),
+        ("fit_window", (0.5, float("nan"))),
+    ],
+)
+def test_mcconfig_rejects_non_finite(field, value):
+    kwargs = {"dt": 0.01, "n_steps": 256, field: value}
+    with pytest.raises(ValueError):
+        McConfig(**kwargs)
 
 
 def test_fit_rate_exact_exponential():
@@ -96,14 +127,35 @@ def test_negligible_coupling_keeps_coherence():
     assert np.all(trace.abs_coherence > 1.0 - 1e-3)
 
 
-def test_decoherence_free_pair_shows_no_decay():
-    pair = CoherencePair(label_with_total_spin(2, 2), label_with_total_spin(2, -2))
+def test_decoherence_free_pair_shows_no_decay(monkeypatch):
+    # no noise reaches the pair: exact ones, and no random stream is opened
+    calls = []
+    monkeypatch.setattr(
+        mcsim, "trajectory_seed_sequence",
+        lambda *args: calls.append(args) or trajectory_seed_sequence(*args),
+    )
     bath = OhmicBath(coupling=1.0, cutoff=100.0, temperature=1.0)
+    cfg = McConfig(dt=0.005, n_steps=256, n_trajectories=600, master_seed=8)
+    for kind, left, right, topology in [
+        (ArchKind.FSA_UNIFORM, "++", "--", NoiseTopology.uniform()),
+        (ArchKind.FSA_INDEPENDENT, "+-++", "-+--", NoiseTopology.independent()),
+    ]:
+        pair = CoherencePair.from_strings(left, right)
+        arch = ArchitectureModel(kind, pair.n_qubits)
+        trace = simulate_dephasing(arch, pair, bath, topology, cfg, jobs=2)
+        assert np.all(trace.abs_coherence == 1.0)
+        assert np.all(trace.stderr == 0.0)
+    assert calls == []
+
+
+def test_non_finite_bath_raises_instead_of_a_trace():
+    # NaN noise must not pass for a noise-free pair with exact unit coherence
+    pair = CoherencePair(label_with_total_spin(2, 2), label_with_total_spin(2, 0))
+    bath = OhmicBath(coupling=float("nan"), cutoff=100.0, temperature=1.0)
     cfg = McConfig(dt=0.005, n_steps=256, n_trajectories=300, master_seed=8)
     arch = ArchitectureModel(ArchKind.FSA_UNIFORM, 2)
-    trace = simulate_dephasing(arch, pair, bath, NoiseTopology.uniform(), cfg)
-    assert np.all(trace.abs_coherence == 1.0)
-    assert np.all(trace.stderr == 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate_dephasing(arch, pair, bath, NoiseTopology.uniform(), cfg)
 
 
 def test_topology_consistency_enforced():
@@ -128,8 +180,6 @@ def test_white_noise_guard_rejects_low_cutoff():
 
 def test_validation_duration_guard():
     # validation refuses grids that cover fewer than 3 decay times
-    from dataclasses import replace
-
     scn = small_uniform_scenario(n_trajectories=200)
     short = replace(scn, cfg=replace(scn.cfg, n_steps=128))
     with pytest.raises(ValueError, match="too short"):
@@ -168,6 +218,50 @@ def test_deterministic_across_jobs_and_reruns():
         assert np.array_equal(a.abs_coherence, b.abs_coherence)
         assert np.array_equal(a.arg_coherence, b.arg_coherence)
         assert np.array_equal(a.stderr, b.stderr)
+
+
+def test_chunk_stream_is_pinned():
+    # chunk 1 of 600 trajectories (rows 512..599) draws from the stream keyed
+    # by (master_seed, 1) in the documented order
+    scn = small_uniform_scenario(n_trajectories=600)
+    cfg = replace(scn.cfg, n_blocks=75)  # 8-row blocks: 64 of them end at row 512
+    trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, cfg)
+    weights = [[pointer_fsa_uniform(scn.pair.left) - pointer_fsa_uniform(scn.pair.right)]]
+    factors = functional_spectral_factors(scn.bath, scn.topology, weights, cfg.dt, cfg.n_steps)
+    rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(cfg.master_seed, 1)))
+    nt, n_bins = 88, factors.shape[0]
+    re = rng.standard_normal((nt, 1, n_bins))
+    im = rng.standard_normal((nt, 1, n_bins))
+    white = (re + 1j * im) / np.sqrt(2.0)
+    white[:, :, 0] = re[:, :, 0]
+    white[:, :, -1] = re[:, :, -1]
+    spec = factors[:, 0, 0] * white[:, 0]
+    noise = np.fft.irfft(spec, n=cfg.n_steps)
+    phase = cumulative_trapezoid(noise, dx=cfg.dt, initial=0.0, axis=1)
+    idx = np.unique(np.round(np.linspace(0, cfg.n_steps - 1, cfg.n_report)).astype(int))
+    z = np.exp(1j * phase[:, idx])
+    expected = np.add.reduceat(z, np.arange(0, nt, 8), axis=0)
+    assert np.array_equal(trace.block_sums[64:], expected)
+
+
+@pytest.mark.parametrize("engine", ["dephasing", "bus_full"])
+def test_colocated_spatial_bus_matches_uniform_bytes(engine):
+    drive = GateDrive.two_qubit_gate(4, 0, 1)
+    pair = worst_case_pair(ArchKind.BUS, 4, drive)
+    scn = make_validation_scenario(
+        ArchKind.BUS, pair, drive=drive, n_trajectories=600, master_seed=6
+    )
+    traces = []
+    for topology in (NoiseTopology.uniform(), NoiseTopology.spatial([0.0] * 4)):
+        if engine == "dephasing":
+            traces.append(simulate_dephasing(scn.arch, pair, scn.bath, topology, scn.cfg))
+        else:
+            traces.append(simulate_bus_full(drive, pair, scn.bath, topology, scn.cfg))
+    a, b = traces
+    assert np.array_equal(a.abs_coherence, b.abs_coherence)
+    assert np.array_equal(a.arg_coherence, b.arg_coherence)
+    assert np.array_equal(a.stderr, b.stderr)
+    assert np.array_equal(a.block_sums, b.block_sums)
 
 
 def test_seed_changes_realization_not_physics():

@@ -6,9 +6,11 @@ from gatenoise.noise import (
     NoiseTopology,
     OhmicBath,
     SpectralSynthesizer,
+    TopologyKind,
     classical_psd,
     cross_spectral_density,
     estimate_psd,
+    functional_spectral_factors,
     propagation_kernel_f,
     spatial_correlation_matrix,
     spectral_density,
@@ -108,8 +110,9 @@ def test_synthesize_grid_guards():
         synthesize_trajectories(bath, topo, 1, dt=0.2, n_steps=256, seed=1)  # dt*wc > 0.5
     with pytest.raises(ValueError):
         synthesize_trajectories(bath, topo, 1, dt=0.01, n_steps=300, seed=1)  # not 2^k
-    with pytest.raises(ValueError):
-        synthesize_trajectories(bath, topo, 1, dt=-0.01, n_steps=256, seed=1)
+    for dt in (-0.01, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            synthesize_trajectories(bath, topo, 1, dt=dt, n_steps=256, seed=1)
     cold = OhmicBath(coupling=1.0, cutoff=10.0, temperature=0.0)
     with pytest.raises(ValueError):
         synthesize_trajectories(cold, topo, 1, dt=0.05, n_steps=256, seed=1)
@@ -229,7 +232,107 @@ def test_spatial_topology_requires_matching_positions():
         synthesize_trajectories(
             bath, NoiseTopology.spatial([0.0, 1.0]), 3, dt=0.05, n_steps=256, seed=1
         )
+    with pytest.raises(ValueError, match="positions"):
+        functional_spectral_factors(
+            bath, NoiseTopology.spatial([0.0, 1.0]), np.ones((1, 3)), dt=0.05, n_steps=256
+        )
     with pytest.raises(ValueError):
         NoiseTopology("uniform", positions=(1.0,))
     with pytest.raises(ValueError):
         NoiseTopology.spatial([])
+
+
+FACTOR_DT, FACTOR_STEPS = 0.05, 256
+
+
+def _functional_covariance(bath, topology, weights):
+    """Reference scale_k^2 W K_k W^T per bin, K_k from the public kernels."""
+    omega = 2 * np.pi * np.fft.rfftfreq(FACTOR_STEPS, FACTOR_DT)
+    scale2 = FACTOR_STEPS * classical_psd(bath, omega) / FACTOR_DT
+    n_sites = weights.shape[1]
+    cov = np.empty((omega.size, weights.shape[0], weights.shape[0]))
+    for k, w in enumerate(omega):
+        if topology.kind is TopologyKind.UNIFORM:
+            kernel = np.ones((n_sites, n_sites))
+        elif topology.kind is TopologyKind.INDEPENDENT:
+            kernel = np.eye(n_sites)
+        else:
+            kernel = spatial_correlation_matrix(bath, topology.positions, w)
+        cov[k] = scale2[k] * weights @ kernel @ weights.T
+    return cov
+
+
+@pytest.mark.parametrize(
+    "geometry, topology, weights, rank",
+    [
+        ("1d", NoiseTopology.uniform(), [[1.0, -2.0, 0.5]], 1),
+        ("1d", NoiseTopology.uniform(), [[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]], 1),
+        ("1d", NoiseTopology.independent(), [[0.4, -1.3, 2.0]], 1),
+        ("1d", NoiseTopology.independent(), [[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]], 2),
+        ("1d", NoiseTopology.spatial([0.0, 0.05]), [[1.0, 0.5]], 1),
+        ("1d", NoiseTopology.spatial([0.0, 0.05, 0.12]), [[1.0, -1.0, 1.0], [0.5, 1.0, -2.0]], 2),
+        ("3d", NoiseTopology.spatial([[0, 0, 0], [0.04, 0.03, 0]]), [[1.0, 0.5], [-0.3, 1.0]], 2),
+        # rank deficient: the second functional is twice the first
+        ("3d", NoiseTopology.spatial([[0, 0, 0], [0.04, 0.03, 0], [0, 0.1, 0.02]]),
+         [[1.0, -1.0, 0.5], [2.0, -2.0, 1.0]], 1),
+    ],
+)
+def test_functional_factors_reproduce_covariance(geometry, topology, weights, rank):
+    bath = OhmicBath(coupling=0.7, cutoff=8.0, temperature=1.3, geometry=geometry)
+    weights = np.asarray(weights)
+    factors = functional_spectral_factors(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
+    assert factors.shape == (FACTOR_STEPS // 2 + 1, weights.shape[0], rank)
+    cov = _functional_covariance(bath, topology, weights)
+    rebuilt = factors @ factors.transpose(0, 2, 1)
+    err = np.abs(rebuilt - cov).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.abs(cov).max(axis=(1, 2)))
+
+
+def test_functional_factors_drop_noise_free_functionals():
+    bath = bath_1d(cutoff=8.0)
+    balanced = [[1.0, -1.0, 0.0]]  # sum(w) = 0 on a shared source
+    for topology, weights in [(NoiseTopology.uniform(), balanced),
+                              (NoiseTopology.independent(), np.zeros((1, 0)))]:
+        factors = functional_spectral_factors(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
+        assert factors.shape == (FACTOR_STEPS // 2 + 1, 1, 0)
+
+
+def test_functional_factors_reject_non_finite_input():
+    # a NaN covariance must not pass for a noise-free (R = 0) functional
+    nan_bath = OhmicBath(coupling=np.nan, cutoff=8.0, temperature=1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        functional_spectral_factors(
+            nan_bath, NoiseTopology.uniform(), [[1.0]], FACTOR_DT, FACTOR_STEPS
+        )
+    with pytest.raises(ValueError, match="non-finite"):
+        functional_spectral_factors(
+            bath_1d(cutoff=8.0), NoiseTopology.independent(), [[1.0, np.inf]],
+            FACTOR_DT, FACTOR_STEPS,
+        )
+    with pytest.raises(ValueError, match="non-finite"):
+        functional_spectral_factors(
+            bath_1d(cutoff=8.0), NoiseTopology.spatial([0.0, np.nan]), [[1.0, 1.0]],
+            FACTOR_DT, FACTOR_STEPS,
+        )
+
+
+def test_functional_factors_match_synthesizer_statistics():
+    # the projected factors carry the law of weights @ draw_spectrum(): per-bin
+    # variances of the L-source synthesizer's functionals agree within 4 sigma
+    bath = bath_1d(cutoff=8.0)
+    topology = NoiseTopology.spatial([0.0, 0.3])
+    weights = np.array([[1.0, 0.5], [-0.3, 1.0]])
+    dt, n_steps, n_draws = 0.05, 64, 4000
+    synth = SpectralSynthesizer(bath, topology, 2, dt, n_steps)
+    power = np.zeros((2, n_steps // 2 + 1))
+    for i in range(n_draws):
+        rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(17, i)))
+        power += np.abs(weights @ synth.draw_spectrum(rng)) ** 2
+    power /= n_draws
+    factors = functional_spectral_factors(bath, topology, weights, dt, n_steps)
+    expected = np.einsum("kpr,kpr->pk", factors, factors)
+    # |Z|^2 is exponential (chi-square with one dof at the real end bins)
+    rel_sd = np.full(expected.shape[1], 1.0)
+    rel_sd[[0, -1]] = np.sqrt(2.0)
+    sigma = expected * rel_sd / np.sqrt(n_draws)
+    assert np.all(np.abs(power - expected) <= 4.0 * sigma)
