@@ -464,11 +464,7 @@ def _cmd_mc(config: Mapping, args: argparse.Namespace) -> int:
         scenario.cfg, jobs=args.jobs,
     )
     gamma = scenario.gamma_analytic
-    if gamma > 0:
-        window = (scenario.cfg.fit_window[0] / gamma, scenario.cfg.fit_window[1] / gamma)
-    else:
-        window = (0.05 * scenario.cfg.duration, 0.95 * scenario.cfg.duration)
-    estimate = fit_rate(trace, window)
+    estimate = fit_rate(trace, scenario.cfg.absolute_fit_window(gamma))
     meta = _base_meta("mc", resolved, seed=seed)
     meta["scenario"] = scenario.name
     meta["gamma_analytic"] = gamma

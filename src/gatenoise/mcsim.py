@@ -19,14 +19,19 @@ distribution for every topology.
 Determinism contract: trajectories are processed in fixed chunks of 512;
 chunk c (trajectories 512 c to 512 c + 511) draws all of its noise from one
 stream keyed by (master_seed, c), in a fixed order: the real parts
-(trajectory, source, bin), then the imaginary parts.  Sums over trajectories
-add rows in index order.  Results are bit-identical for a given configuration
-at any level of parallelism.
+(trajectory, source, bin), then the imaginary parts.  Within a chunk, sums
+add rows in index order; chunks are merged in chunk order.  Results are
+bit-identical for a given configuration at any level of parallelism.
 
-Error bars: per-point standard errors of |coherence| come from a leave-one-out
-jackknife over trajectories; the standard error of a fitted rate comes from a
-delete-one-block jackknife, which is insensitive to the strong correlation of
-the trace across time points.
+Error bars: each chunk is reduced, as soon as it is drawn, to its sum of
+exp(i phase), the centred second moments of its real and imaginary parts and
+its partial sums over fixed trajectory blocks; the chunks are merged in chunk
+order with the pairwise update of Chan, Golub & LeVeque (1983), so memory does
+not grow with the number of trajectories.  Per-point standard errors of
+|coherence| follow from the moments by the delta method (the variance of the
+trajectories' projection on the direction of the mean).  The standard error of
+a fitted rate comes from a delete-one-block jackknife over the block sums,
+which is insensitive to the strong correlation of the trace across time points.
 """
 from __future__ import annotations
 
@@ -140,14 +145,21 @@ class McConfig:
     def duration(self) -> float:
         return (self.n_steps - 1) * self.dt
 
+    def absolute_fit_window(self, gamma: float) -> tuple[float, float]:
+        """``fit_window`` in times: units of 1/gamma, or 5%-95% of the run if gamma is 0."""
+        if gamma > 0:
+            return (self.fit_window[0] / gamma, self.fit_window[1] / gamma)
+        return (0.05 * self.duration, 0.95 * self.duration)
+
 
 @dataclass(frozen=True)
 class CoherenceTrace:
-    """|<exp(i phase)>| and its phase vs time, with jackknife standard errors.
+    """|<exp(i phase)>| and its phase vs time, with delta-method standard errors.
 
-    ``block_sums``/``block_counts`` hold partial sums of exp(i phase) over
-    fixed trajectory blocks (by index) and feed the delete-one-block
-    jackknife used by :func:`fit_rate`.
+    ``stderr`` is the standard error of ``abs_coherence`` from the streamed
+    second moments of exp(i phase).  ``block_sums``/``block_counts`` hold
+    partial sums of exp(i phase) over fixed trajectory blocks (by index) and
+    feed the delete-one-block jackknife of the rate in :func:`fit_rate`.
     """
 
     times: np.ndarray
@@ -227,58 +239,90 @@ def _bus_phase_rate(noise: np.ndarray, const_left: float, const_right: float) ->
     return rate
 
 
+def _chunk_moments(
+    z: np.ndarray, start: int, bounds: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Streaming statistics of one chunk: rows z (nt, n_report) from trajectory ``start``.
+
+    Returns the row count, the sum of z, the centred second moments of
+    (Re z, Im z) stacked as (rr, ii, ri), the index of the first block of
+    ``bounds`` the chunk overlaps and the chunk's partial sum for each block
+    it overlaps (blocks may straddle chunks).
+    """
+    nt = z.shape[0]
+    total = z.sum(axis=0)
+    centred = z - total / nt
+    re, im = centred.real, centred.imag
+    moments = np.stack([(re * re).sum(axis=0), (im * im).sum(axis=0), (re * im).sum(axis=0)])
+    first = int(np.searchsorted(bounds, start, side="right")) - 1
+    last = int(np.searchsorted(bounds, start + nt, side="left"))
+    cuts = np.maximum(bounds[first:last], start) - start
+    return nt, total, moments, first, np.add.reduceat(z, cuts, axis=0)
+
+
 def _run_engine(factors: np.ndarray, phase_rate, cfg: McConfig, jobs: int) -> CoherenceTrace:
     """Ensemble mean of exp(i phase) over ``cfg.n_trajectories`` trajectories.
 
     ``factors`` (n_bins, P, R) are the spectral factors of the P noise
     functionals the phase reads; ``phase_rate`` maps their time series
-    (nt, P, n_steps) to d(phase)/dt (nt, n_steps).
+    (nt, P, n_steps) to d(phase)/dt (nt, n_steps).  Each chunk is reduced to
+    its moments as soon as it is drawn, so memory does not grow with the
+    number of trajectories.
     """
     n = cfg.n_trajectories
     report_idx = _report_indices(cfg.n_steps, cfg.n_report)
-    if factors.shape[2] == 0:
-        # No noise reaches the functionals: the phase is exactly zero.
-        z_all = np.ones((n, report_idx.size), dtype=complex)
-    else:
-        z_all = np.empty((n, report_idx.size), dtype=complex)
+    bounds = np.linspace(0, n, cfg.n_blocks + 1).astype(int)
 
-        def work(chunk: int) -> None:
-            start = chunk * _CHUNK
-            stop = min(start + _CHUNK, n)
+    def work(chunk: int) -> tuple:
+        start = chunk * _CHUNK
+        stop = min(start + _CHUNK, n)
+        if factors.shape[2] == 0:
+            # No noise reaches the functionals: the phase is exactly zero.
+            z = np.ones((stop - start, report_idx.size), dtype=complex)
+        else:
             spec = _draw_functionals(factors, cfg.master_seed, chunk, stop - start)
             noise = np.fft.irfft(spec, n=cfg.n_steps)
             del spec
             rate = phase_rate(noise)
             del noise  # bounds the bus engine's peak memory during integration
             phase = cumulative_trapezoid(rate, dx=cfg.dt, initial=0.0, axis=1)
-            z_all[start:stop] = np.exp(1j * phase[:, report_idx])
+            z = np.exp(1j * phase[:, report_idx])
+        return _chunk_moments(z, start, bounds)
 
+    # Merge in chunk order (Chan, Golub & LeVeque 1983 pairwise update); both
+    # map and pool.map yield in that order, so the bytes do not depend on jobs.
+    count = 0
+    total = np.zeros(report_idx.size, dtype=complex)
+    moments = np.zeros((3, report_idx.size))
+    block_sums = np.zeros((cfg.n_blocks, report_idx.size), dtype=complex)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         chunks = range(-(-n // _CHUNK))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(work, chunks))
-        else:
-            for chunk in chunks:
-                work(chunk)
+        for nt, chunk_total, chunk_moments, first, partial in (
+            pool.map(work, chunks) if jobs > 1 else map(work, chunks)
+        ):
+            if count:
+                delta = chunk_total / nt - total / count
+                weight = count * nt / (count + nt)
+                moments[0] += weight * delta.real**2
+                moments[1] += weight * delta.imag**2
+                moments[2] += weight * delta.real * delta.imag
+            moments += chunk_moments
+            total += chunk_total
+            count += nt
+            block_sums[first:first + partial.shape[0]] += partial
 
-    total = z_all.sum(axis=0)  # adds row by row in index order
     mean = total / n
-    # Leave-one-out jackknife of |mean|, formed in place chunk by chunk.
-    loo = np.empty((n, report_idx.size))
-    for start in range(0, n, _CHUNK):
-        np.abs(total - z_all[start:start + _CHUNK], out=loo[start:start + _CHUNK])
-    loo /= n - 1
-    loo -= loo.mean(axis=0)
-    np.square(loo, out=loo)
-    stderr = np.sqrt((n - 1) / n * loo.sum(axis=0))
-    del loo
-    bounds = np.linspace(0, n, cfg.n_blocks + 1).astype(int)
-    block_sums = np.add.reduceat(z_all, bounds[:-1], axis=0)
+    # Delta method: |mean| moves along u = mean / |mean| to first order.
+    # A zero mean has no direction; u = 1 keeps the error finite there.
+    abs_mean = np.abs(mean)
+    u = np.divide(mean, abs_mean, out=np.ones_like(mean), where=abs_mean > 0)
+    var = u.real**2 * moments[0] + u.imag**2 * moments[1] + 2.0 * u.real * u.imag * moments[2]
+    var /= n - 1
     return CoherenceTrace(
         times=report_idx * cfg.dt,
-        abs_coherence=np.abs(mean),
+        abs_coherence=abs_mean,
         arg_coherence=np.angle(mean),
-        stderr=stderr,
+        stderr=np.sqrt(np.maximum(var, 0.0) / n),  # rounding can dip below 0
         n_samples=n,
         block_sums=block_sums,
         block_counts=np.diff(bounds),
@@ -407,7 +451,7 @@ def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate
     """Weighted least-squares decay rate from ln |coherence| inside a window.
 
     Points with |coherence| <= 5 * stderr are dropped; at least 10 usable
-    points are required.  The slope uses per-point jackknife errors as
+    points are required.  The slope uses the per-point standard errors as
     weights; its standard error comes from a delete-one-block jackknife when
     block sums are available (the trace is strongly correlated across time,
     which the naive weighted-least-squares error formula would ignore).
@@ -606,11 +650,7 @@ def validate_against_analytic(scenario: ValidationScenario, jobs: int = 1) -> Va
     trace = simulate_dephasing(
         scenario.arch, scenario.pair, scenario.bath, scenario.topology, cfg, jobs
     )
-    if gamma > 0:
-        window = (cfg.fit_window[0] / gamma, cfg.fit_window[1] / gamma)
-    else:
-        window = (0.05 * cfg.duration, 0.95 * cfg.duration)
-    est = fit_rate(trace, window)
+    est = fit_rate(trace, cfg.absolute_fit_window(gamma))
     deviation = est.gamma_hat - gamma
     if est.stderr_gamma > 0:
         z = deviation / est.stderr_gamma
@@ -729,7 +769,7 @@ def mc_bus_scaling(
             master_seed=master_seed,
         )
         trace = simulate_bus_full(drive, pair, bath, NoiseTopology.uniform(), cfg, jobs)
-        est = fit_rate(trace, (0.5 / gamma_eff, 2.0 / gamma_eff))
+        est = fit_rate(trace, cfg.absolute_fit_window(gamma_eff))
         fitted.append((int(n), est.gamma_hat))
     log_l = np.log([n for n, _ in fitted])
     log_g = np.log([g for _, g in fitted])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,6 +84,10 @@ class OhmicBath:
     velocity: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("coupling", "cutoff", "temperature", "velocity"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {name}: {value}")
         if self.coupling <= 0:
             raise ValueError(f"coupling must be > 0, got {self.coupling}")
         if self.cutoff <= 0:

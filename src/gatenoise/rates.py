@@ -33,7 +33,6 @@ from .register import (
     CoherencePair,
     GateDrive,
     RegisterLabel,
-    enumerate_labels,
     hamming_distance,
     label_with_total_spin,
     pointer_bus,
@@ -343,50 +342,3 @@ def worst_case_pair(
         return CoherencePair(all_up, RegisterLabel(bits))
     return CoherencePair(all_up, all_up.flipped())  # processor core
 
-
-def enumerate_max_rate(
-    kind: ArchKind,
-    bath: OhmicBath,
-    n_qubits: int,
-    drive: GateDrive | None = None,
-) -> tuple[float, CoherencePair]:
-    """Exhaustive-search maximum rate over all label pairs (L <= 12 via M/N_d classes).
-
-    Used to verify the closed-form maximizers; exploits that the switched
-    array rates depend on labels only through (M, M') or N_d.
-    """
-    kind = ArchKind(kind)
-    if kind is ArchKind.FSA_UNIFORM:
-        best = None
-        for m in range(-n_qubits, n_qubits + 1, 2):
-            for mp in range(-n_qubits, n_qubits + 1, 2):
-                pair = CoherencePair(
-                    label_with_total_spin(n_qubits, m), label_with_total_spin(n_qubits, mp)
-                )
-                g = rate_fsa_uniform(bath, pair).gamma
-                if best is None or g > best[0]:
-                    best = (g, pair)
-        return best
-    if kind is ArchKind.FSA_INDEPENDENT:
-        best = None
-        for nd in range(n_qubits + 1):
-            bits = tuple(-1 if j < nd else 1 for j in range(n_qubits))
-            pair = CoherencePair(
-                label_with_total_spin(n_qubits, n_qubits), RegisterLabel(bits)
-            )
-            g = rate_fsa_independent(bath, pair).gamma
-            if best is None or g > best[0]:
-                best = (g, pair)
-        return best
-    if kind is ArchKind.BUS:
-        if drive is None:
-            raise ValueError("bus enumeration needs a drive")
-        best = None
-        for left in enumerate_labels(n_qubits):
-            for right in enumerate_labels(n_qubits):
-                pair = CoherencePair(left, right)
-                g = rate_bus(bath, pair, drive).gamma
-                if best is None or g > best[0]:
-                    best = (g, pair)
-        return best
-    raise ValueError(f"no enumeration path for {kind.value}")

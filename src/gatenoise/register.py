@@ -10,6 +10,7 @@ All operations here are pure functions on immutable values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -122,6 +123,8 @@ class GateDrive:
         object.__setattr__(self, "phi", tuple(float(p) for p in self.phi))
         if len(self.phi) < 1:
             raise ValueError("a drive needs at least one qubit")
+        if not all(math.isfinite(p) for p in self.phi):
+            raise ValueError(f"non-finite drive amplitude in {self.phi}")
 
     @classmethod
     def idle(cls, n_qubits: int) -> "GateDrive":

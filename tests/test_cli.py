@@ -53,6 +53,21 @@ def test_rates_missing_temperature_exits_3(tmp_path, capsys):
     assert "temperature" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("coupling", math.nan), ("cutoff", math.inf)])
+def test_rates_non_finite_bath_exits_3(tmp_path, capsys, field, value):
+    config = write_config(
+        tmp_path,
+        {"architecture": "fsa_uniform", "L": 2, "bath": {**BATH, field: value},
+         "pairs": "all"},
+    )
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--config", config, "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     config = write_config(
         tmp_path,

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -151,10 +152,10 @@ def test_decoherence_free_pair_shows_no_decay(monkeypatch):
 def test_non_finite_bath_raises_instead_of_a_trace():
     # NaN noise must not pass for a noise-free pair with exact unit coherence
     pair = CoherencePair(label_with_total_spin(2, 2), label_with_total_spin(2, 0))
-    bath = OhmicBath(coupling=float("nan"), cutoff=100.0, temperature=1.0)
     cfg = McConfig(dt=0.005, n_steps=256, n_trajectories=300, master_seed=8)
     arch = ArchitectureModel(ArchKind.FSA_UNIFORM, 2)
     with pytest.raises(ValueError, match="non-finite"):
+        bath = OhmicBath(coupling=float("nan"), cutoff=100.0, temperature=1.0)
         simulate_dephasing(arch, pair, bath, NoiseTopology.uniform(), cfg)
 
 
@@ -242,6 +243,75 @@ def test_chunk_stream_is_pinned():
     z = np.exp(1j * phase[:, idx])
     expected = np.add.reduceat(z, np.arange(0, nt, 8), axis=0)
     assert np.array_equal(trace.block_sums[64:], expected)
+
+
+def direct_z_rows(scn):
+    """exp(i phase) at the report points of every trajectory of a central-noise
+    scenario, drawn chunk by chunk in the documented stream order."""
+    cfg = scn.cfg
+    weights = [[pointer_fsa_uniform(scn.pair.left) - pointer_fsa_uniform(scn.pair.right)]]
+    factors = functional_spectral_factors(scn.bath, scn.topology, weights, cfg.dt, cfg.n_steps)
+    idx = np.unique(np.round(np.linspace(0, cfg.n_steps - 1, cfg.n_report)).astype(int))
+    rows = []
+    for chunk, start in enumerate(range(0, cfg.n_trajectories, 512)):
+        nt = min(512, cfg.n_trajectories - start)
+        rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(cfg.master_seed, chunk)))
+        re = rng.standard_normal((nt, 1, factors.shape[0]))
+        im = rng.standard_normal((nt, 1, factors.shape[0]))
+        white = (re + 1j * im) / np.sqrt(2.0)
+        white[:, :, 0] = re[:, :, 0]
+        white[:, :, -1] = re[:, :, -1]
+        noise = np.fft.irfft(factors[:, 0, 0] * white[:, 0], n=cfg.n_steps)
+        phase = cumulative_trapezoid(noise, dx=cfg.dt, initial=0.0, axis=1)
+        rows.append(np.exp(1j * phase[:, idx]))
+    return np.concatenate(rows)
+
+
+def test_delta_method_stderr_matches_leave_one_out_jackknife():
+    scn = small_uniform_scenario(n_trajectories=2000, seed=5)
+    trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg)
+    z = direct_z_rows(scn)
+    n = z.shape[0]
+    total = z.sum(axis=0)
+    mean = trace.abs_coherence * np.exp(1j * trace.arg_coherence)
+    np.testing.assert_allclose(mean, total / n, rtol=0, atol=1e-12)
+    # leave-one-out jackknife of |mean| over trajectories
+    loo = np.abs(total - z) / (n - 1)
+    jackknife = np.sqrt((n - 1) / n * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+    usable = trace.abs_coherence > 5.0 * trace.stderr
+    assert usable.sum() >= 100
+    np.testing.assert_allclose(trace.stderr[usable], jackknife[usable], rtol=1e-2)
+
+
+def test_blocks_straddling_chunks_are_byte_identical_across_jobs():
+    # 7 blocks over 1500 trajectories: bounds 214, 428, 642, ... cross the
+    # 512-row chunk edges, so blocks collect partial sums from two chunks
+    scn = small_uniform_scenario(n_trajectories=1500)
+    cfg = replace(scn.cfg, n_blocks=7)
+    traces = [
+        simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, cfg, jobs=jobs)
+        for jobs in (1, 2, 3)
+    ]
+    for other in traces[1:]:
+        for field in ("abs_coherence", "arg_coherence", "stderr", "block_sums"):
+            assert getattr(other, field).tobytes() == getattr(traces[0], field).tobytes()
+    trace = traces[0]
+    assert trace.block_sums.shape[0] == 7
+    mean = trace.abs_coherence * np.exp(1j * trace.arg_coherence)
+    np.testing.assert_allclose(trace.block_sums.sum(axis=0) / 1500, mean, rtol=0, atol=1e-12)
+
+
+def test_engine_memory_does_not_grow_with_trajectories():
+    peaks = []
+    for n in (2000, 20_000):
+        scn = small_uniform_scenario(n_trajectories=n)
+        tracemalloc.start()
+        try:
+            simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 * 2**20
 
 
 @pytest.mark.parametrize("engine", ["dephasing", "bus_full"])

@@ -10,7 +10,6 @@ from gatenoise.rates import (
     ArchitectureModel,
     NoiseKind,
     dephasing_rate,
-    enumerate_max_rate,
     fsa_pair_calibration,
     gate_count,
     rate_bus,
@@ -196,15 +195,39 @@ def test_scaling_scan_values():
         scaling_scan(ArchKind.FSA_UNIFORM, NoiseKind.INDEPENDENT, [2])
 
 
+def enumerate_max_rate(kind, bath, n_qubits):
+    """Exhaustive-search maximum rate over label classes.
+
+    The switched-array rates depend on the labels only through (M, M') or
+    N_d, so one representative pair per class covers every pair.
+    """
+    if kind is ArchKind.FSA_UNIFORM:
+        spins = range(-n_qubits, n_qubits + 1, 2)
+        pairs = [
+            CoherencePair(label_with_total_spin(n_qubits, m), label_with_total_spin(n_qubits, mp))
+            for m in spins
+            for mp in spins
+        ]
+        rate = rate_fsa_uniform
+    else:
+        all_up = label_with_total_spin(n_qubits, n_qubits)
+        pairs = [
+            CoherencePair(all_up, RegisterLabel(tuple(-1 if j < nd else 1 for j in range(n_qubits))))
+            for nd in range(n_qubits + 1)
+        ]
+        rate = rate_fsa_independent
+    return max(rate(bath, pair).gamma for pair in pairs)
+
+
 def test_scaling_scan_maximum_verified_by_enumeration():
     # the scan's closed-form maxima coincide with exhaustive search over
     # label-class representatives
     for n in range(2, 9):
         scan = scaling_scan(ArchKind.FSA_UNIFORM, NoiseKind.CENTRAL, [n])[0]
-        best, _ = enumerate_max_rate(ArchKind.FSA_UNIFORM, BATH, n)
+        best = enumerate_max_rate(ArchKind.FSA_UNIFORM, BATH, n)
         assert best == pytest.approx(scan.relative_rate / 4.0, rel=1e-12)
         scan_i = scaling_scan(ArchKind.FSA_INDEPENDENT, NoiseKind.INDEPENDENT, [n])[0]
-        best_i, _ = enumerate_max_rate(ArchKind.FSA_INDEPENDENT, BATH, n)
+        best_i = enumerate_max_rate(ArchKind.FSA_INDEPENDENT, BATH, n)
         assert best_i == pytest.approx(scan_i.relative_rate / 16.0, rel=1e-12)
 
 

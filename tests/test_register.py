@@ -122,6 +122,14 @@ def test_gate_drive_nominal_flag():
     assert not GateDrive((1.0, 0.0)).is_nominal
 
 
+@pytest.mark.parametrize(
+    "phi", [(float("nan"), 1.0), (1.0, float("inf")), (0.0, 0.0, float("-inf"))]
+)
+def test_gate_drive_rejects_non_finite(phi):
+    with pytest.raises(ValueError, match="non-finite"):
+        GateDrive(phi)
+
+
 @given(labels)
 def test_global_flip_leaves_uniform_pointer_invariant(label):
     assert pointer_fsa_uniform(label) == pointer_fsa_uniform(label.flipped())
