@@ -7,7 +7,10 @@ the fully resolved configuration and seed in its header, so a run can be
 reproduced byte-for-byte from its own output.
 
 Exit codes: 0 success / all validations passed, 1 validation failure,
-2 configuration parse error, 3 physical-constraint violation.
+2 configuration error (unreadable JSON, unknown key, a value of the wrong JSON
+type such as a string or a fractional number where an integer belongs),
+3 physical-constraint violation (including non-finite physical values),
+4 internal error (any other exception; never reported as 1).
 
 Units: natural units (hbar = k_B = 1) by default.  An optional ``units``
 block accepts frequencies in GHz and temperatures in kelvin; they are
@@ -63,6 +66,7 @@ EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_PHYSICAL_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 # Conversion factors applied by the optional "units" block (time unit: ns).
 GHZ_TO_NATURAL = 2.0 * math.pi          # GHz -> rad/ns
@@ -93,10 +97,45 @@ def _structural(mapping: Mapping, key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _number(value: Any, context: str) -> float:
+    """A JSON number as a float.  Non-finite values pass: the physics rejects them."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value: Any, context: str) -> int:
+    """A JSON integer; an integral float such as 2.0 is accepted, 2.7 is not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{context} must be an integer, got {value!r}")
+    return value
+
+
+def _number_pair(value: Any, context: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{context} must be a list of two numbers, got {value!r}")
+    return (_number(value[0], f"{context}[0]"), _number(value[1], f"{context}[1]"))
+
+
+def _label_pair(entry: Any, context: str) -> CoherencePair:
+    """A coherence pair from {"left": "+-...", "right": "..."}."""
+    _check_keys(entry, ["left", "right"], context)
+    labels = [_structural(entry, side, context) for side in ("left", "right")]
+    for side, label in zip(("left", "right"), labels):
+        if not isinstance(label, str):
+            raise ConfigError(f"{context}.{side} must be a label string, got {label!r}")
+    try:
+        return CoherencePair.from_strings(*labels)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
 def _physical(mapping: Mapping, key: str, context: str) -> float:
     if key not in mapping:
         raise PhysicalParameterError(f"missing physical parameter '{context}.{key}'")
-    return float(mapping[key])
+    return _number(mapping[key], f"{context}.{key}")
 
 
 def _units_from_config(config: Mapping) -> dict[str, float]:
@@ -127,7 +166,8 @@ def _bath_from_config(
     if require_temperature:
         temperature = _physical(config, "temperature", "bath") * units["temperature"]
     else:
-        temperature = float(config.get("temperature", 0.0)) * units["temperature"]
+        temperature = _number(config.get("temperature", 0.0), "bath.temperature")
+        temperature *= units["temperature"]
     geometry = config.get("geometry", "1d")
     try:
         geometry = Geometry(geometry)
@@ -138,7 +178,7 @@ def _bath_from_config(
         cutoff=cutoff,
         temperature=temperature,
         geometry=geometry,
-        velocity=float(config.get("velocity", 1.0)),
+        velocity=_number(config.get("velocity", 1.0), "bath.velocity"),
     )
 
 
@@ -150,7 +190,7 @@ def _drive_from_config(config: Mapping, n_qubits: int) -> GateDrive | None:
         raise ConfigError("drive must be a list of per-qubit amplitudes")
     if len(raw) != n_qubits:
         raise ConfigError(f"drive has {len(raw)} entries for L = {n_qubits}")
-    return GateDrive(tuple(float(p) for p in raw))
+    return GateDrive(tuple(_number(p, f"drive[{j}]") for j, p in enumerate(raw)))
 
 
 def _pairs_from_config(
@@ -167,19 +207,7 @@ def _pairs_from_config(
     if spec == "worst_case":
         return [worst_case_pair(kind, n_qubits, drive)]
     if isinstance(spec, list):
-        pairs = []
-        for i, entry in enumerate(spec):
-            _check_keys(entry, ["left", "right"], f"pairs[{i}]")
-            try:
-                pairs.append(
-                    CoherencePair.from_strings(
-                        _structural(entry, "left", f"pairs[{i}]"),
-                        _structural(entry, "right", f"pairs[{i}]"),
-                    )
-                )
-            except ValueError as exc:
-                raise ConfigError(f"pairs[{i}]: {exc}") from None
-        return pairs
+        return [_label_pair(entry, f"pairs[{i}]") for i, entry in enumerate(spec)]
     raise ConfigError("pairs must be 'all', 'worst_case', or a list of label pairs")
 
 
@@ -248,7 +276,7 @@ def _cmd_rates(config: Mapping, args: argparse.Namespace) -> int:
         kind = ArchKind(_structural(config, "architecture", "rates config"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    n_qubits = int(_structural(config, "L", "rates config"))
+    n_qubits = _integer(_structural(config, "L", "rates config"), "L")
     units = _units_from_config(config)
     bath = _bath_from_config(
         _structural(config, "bath", "rates config"), units, require_temperature=True
@@ -306,12 +334,20 @@ def _cmd_scan(config: Mapping, args: argparse.Namespace) -> int:
     l_values = _structural(config, "L_values", "scan config")
     if not isinstance(l_values, list) or not l_values:
         raise ConfigError("L_values must be a non-empty list of register lengths")
-    points = scaling_scan(kind, noise, [int(v) for v in l_values])
+    points = scaling_scan(
+        kind, noise, [_integer(v, f"L_values[{i}]") for i, v in enumerate(l_values)]
+    )
     rows = []
     previous = None
     for point in points:
         exponent = None
-        if previous is not None and point.n_qubits != previous.n_qubits:
+        # the log-log slope needs two distinct lengths with non-zero rates
+        if (
+            previous is not None
+            and point.n_qubits != previous.n_qubits
+            and point.relative_rate > 0
+            and previous.relative_rate > 0
+        ):
             exponent = math.log(point.relative_rate / previous.relative_rate) / math.log(
                 point.n_qubits / previous.n_qubits
             )
@@ -335,13 +371,13 @@ def _positions_from_config(config: Mapping) -> list[float]:
     raw = _structural(config, "positions", "couplings config")
     if isinstance(raw, Mapping):
         _check_keys(raw, ["count", "spacing"], "positions")
-        count = int(_structural(raw, "count", "positions"))
-        spacing = float(_structural(raw, "spacing", "positions"))
+        count = _integer(_structural(raw, "count", "positions"), "positions.count")
+        spacing = _number(_structural(raw, "spacing", "positions"), "positions.spacing")
         if count < 1:
             raise ConfigError("positions.count must be >= 1")
         return [j * spacing for j in range(count)]
     if isinstance(raw, list) and raw:
-        return [float(p) for p in raw]
+        return [_number(p, f"positions[{i}]") for i, p in enumerate(raw)]
     raise ConfigError("positions must be a list or {count, spacing}")
 
 
@@ -407,7 +443,7 @@ def _scenario_from_config(config: Mapping, seed: int, default_trajectories: int)
         kind = ArchKind(_structural(config, "architecture", "scenario"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    n_qubits = int(_structural(config, "L", "scenario"))
+    n_qubits = _integer(_structural(config, "L", "scenario"), "scenario.L")
     drive = _drive_from_config(config, n_qubits)
     if kind is ArchKind.BUS and drive is None:
         drive = GateDrive.two_qubit_gate(n_qubits, 0, min(1, n_qubits - 1))
@@ -415,40 +451,40 @@ def _scenario_from_config(config: Mapping, seed: int, default_trajectories: int)
     if pair_spec == "worst_case":
         pair = worst_case_pair(kind, n_qubits, drive)
     else:
-        _check_keys(pair_spec, ["left", "right"], "scenario.pair")
-        try:
-            pair = CoherencePair.from_strings(
-                _structural(pair_spec, "left", "scenario.pair"),
-                _structural(pair_spec, "right", "scenario.pair"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"scenario.pair: {exc}") from None
+        pair = _label_pair(pair_spec, "scenario.pair")
     if pair.n_qubits != n_qubits:
         raise ConfigError(
             f"scenario.pair has {pair.n_qubits} qubits but L = {n_qubits}"
         )
-    fit_window = tuple(config.get("fit_window", (0.5, 2.0)))
-    if len(fit_window) != 2:
-        raise ConfigError("fit_window must be [t_min, t_max] in units of 1/rate")
+    # fit_window is [t_min, t_max] in units of 1/rate
+    fit_window = _number_pair(config.get("fit_window", [0.5, 2.0]), "scenario.fit_window")
+    reference_rate = config.get("reference_rate")
+    if reference_rate is not None:
+        reference_rate = _number(reference_rate, "scenario.reference_rate")
+    name = config.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ConfigError(f"scenario.name must be a string, got {name!r}")
     return make_validation_scenario(
         kind,
         pair,
         drive=drive,
-        coupling=float(config.get("coupling", 1.0)),
-        temperature=float(config.get("temperature", 1.0)),
-        cutoff_ratio=float(config.get("cutoff_ratio", 128.0)),
-        n_trajectories=int(config.get("n_trajectories", default_trajectories)),
+        coupling=_number(config.get("coupling", 1.0), "scenario.coupling"),
+        temperature=_number(config.get("temperature", 1.0), "scenario.temperature"),
+        cutoff_ratio=_number(config.get("cutoff_ratio", 128.0), "scenario.cutoff_ratio"),
+        n_trajectories=_integer(
+            config.get("n_trajectories", default_trajectories), "scenario.n_trajectories"
+        ),
         master_seed=seed,
         fit_window=fit_window,
-        reference_rate=config.get("reference_rate"),
-        name=config.get("name"),
+        reference_rate=reference_rate,
+        name=name,
     )
 
 
 def _resolve_seed(config: Mapping, args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
-    return int(config.get("seed", DEFAULT_MASTER_SEED))
+    return _integer(config.get("seed", DEFAULT_MASTER_SEED), "seed")
 
 
 def _cmd_mc(config: Mapping, args: argparse.Namespace) -> int:
@@ -492,7 +528,11 @@ def _cmd_validate(config: Mapping, args: argparse.Namespace) -> int:
     resolved = dict(config)
     resolved["seed"] = seed
     n_override = config.get("n_trajectories")
+    if n_override is not None:
+        n_override = _integer(n_override, "n_trajectories")
     if "scenarios" in config:
+        if not isinstance(config["scenarios"], list):
+            raise ConfigError("scenarios must be a list of scenario objects")
         scenarios = [
             _scenario_from_config(entry, seed, default_trajectories=n_override or 10_000)
             for entry in config["scenarios"]
@@ -575,6 +615,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"gatenoise: {exc}", file=sys.stderr)
         return EXIT_PHYSICAL_ERROR
+    except Exception as exc:  # a crash must not read as a failed validation
+        print(f"gatenoise: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def console_main() -> None:

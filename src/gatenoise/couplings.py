@@ -52,10 +52,6 @@ __all__ = [
 _CUTOFF_UNITS_SPAN = 45.0
 _GAUSS_ORDERS = (16, 32)
 
-# Switch the transient energy shift from the quadruple sum to the factorized
-# form above this register size.
-_NAIVE_SUM_MAX_QUBITS = 32
-
 
 class QuadratureError(RuntimeError):
     """Raised when the oscillatory quadrature fails to converge."""
@@ -256,10 +252,9 @@ def transient_energy_shift(
 ) -> float:
     """Transient level shift of a driven register.
 
-    Evaluates (1/2) sum_{j k l n} phi_j phi_l mu_kn m_j m_k m_l m_n.  The
-    quadruple sum factorizes exactly as (1/2) (sum_j phi_j m_j)^2 (m^T mu m);
-    the factorized path is used above L = 32 and agrees with the explicit
-    sum to machine precision (checked in the test suite).
+    Evaluates (1/2) sum_{j k l n} phi_j phi_l mu_kn m_j m_k m_l m_n, which
+    factorizes exactly as (1/2) (sum_j phi_j m_j)^2 (m^T mu m): O(L^2) work
+    (the explicit quadruple sum is the oracle in the test suite).
     """
     if mu.kind is not CouplingKind.TRANSIENT:
         raise ValueError("energy shift requires a transient coupling matrix")
@@ -270,9 +265,6 @@ def transient_energy_shift(
         )
     phi = np.asarray(drive.phi, dtype=float)
     m = np.asarray(label.bits, dtype=float)
-    if n <= _NAIVE_SUM_MAX_QUBITS:
-        p = phi * m
-        return 0.5 * float(np.einsum("j,l,k,n,kn->", p, p, m, m, mu.values, optimize=False))
     drive_sum = float(phi @ m)
     return 0.5 * drive_sum**2 * float(m @ mu.values @ m)
 

@@ -2,26 +2,37 @@
 
 Independent oracle for the analytic rates in :mod:`gatenoise.rates`: for each
 noise realization the phase difference accumulated between the two labels of
-a coherence pair is integrated along synthesized trajectories, and the
-coherence is estimated as the ensemble mean of exp(i * phase).  For noise
+a coherence pair is the trapezoidal time integral of the noise it couples to,
+and the coherence is estimated as the ensemble mean of exp(i * phase).  For noise
 whose spectrum is flat over the decay bandwidth, |coherence| decays
 exponentially at the analytic rate; validation scenarios therefore require
 cutoff >= 20 * analytic rate and are rejected otherwise.
 
-Noise is drawn only for what the phase reads: the engine projects the site
+Noise is drawn only for what the phase reads.  The engine projects the site
 cross-spectrum onto the one (linear coupling) or two (quadratic bus coupler)
-linear functionals of the site noises it integrates, factors the per-bin
-covariance of those functionals and draws R <= 2 white sources per bin
-(:func:`gatenoise.noise.functional_spectral_factors`).  A linear combination
+linear functionals of the site noises it integrates and factors the per-bin
+covariance of those functionals
+(:func:`gatenoise.noise.functional_spectral_factors`); a linear combination
 of circular complex Gaussian amplitudes is again one, so this is exact in
-distribution for every topology.
+distribution for every topology.  Under a linear coupling the phase is a
+linear functional of Gaussian noise and so Gaussian itself: its covariance
+at the report points follows in closed form from the functional's power
+spectrum and is factored once per run
+(:func:`gatenoise.noise.trapezoid_phase_factor`), and each trajectory draws
+its report-point phases directly, with no time series, inverse FFT or
+integration.  The quadratic bus coupler (:func:`simulate_bus_full`) is not
+Gaussian in the noise: it draws R <= 2 white sources per bin, inverse-FFTs
+them and integrates the phase rate by the trapezoid rule.
 
 Determinism contract: trajectories are processed in fixed chunks of 512;
 chunk c (trajectories 512 c to 512 c + 511) draws all of its noise from one
-stream keyed by (master_seed, c), in a fixed order: the real parts
-(trajectory, source, bin), then the imaginary parts.  Within a chunk, sums
-add rows in index order; chunks are merged in chunk order.  Results are
-bit-identical for a given configuration at any level of parallelism.
+stream keyed by (master_seed, c), in a fixed layout.  Linear coupling: one
+``standard_normal((nt, k))`` for the k directions of the phase factor B, and
+the phase at the report points is [0, xi @ B].  Bus coupler: the real parts
+(trajectory, source, bin), then the imaginary parts.  Within a chunk, the
+sums over trajectories are numpy reductions whose order is fixed by the
+chunk's shape and memory layout; chunks are merged in chunk order.  Results
+are bit-identical for a given configuration at any level of parallelism.
 
 Error bars: each chunk is reduced, as soon as it is drawn, to its sum of
 exp(i phase), the centred second moments of its real and imaginary parts and
@@ -39,7 +50,7 @@ import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -50,6 +61,7 @@ from .noise import (
     TopologyKind,
     functional_spectral_factors,
     trajectory_seed_sequence,
+    trapezoid_phase_factor,
 )
 from .rates import (
     ArchKind,
@@ -94,6 +106,8 @@ DEFAULT_MASTER_SEED = 20260810
 # rate, otherwise the flat-spectrum assumption behind the rate formulas fails.
 WHITE_NOISE_CUTOFF_RATIO = 20.0
 _MIN_DECAY_SPANS = 3.0
+# Bounds on McConfig.n_report: the phase covariance the engine factors is m x m.
+_MIN_REPORT, _MAX_REPORT = 2, 4096
 
 
 class WhiteNoiseLimitError(ValueError):
@@ -111,7 +125,9 @@ class McConfig:
     ``fit_window`` is expressed in units of 1 / (analytic rate guess) and is
     converted to absolute times by the validation harness.  ``n_report``
     caps the number of stored trace points; the integration grid itself is
-    (n_steps, dt).
+    (n_steps, dt).  The engine factors the m x m covariance of the phase at
+    the report points, so ``n_report`` must lie in [2, 4096] (the default 257
+    makes a 0.5 MB factor, the maximum a 134 MB one).
     """
 
     dt: float
@@ -136,6 +152,10 @@ class McConfig:
         lo, hi = self.fit_window
         if not (math.isfinite(hi) and 0 <= lo < hi):
             raise ValueError(f"invalid fit window {self.fit_window}")
+        if not _MIN_REPORT <= self.n_report <= _MAX_REPORT:
+            raise ValueError(
+                f"n_report must be in [{_MIN_REPORT}, {_MAX_REPORT}], got {self.n_report}"
+            )
         if not 4 <= self.n_blocks <= self.n_trajectories // 2:
             raise ValueError(
                 f"n_blocks must be in [4, n_trajectories/2], got {self.n_blocks}"
@@ -193,16 +213,13 @@ _CHUNK = 512
 
 
 def _draw_functionals(
-    factors: np.ndarray, master_seed: int, chunk: int, nt: int
+    factors: np.ndarray, rng: np.random.Generator, nt: int
 ) -> np.ndarray:
     """rfft amplitudes (nt, P, n_bins) of the P noise functionals for one chunk.
 
     ``factors`` (n_bins, P, R) comes from :func:`functional_spectral_factors`,
     with R >= 1.  The draw order is part of the determinism contract.
     """
-    rng = np.random.Generator(
-        np.random.PCG64(trajectory_seed_sequence(master_seed, chunk))
-    )
     n_bins, n_functionals, n_sources = factors.shape
     re = rng.standard_normal((nt, n_sources, n_bins))
     im = rng.standard_normal((nt, n_sources, n_bins))
@@ -260,14 +277,17 @@ def _chunk_moments(
     return nt, total, moments, first, np.add.reduceat(z, cuts, axis=0)
 
 
-def _run_engine(factors: np.ndarray, phase_rate, cfg: McConfig, jobs: int) -> CoherenceTrace:
+PhaseSampler = Callable[[np.random.Generator, int], np.ndarray]
+
+
+def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> CoherenceTrace:
     """Ensemble mean of exp(i phase) over ``cfg.n_trajectories`` trajectories.
 
-    ``factors`` (n_bins, P, R) are the spectral factors of the P noise
-    functionals the phase reads; ``phase_rate`` maps their time series
-    (nt, P, n_steps) to d(phase)/dt (nt, n_steps).  Each chunk is reduced to
-    its moments as soon as it is drawn, so memory does not grow with the
-    number of trajectories.
+    ``sample_phase(rng, nt)`` returns the phase (nt, n_report) of nt
+    trajectories at the report points, drawn from the chunk's generator;
+    ``None`` means no noise reaches the phase, which is then exactly zero and
+    opens no stream.  Each chunk is reduced to its moments as soon as it is
+    drawn, so memory does not grow with the number of trajectories.
     """
     n = cfg.n_trajectories
     report_idx = _report_indices(cfg.n_steps, cfg.n_report)
@@ -275,18 +295,17 @@ def _run_engine(factors: np.ndarray, phase_rate, cfg: McConfig, jobs: int) -> Co
 
     def work(chunk: int) -> tuple:
         start = chunk * _CHUNK
-        stop = min(start + _CHUNK, n)
-        if factors.shape[2] == 0:
-            # No noise reaches the functionals: the phase is exactly zero.
-            z = np.ones((stop - start, report_idx.size), dtype=complex)
+        nt = min(start + _CHUNK, n) - start
+        if sample_phase is None:
+            z = np.ones((nt, report_idx.size), dtype=complex)
         else:
-            spec = _draw_functionals(factors, cfg.master_seed, chunk, stop - start)
-            noise = np.fft.irfft(spec, n=cfg.n_steps)
-            del spec
-            rate = phase_rate(noise)
-            del noise  # bounds the bus engine's peak memory during integration
-            phase = cumulative_trapezoid(rate, dx=cfg.dt, initial=0.0, axis=1)
-            z = np.exp(1j * phase[:, report_idx])
+            rng = np.random.Generator(
+                np.random.PCG64(trajectory_seed_sequence(cfg.master_seed, chunk))
+            )
+            phase = sample_phase(rng, nt)
+            z = np.empty_like(phase, dtype=complex)  # keeps the layout, and so the sum order
+            np.cos(phase, out=z.real)
+            np.sin(phase, out=z.imag)
         return _chunk_moments(z, start, bounds)
 
     # Merge in chunk order (Chan, Golub & LeVeque 1983 pairwise update); both
@@ -404,15 +423,25 @@ def simulate_dephasing(
 ) -> CoherenceTrace:
     """Monte-Carlo coherence decay of one density-matrix element.
 
-    Per trajectory, the phase sum_s int_0^t noise_s * (Q_s - Q'_s) ds is
-    accumulated by trapezoidal integration over synthesized noise and the
-    coherence is the ensemble mean of exp(i * phase).  Deterministic given
-    ``cfg.master_seed`` at any ``jobs``.
+    Per trajectory, the phase sum_s int_0^t noise_s * (Q_s - Q'_s) ds is the
+    trapezoidal integral of the synthesized noise; it is Gaussian, so it is
+    drawn directly at the report points from its exact covariance
+    (:func:`gatenoise.noise.trapezoid_phase_factor`).  The coherence is the
+    ensemble mean of exp(i * phase).  Deterministic given ``cfg.master_seed``
+    at any ``jobs``.
     """
     weights, gamma = _dephasing_sources(arch, pair, bath, topology)
     factors = functional_spectral_factors(bath, topology, weights, cfg.dt, cfg.n_steps)
     _check_white_noise_limit(bath, gamma)
-    return _run_engine(factors, lambda noise: noise[:, 0], cfg, jobs)
+    report_idx = _report_indices(cfg.n_steps, cfg.n_report)
+    factor = trapezoid_phase_factor((factors[:, 0] ** 2).sum(axis=1), cfg.dt, report_idx)
+
+    def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
+        phase = np.zeros((nt, report_idx.size))
+        phase[:, 1:] = rng.standard_normal((nt, factor.shape[0])) @ factor
+        return phase
+
+    return _run_engine(sample_phase if factor.size else None, cfg, jobs)
 
 
 def simulate_bus_full(
@@ -442,9 +471,16 @@ def simulate_bus_full(
     factors = functional_spectral_factors(bath, topology, labels, cfg.dt, cfg.n_steps)
     _check_white_noise_limit(bath, gamma_eff)
     const_left, const_right = labels @ np.asarray(drive.phi, dtype=float)
-    return _run_engine(
-        factors, lambda noise: _bus_phase_rate(noise, const_left, const_right), cfg, jobs
-    )
+    report_idx = _report_indices(cfg.n_steps, cfg.n_report)
+
+    def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
+        noise = np.fft.irfft(_draw_functionals(factors, rng, nt), n=cfg.n_steps)
+        rate = _bus_phase_rate(noise, const_left, const_right)
+        del noise  # bounds peak memory during integration
+        phase = cumulative_trapezoid(rate, dx=cfg.dt, initial=0.0, axis=1)
+        return phase[:, report_idx]
+
+    return _run_engine(sample_phase if factors.shape[2] else None, cfg, jobs)
 
 
 def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate:

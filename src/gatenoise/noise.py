@@ -39,14 +39,16 @@ __all__ = [
     "spatial_correlation_matrix",
     "SpectralSynthesizer",
     "functional_spectral_factors",
+    "trapezoid_phase_factor",
     "synthesize_trajectories",
     "trajectory_seed_sequence",
     "estimate_psd",
     "write_psd_csv",
 ]
 
-# Relative tolerance for negative eigenvalues of the per-frequency spatial
-# correlation matrix; anything below -EIG_CLAMP_TOL * lambda_max is a bug.
+# Relative tolerance for negative eigenvalues of a covariance matrix (the
+# per-frequency spatial correlations, the integrated phase); anything below
+# -EIG_CLAMP_TOL * lambda_max is a bug.
 EIG_CLAMP_TOL = 1e-10
 
 
@@ -287,16 +289,22 @@ def _site_kernels(
     return propagation_kernel_f(omega[:, None, None] * r / bath.velocity, bath.geometry)
 
 
-def _psd_eigh(cov: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin eigenpairs of symmetric PSD matrices, round-off negatives set to 0."""
+def _psd_eigh(
+    cov: np.ndarray, what: str, omega: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of symmetric PSD matrices, round-off negatives set to 0.
+
+    ``cov`` is one matrix or a stack of them (one per bin of ``omega``).
+    """
     eigval, eigvec = np.linalg.eigh(cov)
-    floor = -EIG_CLAMP_TOL * np.maximum(eigval[:, -1:], 0.0)
-    bad = np.flatnonzero((eigval < floor).any(axis=1))
+    floor = -EIG_CLAMP_TOL * np.maximum(eigval[..., -1:], 0.0)
+    bad = np.flatnonzero((eigval < floor).any(axis=-1))
     if bad.size:
         k = bad[0]
+        where = "" if omega is None else f" at omega = {omega[k]:.3g}"
         raise ValueError(
-            "spatial correlation matrix is not positive semidefinite "
-            f"(eigenvalue {eigval[k].min():.3e} at omega = {omega[k]:.3g})"
+            f"{what} is not positive semidefinite "
+            f"(eigenvalue {np.atleast_2d(eigval)[k].min():.3e}{where})"
         )
     return np.clip(eigval, 0.0, None), eigvec
 
@@ -332,10 +340,44 @@ def functional_spectral_factors(
             "site positions for NaN or infinite values"
         )
     cov = scale2[:, None, None] * (w @ kernels @ w.T)
-    eigval, eigvec = _psd_eigh(cov, omega)
+    eigval, eigvec = _psd_eigh(cov, "spatial correlation matrix", omega)
     eigval[eigval <= EIG_CLAMP_TOL * eigval[:, -1:]] = 0.0
     keep = (eigval > 0.0).any(axis=0)
     return (eigvec * np.sqrt(eigval)[:, None, :])[:, :, keep]
+
+
+def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:
+    """Factor B, shape (k, m - 1), of the law of a functional's integrated phase.
+
+    ``power`` (n_bins,) is the per-bin power |F_k|^2 of one functional's rfft
+    amplitudes (:func:`functional_spectral_factors` with P = 1, summed over
+    its sources).  The functional x is then stationary and circulant on
+    n_steps = 2 (n_bins - 1) points with autocovariance
+    c = irfft(power) / n_steps, and its trapezoid integral
+    phase_j = dt (x_0 + ... + x_j - (x_0 + x_j) / 2) is Gaussian.
+    ``report_idx`` (m,) starts at 0, where the phase is exactly 0, and
+    B^T B is the covariance of the phase at ``report_idx[1:]``, so
+    ``standard_normal((nt, k)) @ B`` samples it exactly.
+
+    Trapezoid increments of a stationary process are stationary, so
+    Cov(phase_a, phase_b) = (V(a) + V(b) - V(|a - b|)) / 2 with
+    V(n) = dt^2 (A(n) - 2 R(n) + (c_0 + c_n) / 2), R(n) = c_0 + ... + c_n and
+    A(n) = sum_{i, j <= n} c_{i - j} = (n + 1) c_0 + 2 sum_{t=1..n} (n + 1 - t) c_t:
+    O(n_steps + m^2) work and memory.  The covariance is factored with
+    ``eigh``; round-off negatives down to -EIG_CLAMP_TOL * lambda_max count as
+    zero and the k directions of positive variance are kept (k = 0: no noise).
+    """
+    power = np.asarray(power, dtype=float)
+    n_steps = 2 * (power.size - 1)
+    c = np.fft.irfft(power, n=n_steps) / n_steps
+    r = np.cumsum(c)
+    a = np.cumsum(2.0 * r - c[0])  # A(n) = A(n - 1) + 2 R(n) - c_0, A(0) = c_0
+    v = dt**2 * (a - 2.0 * r + 0.5 * (c[0] + c))
+    idx = np.asarray(report_idx)[1:]
+    cov = 0.5 * (v[idx, None] + v[None, idx] - v[np.abs(idx[:, None] - idx[None, :])])
+    eigval, eigvec = _psd_eigh(cov, "integrated phase covariance")
+    keep = eigval > 0.0
+    return (eigvec[:, keep] * np.sqrt(eigval[keep])).T
 
 
 class SpectralSynthesizer:
@@ -345,31 +387,31 @@ class SpectralSynthesizer:
     bundle per call from the supplied random generator.  ``draw_spectrum``
     exposes the frequency-domain amplitudes (the rfft of the bundle) so that
     linear functionals of the noise can be assembled before the inverse
-    transform.
+    transform.  ``n_sites`` is the number of rows L of a bundle, one per site.
     """
 
     def __init__(
         self,
         bath: OhmicBath,
         topology: NoiseTopology,
-        n_trajectories: int,
+        n_sites: int,
         dt: float,
         n_steps: int,
     ) -> None:
         self.omega, scale2 = _spectral_grid(bath, dt, n_steps)
         self.bath = bath
         self.topology = topology
-        self.n_trajectories = int(n_trajectories)
-        if self.n_trajectories < 1:
-            raise ValueError("need at least one trajectory")
+        self.n_sites = int(n_sites)
+        if self.n_sites < 1:
+            raise ValueError("need at least one site")
         self.dt = float(dt)
         self.n_steps = int(n_steps)
         self._n_bins = self.omega.size
         scale = np.sqrt(scale2)
         if topology.kind is TopologyKind.SPATIAL:
             # Per-bin mixing matrices B_k with B_k B_k^T = S_jk(w_k).
-            corr = _site_kernels(bath, topology, self.n_trajectories, self.omega)
-            eigval, eigvec = _psd_eigh(corr, self.omega)
+            corr = _site_kernels(bath, topology, self.n_sites, self.omega)
+            eigval, eigvec = _psd_eigh(corr, "spatial correlation matrix", self.omega)
             self._mixing = eigvec * np.sqrt(eigval)[:, None, :] * scale[:, None, None]
             self._scale = None
         else:
@@ -389,17 +431,17 @@ class SpectralSynthesizer:
             z = (re + 1j * im) * (self._scale / np.sqrt(2.0))
             z[0] = re[0] * self._scale[0]
             z[-1] = re[-1] * self._scale[-1]
-            return np.broadcast_to(z, (self.n_trajectories, nb))
+            return np.broadcast_to(z, (self.n_sites, nb))
         if self.topology.kind is TopologyKind.INDEPENDENT:
-            re = rng.standard_normal((self.n_trajectories, nb))
-            im = rng.standard_normal((self.n_trajectories, nb))
+            re = rng.standard_normal((self.n_sites, nb))
+            im = rng.standard_normal((self.n_sites, nb))
             z = (re + 1j * im) * (self._scale / np.sqrt(2.0))
             z[:, 0] = re[:, 0] * self._scale[0]
             z[:, -1] = re[:, -1] * self._scale[-1]
             return z
         # Spatial: white complex vector per bin, mixed by B_k.
-        re = rng.standard_normal((nb, self.n_trajectories))
-        im = rng.standard_normal((nb, self.n_trajectories))
+        re = rng.standard_normal((nb, self.n_sites))
+        im = rng.standard_normal((nb, self.n_sites))
         white = (re + 1j * im) / np.sqrt(2.0)
         white[0] = re[0]   # DC and Nyquist bins must be real
         white[-1] = re[-1]
@@ -411,7 +453,7 @@ class SpectralSynthesizer:
         z = self.draw_spectrum(rng)
         if self.topology.kind is TopologyKind.UNIFORM:
             row = np.fft.irfft(z[0], n=self.n_steps)
-            samples = np.broadcast_to(row, (self.n_trajectories, self.n_steps))
+            samples = np.broadcast_to(row, (self.n_sites, self.n_steps))
         else:
             samples = np.fft.irfft(z, n=self.n_steps)
             samples.setflags(write=False)
@@ -456,7 +498,7 @@ def synthesize_trajectories(
         Unsigned 64-bit seed; identical (seed, parameters) give identical
         bundles.
     """
-    synth = SpectralSynthesizer(bath, topology, n_trajectories, dt, n_steps)
+    synth = SpectralSynthesizer(bath, topology, n_sites=n_trajectories, dt=dt, n_steps=n_steps)
     rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(seed, 0)))
     return TrajectoryBundle(dt=dt, n_steps=n_steps, samples=synth.draw(rng), seed=int(seed))
 

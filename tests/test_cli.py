@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gatenoise import cli
 from gatenoise.cli import main
 from gatenoise.noise import OhmicBath
 from gatenoise.rates import ArchKind, rate_fsa_uniform, worst_case_pair
@@ -66,6 +67,65 @@ def test_rates_non_finite_bath_exits_3(tmp_path, capsys, field, value):
     assert field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def assert_one_line_exit(code, argv, out, capsys):
+    assert main([*argv, "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+MC_SCENARIO = {"architecture": "fsa_uniform", "L": 2, "pair": {"left": "++", "right": "+-"},
+               "n_trajectories": 500}
+
+
+def test_mc_fit_window_of_wrong_type_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, {"scenario": {**MC_SCENARIO, "fit_window": "ab"}})
+    err = assert_one_line_exit(2, ["mc", "--config", config], tmp_path / "mc.csv", capsys)
+    assert "fit_window" in err
+
+
+@pytest.mark.parametrize("value", [2.7, "abc"])
+def test_rates_non_integer_register_length_exits_2(tmp_path, capsys, value):
+    config = write_config(
+        tmp_path, {"architecture": "fsa_uniform", "L": value, "bath": BATH, "pairs": "all"}
+    )
+    err = assert_one_line_exit(2, ["rates", "--config", config], tmp_path / "r.csv", capsys)
+    assert "L must be an integer" in err
+
+
+def test_non_string_pair_label_exits_2(tmp_path, capsys):
+    scenario = {**MC_SCENARIO, "pair": {"left": 5, "right": "+-"}}
+    config = write_config(tmp_path, {"scenario": scenario})
+    err = assert_one_line_exit(2, ["mc", "--config", config], tmp_path / "mc.csv", capsys)
+    assert "scenario.pair.left" in err
+
+
+def test_scan_leaves_exponent_empty_next_to_a_zero_rate(tmp_path):
+    # one qubit has no central-noise rate, so no log-log slope reaches L = 1
+    config = write_config(
+        tmp_path, {"architecture": "fsa_uniform", "noise": "central", "L_values": [1, 2, 4]}
+    )
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", config, "--output", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert [r["local_exponent"] for r in rows[:2]] == ["", ""]
+    assert float(rows[2]["local_exponent"]) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_internal_error_exits_4_not_validation_failed(tmp_path, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "rate_fsa_uniform", crash)
+    config = write_config(
+        tmp_path, {"architecture": "fsa_uniform", "L": 2, "bath": BATH, "pairs": "all"}
+    )
+    err = assert_one_line_exit(4, ["rates", "--config", config], tmp_path / "r.csv", capsys)
+    assert "internal error: RuntimeError: simulated fault" in err
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

@@ -186,30 +186,31 @@ def test_energy_shift_matches_explicit_quadruple_loop():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def quadruple_sum_oracle(phi, bits, mu):
+    """(1/2) sum_{j k l n} phi_j phi_l mu_kn m_j m_k m_l m_n as one explicit contraction."""
+    m = np.asarray(bits, dtype=float)
+    p = np.asarray(phi) * m
+    return 0.5 * float(np.einsum("j,l,k,n,kn->", p, p, m, m, mu.values, optimize=False))
+
+
 def test_energy_shift_factorization_identity_at_l8():
     rng = np.random.default_rng(12)
     mu = _transient_matrix(8, rng)
     phi = rng.uniform(-1, 1, size=8)
     bits = tuple(rng.choice([1, -1], size=8))
-    m = np.array(bits, dtype=float)
-    naive = transient_energy_shift(GateDrive(tuple(phi)), RegisterLabel(bits), mu)
-    factorized = 0.5 * float(phi @ m) ** 2 * float(m @ mu.values @ m)
-    assert naive == pytest.approx(factorized, rel=1e-12)
+    got = transient_energy_shift(GateDrive(tuple(phi)), RegisterLabel(bits), mu)
+    assert got == pytest.approx(quadruple_sum_oracle(phi, bits, mu), rel=1e-12)
 
 
 def test_energy_shift_fast_path_matches_naive_oracle():
-    # above 32 qubits the library switches to the factorized form; check it
-    # against an explicit contraction done here
+    # a larger register: the factorized form against the explicit contraction
     rng = np.random.default_rng(3)
     n = 40
     mu = _transient_matrix(n, rng)
     phi = rng.uniform(-1, 1, size=n)
     bits = tuple(rng.choice([1, -1], size=n))
-    m = np.array(bits, dtype=float)
-    p = phi * m
-    oracle = 0.5 * float(np.einsum("j,l,k,n,kn->", p, p, m, m, mu.values))
     got = transient_energy_shift(GateDrive(tuple(phi)), RegisterLabel(bits), mu)
-    assert got == pytest.approx(oracle, rel=1e-12)
+    assert got == pytest.approx(quadruple_sum_oracle(phi, bits, mu), rel=1e-12)
 
 
 @settings(max_examples=25)

@@ -24,6 +24,7 @@ from gatenoise.noise import (
     OhmicBath,
     functional_spectral_factors,
     trajectory_seed_sequence,
+    trapezoid_phase_factor,
 )
 from gatenoise.rates import ArchKind, ArchitectureModel, worst_case_pair
 from gatenoise.register import (
@@ -66,6 +67,14 @@ def test_mcconfig_validation():
         McConfig(dt=0.01, n_steps=256, fit_window=(2.0, 1.0))
     with pytest.raises(ValueError):
         McConfig(dt=0.01, n_steps=256, n_blocks=2)
+
+
+@pytest.mark.parametrize("n_report", [-1, 0, 1, 4097, 10**6])
+def test_mcconfig_bounds_n_report(n_report):
+    with pytest.raises(ValueError, match="n_report"):
+        McConfig(dt=0.01, n_steps=256, n_report=n_report)
+    for ok in (2, 4096):
+        assert McConfig(dt=0.01, n_steps=256, n_report=ok).n_report == ok
 
 
 @pytest.mark.parametrize(
@@ -221,50 +230,70 @@ def test_deterministic_across_jobs_and_reruns():
         assert np.array_equal(a.stderr, b.stderr)
 
 
+def phase_factor(scn):
+    """Report indices and phase factor B of a central-noise scenario."""
+    cfg = scn.cfg
+    weights = [[pointer_fsa_uniform(scn.pair.left) - pointer_fsa_uniform(scn.pair.right)]]
+    factors = functional_spectral_factors(scn.bath, scn.topology, weights, cfg.dt, cfg.n_steps)
+    idx = np.unique(np.round(np.linspace(0, cfg.n_steps - 1, cfg.n_report)).astype(int))
+    return idx, trapezoid_phase_factor((factors[:, 0] ** 2).sum(axis=1), cfg.dt, idx)
+
+
+def chunk_z_rows(master_seed, chunk, nt, idx, factor):
+    """exp(i phase) of one chunk in the documented layout: xi = standard_normal((nt, k))
+    from the stream keyed by (master_seed, chunk), phase = [0, xi @ B]."""
+    rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(master_seed, chunk)))
+    phase = np.zeros((nt, idx.size))
+    phase[:, 1:] = rng.standard_normal((nt, factor.shape[0])) @ factor
+    z = np.empty(phase.shape, dtype=complex)
+    z.real = np.cos(phase)
+    z.imag = np.sin(phase)
+    return z
+
+
 def test_chunk_stream_is_pinned():
     # chunk 1 of 600 trajectories (rows 512..599) draws from the stream keyed
-    # by (master_seed, 1) in the documented order
+    # by (master_seed, 1) in the documented layout
     scn = small_uniform_scenario(n_trajectories=600)
     cfg = replace(scn.cfg, n_blocks=75)  # 8-row blocks: 64 of them end at row 512
     trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, cfg)
-    weights = [[pointer_fsa_uniform(scn.pair.left) - pointer_fsa_uniform(scn.pair.right)]]
-    factors = functional_spectral_factors(scn.bath, scn.topology, weights, cfg.dt, cfg.n_steps)
-    rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(cfg.master_seed, 1)))
-    nt, n_bins = 88, factors.shape[0]
-    re = rng.standard_normal((nt, 1, n_bins))
-    im = rng.standard_normal((nt, 1, n_bins))
-    white = (re + 1j * im) / np.sqrt(2.0)
-    white[:, :, 0] = re[:, :, 0]
-    white[:, :, -1] = re[:, :, -1]
-    spec = factors[:, 0, 0] * white[:, 0]
-    noise = np.fft.irfft(spec, n=cfg.n_steps)
-    phase = cumulative_trapezoid(noise, dx=cfg.dt, initial=0.0, axis=1)
-    idx = np.unique(np.round(np.linspace(0, cfg.n_steps - 1, cfg.n_report)).astype(int))
-    z = np.exp(1j * phase[:, idx])
-    expected = np.add.reduceat(z, np.arange(0, nt, 8), axis=0)
+    idx, factor = phase_factor(scn)
+    z = chunk_z_rows(cfg.master_seed, 1, 88, idx, factor)
+    expected = np.add.reduceat(z, np.arange(0, 88, 8), axis=0)
     assert np.array_equal(trace.block_sums[64:], expected)
 
 
 def direct_z_rows(scn):
     """exp(i phase) at the report points of every trajectory of a central-noise
-    scenario, drawn chunk by chunk in the documented stream order."""
+    scenario, drawn chunk by chunk in the documented layout."""
     cfg = scn.cfg
-    weights = [[pointer_fsa_uniform(scn.pair.left) - pointer_fsa_uniform(scn.pair.right)]]
-    factors = functional_spectral_factors(scn.bath, scn.topology, weights, cfg.dt, cfg.n_steps)
-    idx = np.unique(np.round(np.linspace(0, cfg.n_steps - 1, cfg.n_report)).astype(int))
+    idx, factor = phase_factor(scn)
     rows = []
     for chunk, start in enumerate(range(0, cfg.n_trajectories, 512)):
         nt = min(512, cfg.n_trajectories - start)
-        rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(cfg.master_seed, chunk)))
-        re = rng.standard_normal((nt, 1, factors.shape[0]))
-        im = rng.standard_normal((nt, 1, factors.shape[0]))
-        white = (re + 1j * im) / np.sqrt(2.0)
-        white[:, :, 0] = re[:, :, 0]
-        white[:, :, -1] = re[:, :, -1]
-        noise = np.fft.irfft(factors[:, 0, 0] * white[:, 0], n=cfg.n_steps)
-        phase = cumulative_trapezoid(noise, dx=cfg.dt, initial=0.0, axis=1)
-        rows.append(np.exp(1j * phase[:, idx]))
+        rows.append(chunk_z_rows(cfg.master_seed, chunk, nt, idx, factor))
     return np.concatenate(rows)
+
+
+def test_linear_engine_runs_no_per_chunk_irfft_or_integration(monkeypatch):
+    # the phase is sampled at the report points: one irfft per scenario builds
+    # its covariance, and no chunk synthesizes or integrates a noise trace
+    calls = {"irfft": 0, "trapezoid": 0}
+    irfft = np.fft.irfft
+
+    def counting_irfft(*args, **kwargs):
+        calls["irfft"] += 1
+        return irfft(*args, **kwargs)
+
+    def counting_trapezoid(*args, **kwargs):
+        calls["trapezoid"] += 1
+        return cumulative_trapezoid(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    monkeypatch.setattr(mcsim, "cumulative_trapezoid", counting_trapezoid)
+    scn = small_uniform_scenario(n_trajectories=1500)  # three chunks
+    simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg, jobs=2)
+    assert calls == {"irfft": 1, "trapezoid": 0}
 
 
 def test_delta_method_stderr_matches_leave_one_out_jackknife():

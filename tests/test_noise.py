@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from gatenoise.noise import (
     Geometry,
@@ -16,6 +17,7 @@ from gatenoise.noise import (
     spectral_density,
     synthesize_trajectories,
     trajectory_seed_sequence,
+    trapezoid_phase_factor,
 )
 
 
@@ -147,7 +149,7 @@ def test_synthesis_deterministic_and_seed_sensitive():
 
 def test_independent_trajectories_uncorrelated():
     bath = bath_1d(cutoff=8.0)
-    synth = SpectralSynthesizer(bath, NoiseTopology.independent(), 2, 0.05, 512)
+    synth = SpectralSynthesizer(bath, NoiseTopology.independent(), n_sites=2, dt=0.05, n_steps=512)
     corr = []
     for i in range(400):
         rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(77, i)))
@@ -160,7 +162,7 @@ def test_independent_trajectories_uncorrelated():
 
 def test_bundle_means_are_unbiased():
     bath = bath_1d(cutoff=8.0)
-    synth = SpectralSynthesizer(bath, NoiseTopology.independent(), 1, 0.05, 256)
+    synth = SpectralSynthesizer(bath, NoiseTopology.independent(), n_sites=1, dt=0.05, n_steps=256)
     means = []
     for i in range(500):
         rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(5, i)))
@@ -192,7 +194,7 @@ def test_estimate_psd_white_level():
 def test_synthesized_auto_psd_matches_target():
     bath = bath_1d(cutoff=8.0)
     dt, n = 0.5 / 8.0, 512
-    synth = SpectralSynthesizer(bath, NoiseTopology.independent(), 1, dt, n)
+    synth = SpectralSynthesizer(bath, NoiseTopology.independent(), n_sites=1, dt=dt, n_steps=n)
     rows = []
     for i in range(400):
         rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(42, i)))
@@ -218,7 +220,7 @@ def test_spatial_zero_distance_cross_psd_equals_auto():
 def test_spatial_cross_psd_matches_kernel():
     bath = bath_1d(cutoff=8.0)
     dt, n, r = 0.5 / 8.0, 512, 0.35
-    synth = SpectralSynthesizer(bath, NoiseTopology.spatial([0.0, r]), 2, dt, n)
+    synth = SpectralSynthesizer(bath, NoiseTopology.spatial([0.0, r]), n_sites=2, dt=dt, n_steps=n)
     cross = np.zeros(n // 2 + 1)
     for i in range(800):
         rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(99, i)))
@@ -333,7 +335,7 @@ def test_functional_factors_match_synthesizer_statistics():
     topology = NoiseTopology.spatial([0.0, 0.3])
     weights = np.array([[1.0, 0.5], [-0.3, 1.0]])
     dt, n_steps, n_draws = 0.05, 64, 4000
-    synth = SpectralSynthesizer(bath, topology, 2, dt, n_steps)
+    synth = SpectralSynthesizer(bath, topology, n_sites=2, dt=dt, n_steps=n_steps)
     power = np.zeros((2, n_steps // 2 + 1))
     for i in range(n_draws):
         rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(17, i)))
@@ -346,3 +348,53 @@ def test_functional_factors_match_synthesizer_statistics():
     rel_sd[[0, -1]] = np.sqrt(2.0)
     sigma = expected * rel_sd / np.sqrt(n_draws)
     assert np.all(np.abs(power - expected) <= 4.0 * sigma)
+
+
+def _pipeline_phase_covariance(factors, dt, n_steps, report_idx):
+    """Covariance of the phase at report_idx[1:] from irfft + cumulative_trapezoid.
+
+    Pushes every unit white amplitude (real parts of all bins, imaginary
+    parts of the interior ones) through the synthesis pipeline; the phase is
+    linear in them, so the covariance is the sum of the outer products.
+    """
+    n_bins = factors.shape[0]
+    unit = np.eye(n_bins)
+    unit[1:-1] /= np.sqrt(2.0)  # complex interior bins: variance 1/2 per part
+    rows = []
+    for r in range(factors.shape[2]):
+        spec = np.concatenate([unit, 1j * unit[1:-1]]) * factors[:, 0, r]
+        noise = np.fft.irfft(spec, n=n_steps)
+        rows.append(cumulative_trapezoid(noise, dx=dt, initial=0.0, axis=1)[:, report_idx[1:]])
+    phase = np.concatenate(rows)
+    return phase.T @ phase
+
+
+@pytest.mark.parametrize("n_steps", [256, 1024])
+@pytest.mark.parametrize(
+    "geometry, topology",
+    [
+        ("1d", NoiseTopology.uniform()),
+        ("1d", NoiseTopology.independent()),
+        ("1d", NoiseTopology.spatial([0.0, 0.01, 0.03, 0.07])),
+        ("3d", NoiseTopology.spatial([[0, 0, 0], [0.01, 0, 0], [0, 0.03, 0], [0.02, 0.02, 0.05]])),
+    ],
+)
+def test_trapezoid_phase_factor_reproduces_pipeline_covariance(geometry, topology, n_steps):
+    # bus weights (phi . m) m - (phi . m') m' of a driven gate at L = 4
+    bath = OhmicBath(coupling=1.0, cutoff=100.0, temperature=1.0, geometry=geometry)
+    phi = np.array([1.0, 1.0, 0.0, 0.0])
+    m_l, m_r = np.ones(4), np.array([-1.0, 1.0, 1.0, 1.0])
+    weights = [(phi @ m_l) * m_l - (phi @ m_r) * m_r]
+    dt = 0.5 / bath.cutoff
+    factors = functional_spectral_factors(bath, topology, weights, dt, n_steps)
+    report_idx = np.unique(np.round(np.linspace(0, n_steps - 1, 257)).astype(int))
+    factor = trapezoid_phase_factor((factors[:, 0] ** 2).sum(axis=1), dt, report_idx)
+    expected = _pipeline_phase_covariance(factors, dt, n_steps, report_idx)
+    assert factor.shape[1] == report_idx.size - 1
+    err = np.abs(factor.T @ factor - expected).max()
+    assert err <= 1e-10 * np.abs(expected).max()
+
+
+def test_trapezoid_phase_factor_is_empty_without_noise():
+    report_idx = np.arange(0, 64, 4)
+    assert trapezoid_phase_factor(np.zeros(33), 0.01, report_idx).shape == (0, 15)
