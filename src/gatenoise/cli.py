@@ -8,9 +8,12 @@ reproduced byte-for-byte from its own output.
 
 Exit codes: 0 success / all validations passed, 1 validation failure,
 2 configuration error (unreadable JSON, unknown key, a value of the wrong JSON
-type such as a string or a fractional number where an integer belongs),
-3 physical-constraint violation (including non-finite physical values),
-4 internal error (any other exception; never reported as 1).
+type such as a string or a fractional number where an integer belongs, or a
+size above its bound: register lengths, ``L_values`` entries and
+``positions.count`` <= 64, a Monte-Carlo scenario's ``L`` <= 16,
+``n_trajectories`` <= 10^6), 3 physical-constraint violation (including
+non-finite physical values and coupling scales that overflow), 4 internal
+error (any other exception; never reported as 1).
 
 Units: natural units (hbar = k_B = 1) by default.  An optional ``units``
 block accepts frequencies in GHz and temperatures in kelvin; they are
@@ -73,6 +76,15 @@ GHZ_TO_NATURAL = 2.0 * math.pi          # GHz -> rad/ns
 KELVIN_TO_NATURAL = 130.92034           # k_B/hbar in rad/ns per kelvin
 
 _MAX_ALL_PAIRS_QUBITS = 8
+# Upper bounds on the config's size parameters, checked as they are read so an
+# oversized value exits 2 before anything is allocated.  Register lengths and
+# site counts: rates "L", each scan "L_values" entry, "positions.count".
+_MAX_QUBITS = 64
+# Monte-Carlo scenarios ("L" of mc/validate scenarios): per-gate noise gives
+# L (L - 1) / 2 sources, whose per-bin site kernels grow as L^4.
+_MAX_MC_QUBITS = 16
+# "n_trajectories" of a scenario or of the validate override.
+_MAX_TRAJECTORIES = 10**6
 
 
 class ConfigError(Exception):
@@ -104,12 +116,15 @@ def _number(value: Any, context: str) -> float:
     return float(value)
 
 
-def _integer(value: Any, context: str) -> int:
-    """A JSON integer; an integral float such as 2.0 is accepted, 2.7 is not."""
+def _integer(value: Any, context: str, maximum: int | None = None) -> int:
+    """A JSON integer, at most ``maximum`` if given; an integral float such as
+    2.0 is accepted, 2.7 is not."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{context} must be an integer, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{context} must be <= {maximum}, got {value}")
     return value
 
 
@@ -276,7 +291,7 @@ def _cmd_rates(config: Mapping, args: argparse.Namespace) -> int:
         kind = ArchKind(_structural(config, "architecture", "rates config"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    n_qubits = _integer(_structural(config, "L", "rates config"), "L")
+    n_qubits = _integer(_structural(config, "L", "rates config"), "L", _MAX_QUBITS)
     units = _units_from_config(config)
     bath = _bath_from_config(
         _structural(config, "bath", "rates config"), units, require_temperature=True
@@ -335,7 +350,8 @@ def _cmd_scan(config: Mapping, args: argparse.Namespace) -> int:
     if not isinstance(l_values, list) or not l_values:
         raise ConfigError("L_values must be a non-empty list of register lengths")
     points = scaling_scan(
-        kind, noise, [_integer(v, f"L_values[{i}]") for i, v in enumerate(l_values)]
+        kind, noise,
+        [_integer(v, f"L_values[{i}]", _MAX_QUBITS) for i, v in enumerate(l_values)],
     )
     rows = []
     previous = None
@@ -371,7 +387,9 @@ def _positions_from_config(config: Mapping) -> list[float]:
     raw = _structural(config, "positions", "couplings config")
     if isinstance(raw, Mapping):
         _check_keys(raw, ["count", "spacing"], "positions")
-        count = _integer(_structural(raw, "count", "positions"), "positions.count")
+        count = _integer(
+            _structural(raw, "count", "positions"), "positions.count", _MAX_QUBITS
+        )
         spacing = _number(_structural(raw, "spacing", "positions"), "positions.spacing")
         if count < 1:
             raise ConfigError("positions.count must be >= 1")
@@ -443,7 +461,7 @@ def _scenario_from_config(config: Mapping, seed: int, default_trajectories: int)
         kind = ArchKind(_structural(config, "architecture", "scenario"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    n_qubits = _integer(_structural(config, "L", "scenario"), "scenario.L")
+    n_qubits = _integer(_structural(config, "L", "scenario"), "scenario.L", _MAX_MC_QUBITS)
     drive = _drive_from_config(config, n_qubits)
     if kind is ArchKind.BUS and drive is None:
         drive = GateDrive.two_qubit_gate(n_qubits, 0, min(1, n_qubits - 1))
@@ -472,7 +490,8 @@ def _scenario_from_config(config: Mapping, seed: int, default_trajectories: int)
         temperature=_number(config.get("temperature", 1.0), "scenario.temperature"),
         cutoff_ratio=_number(config.get("cutoff_ratio", 128.0), "scenario.cutoff_ratio"),
         n_trajectories=_integer(
-            config.get("n_trajectories", default_trajectories), "scenario.n_trajectories"
+            config.get("n_trajectories", default_trajectories), "scenario.n_trajectories",
+            _MAX_TRAJECTORIES,
         ),
         master_seed=seed,
         fit_window=fit_window,
@@ -529,7 +548,7 @@ def _cmd_validate(config: Mapping, args: argparse.Namespace) -> int:
     resolved["seed"] = seed
     n_override = config.get("n_trajectories")
     if n_override is not None:
-        n_override = _integer(n_override, "n_trajectories")
+        n_override = _integer(n_override, "n_trajectories", _MAX_TRAJECTORIES)
     if "scenarios" in config:
         if not isinstance(config["scenarios"], list):
             raise ConfigError("scenarios must be a list of scenario objects")

@@ -123,12 +123,27 @@ def kernel_h(x, geometry: Geometry) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _coupling_scale(bath: OhmicBath, kind: CouplingKind) -> float:
+    """Prefactor of a coupling, checked finite: cutoff^2 coupling / pi for the
+    spurious one, 2 coupling cutoff / pi for the transient one."""
+    if kind is CouplingKind.SPURIOUS:
+        scale = bath.cutoff * bath.cutoff * bath.coupling / math.pi
+    else:
+        scale = 2.0 * bath.coupling * bath.cutoff / math.pi
+    if not math.isfinite(scale):
+        raise ValueError(
+            f"{kind.value} coupling scale overflows for cutoff {bath.cutoff:g} and "
+            f"coupling {bath.coupling:g}"
+        )
+    return scale
+
+
 def spurious_coupling(bath: OhmicBath, r: float) -> float:
     """Permanent ZZ coupling induced between two idle qubits a distance r apart."""
     if r < 0:
         raise ValueError(f"distance must be >= 0, got {r}")
     x = bath.cutoff * r / bath.velocity
-    return bath.cutoff**2 * bath.coupling / math.pi * kernel_g(x, bath.geometry)
+    return _coupling_scale(bath, CouplingKind.SPURIOUS) * kernel_g(x, bath.geometry)
 
 
 def transient_coupling(bath: OhmicBath, r: float) -> float:
@@ -136,7 +151,7 @@ def transient_coupling(bath: OhmicBath, r: float) -> float:
     if r < 0:
         raise ValueError(f"distance must be >= 0, got {r}")
     x = bath.cutoff * r / bath.velocity
-    return 2.0 * bath.coupling * bath.cutoff / math.pi * kernel_h(x, bath.geometry)
+    return _coupling_scale(bath, CouplingKind.TRANSIENT) * kernel_h(x, bath.geometry)
 
 
 def _oscillatory_integral(
@@ -185,7 +200,7 @@ def spurious_coupling_quadrature(bath: OhmicBath, r: float, rel_tol: float = 1e-
         raise ValueError(f"distance must be >= 0, got {r}")
     x = bath.cutoff * r / bath.velocity
     geometry = bath.geometry
-    scale = bath.cutoff**2 * bath.coupling / math.pi
+    scale = _coupling_scale(bath, CouplingKind.SPURIOUS)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         return u * np.exp(-u) * propagation_kernel_f(x * u, geometry)
@@ -204,7 +219,7 @@ def spurious_coupling_thermal(bath: OhmicBath, r: float, rel_tol: float = 1e-10)
         return spurious_coupling_quadrature(bath, r, rel_tol)
     x = bath.cutoff * r / bath.velocity
     geometry = bath.geometry
-    scale = bath.cutoff**2 * bath.coupling / math.pi
+    scale = _coupling_scale(bath, CouplingKind.SPURIOUS)
     # In cutoff units: coth(w / 2T) = coth(u * cutoff / 2T).
     half_beta_cutoff = bath.cutoff / (2.0 * bath.temperature)
 
@@ -221,7 +236,7 @@ def transient_coupling_quadrature(bath: OhmicBath, r: float, rel_tol: float = 1e
         raise ValueError(f"distance must be >= 0, got {r}")
     x = bath.cutoff * r / bath.velocity
     geometry = bath.geometry
-    scale = 2.0 * bath.coupling * bath.cutoff / math.pi
+    scale = _coupling_scale(bath, CouplingKind.TRANSIENT)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         return np.exp(-u) * propagation_kernel_f(x * u, geometry)
@@ -239,10 +254,8 @@ def coupling_matrix(bath: OhmicBath, positions: Sequence, kind: CouplingKind) ->
     kind = CouplingKind(kind)
     distances = _distance_matrix(positions)
     x = bath.cutoff * distances / bath.velocity
-    if kind is CouplingKind.SPURIOUS:
-        values = bath.cutoff**2 * bath.coupling / math.pi * kernel_g(x, bath.geometry)
-    else:
-        values = 2.0 * bath.coupling * bath.cutoff / math.pi * kernel_h(x, bath.geometry)
+    kernel = kernel_g if kind is CouplingKind.SPURIOUS else kernel_h
+    values = _coupling_scale(bath, kind) * kernel(x, bath.geometry)
     pos = tuple(tuple(p) if np.ndim(p) else float(p) for p in positions)
     return CouplingMatrix(kind=kind, values=values, positions=pos)
 

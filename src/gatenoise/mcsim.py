@@ -21,8 +21,14 @@ spectrum and is factored once per run
 (:func:`gatenoise.noise.trapezoid_phase_factor`), and each trajectory draws
 its report-point phases directly, with no time series, inverse FFT or
 integration.  The quadratic bus coupler (:func:`simulate_bus_full`) is not
-Gaussian in the noise: it draws R <= 2 white sources per bin, inverse-FFTs
-them and integrates the phase rate by the trapezoid rule.
+Gaussian in the noise: it draws R <= 2 white sources per bin and builds its
+phase rate in time.  Where the site kernel is the same in every bin
+(uniform, independent and co-located spatial topologies) the two functionals
+(a, b) are G x for one factor G, so only the R scaled sources x are
+inverse-FFT'd and the rate is the quadratic form x^T Q x + q^T x; separated
+sites mix (a, b) per bin and inverse-FFT both.  Either way the phase at the
+report points is the trapezoid rule assembled from sums of the rate over the
+segments between report points, not integrated over the whole grid.
 
 Determinism contract: trajectories are processed in fixed chunks of 512;
 chunk c (trajectories 512 c to 512 c + 511) draws all of its noise from one
@@ -53,13 +59,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid  # noqa: F401  wrapped by perfbench/tracing.py
 
 from .noise import (
     NoiseTopology,
     OhmicBath,
     TopologyKind,
     functional_spectral_factors,
+    separable_functional_factor,
     trajectory_seed_sequence,
     trapezoid_phase_factor,
 )
@@ -212,48 +219,75 @@ def _report_indices(n_steps: int, n_report: int) -> np.ndarray:
 _CHUNK = 512
 
 
-def _draw_functionals(
-    factors: np.ndarray, rng: np.random.Generator, nt: int
+def _draw_white(
+    rng: np.random.Generator, nt: int, n_sources: int, amplitude: np.ndarray
 ) -> np.ndarray:
-    """rfft amplitudes (nt, P, n_bins) of the P noise functionals for one chunk.
+    """rfft amplitudes (nt, R, n_bins) of R independent white sources, scaled per bin.
 
-    ``factors`` (n_bins, P, R) comes from :func:`functional_spectral_factors`,
-    with R >= 1.  The draw order is part of the determinism contract.
+    Bin k holds amplitude_k times a unit complex Gaussian, real at the DC and
+    last bins.  The draw order (all real parts, then all imaginary parts) is
+    part of the determinism contract.
     """
-    n_bins, n_functionals, n_sources = factors.shape
-    re = rng.standard_normal((nt, n_sources, n_bins))
-    im = rng.standard_normal((nt, n_sources, n_bins))
-    white = np.multiply(im, 1j)
-    white += re
-    white /= np.sqrt(2.0)
-    white[:, :, 0] = re[:, :, 0]  # DC and last bins must be real
-    white[:, :, -1] = re[:, :, -1]
-    del re, im
-    spec = np.empty((nt, n_functionals, n_bins), dtype=complex)
-    for p in range(n_functionals):
+    re = rng.standard_normal((nt, n_sources, amplitude.size))
+    im = rng.standard_normal((nt, n_sources, amplitude.size))
+    white = np.empty(re.shape, dtype=complex)
+    half = amplitude / np.sqrt(2.0)
+    np.multiply(re, half, out=white.real)
+    np.multiply(im, half, out=white.imag)
+    white[:, :, 0] = re[:, :, 0] * amplitude[0]
+    white[:, :, -1] = re[:, :, -1] * amplitude[-1]
+    return white
+
+
+def _mix_per_bin(white: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """rfft amplitudes (nt, P, n_bins) of P functionals, sum_r F[k, p, r] white[:, r, k].
+
+    ``factors`` (n_bins, P, R) comes from :func:`functional_spectral_factors`.
+    """
+    nt, n_sources, n_bins = white.shape
+    spec = np.empty((nt, factors.shape[1], n_bins), dtype=complex)
+    for p in range(factors.shape[1]):
         np.multiply(white[:, 0], factors[:, p, 0], out=spec[:, p])
         for r in range(1, n_sources):
             spec[:, p] += white[:, r] * factors[:, p, r]
     return spec
 
 
-def _bus_phase_rate(noise: np.ndarray, const_left: float, const_right: float) -> np.ndarray:
-    """Phase rate of the full quadratic shared-line coupler, formed in place.
+def _quadratic_rate(x: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """x^T quad x + lin^T x at every (trajectory, time) of x (nt, R, n_steps).
 
-    Per trajectory the diagonal energy of label m is (A_m)^2 / 8 with
-    A_m(t) = sum_j (phi_j + xi_j(t)) m_j.  From the functionals a = m . xi
-    and b = m' . xi in ``noise`` (nt, 2, n_steps) this returns
-    (A_m'^2 - A_m^2) / 8 minus its noise-free part,
-    (b (b + 2 c_R) - a (a + 2 c_L)) / 8; ``noise`` is overwritten.
+    ``quad`` is symmetric (R, R); summed as sum_r x_r (quad_rr x_r +
+    2 sum_{s > r} quad_rs x_s + lin_r), skipping zero cross terms.
     """
-    a, b = noise[:, 0], noise[:, 1]
-    rate = b + 2.0 * const_right
-    rate *= b
-    np.add(a, 2.0 * const_left, out=b)
-    b *= a
-    rate -= b
-    rate /= 8.0
+    rate = None
+    for r in range(x.shape[1]):
+        term = x[:, r] * quad[r, r]
+        term += lin[r]
+        for s in range(r + 1, x.shape[1]):
+            if quad[r, s]:
+                term += (2.0 * quad[r, s]) * x[:, s]
+        term *= x[:, r]
+        if rate is None:
+            rate = term
+        else:
+            rate += term
     return rate
+
+
+def _trapezoid_at(rate: np.ndarray, report_idx: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid integral (nt, m) of ``rate`` (nt, n_steps) from 0 to each report index.
+
+    The sums of the rate over [idx_m, idx_{m+1}), up to the last report
+    index, accumulate to sum_{i < idx_{m+1}} rate_i; the end terms
+    (rate_idx - rate_0) / 2 complete the trapezoid rule.
+    """
+    phase = np.empty((rate.shape[0], report_idx.size))
+    phase[:, 0] = 0.0
+    segments = np.add.reduceat(rate[:, :report_idx[-1]], report_idx[:-1], axis=1)
+    np.cumsum(segments, axis=1, out=phase[:, 1:])
+    phase[:, 1:] += 0.5 * (rate[:, report_idx[1:]] - rate[:, :1])
+    phase *= dt
+    return phase
 
 
 def _chunk_moments(
@@ -461,6 +495,20 @@ def simulate_bus_full(
     coupler is 1/16 of the pointer-variable rate law (the coupler's cross
     term carries a factor 1/4 on each side), so this engine validates scaling
     shapes, not absolute prefactors.
+
+    The diagonal energy of label m is A_m^2 / 8 with
+    A_m(t) = sum_j (phi_j + xi_j(t)) m_j, so with a = m . xi, b = m' . xi and
+    c = m . phi, c' = m' . phi the phase rate, less its noise-free part, is
+    (b^2 + 2 c' b - a^2 - 2 c a) / 8.  When the site kernel is the same in
+    every bin (:func:`gatenoise.noise.separable_functional_factor`),
+    (a, b) = G x for R sources x whose rfft amplitudes are scale_k * white_k:
+    each chunk inverse-FFTs only those R series and forms the rate as
+    x^T Q x + q^T x with Q = (g' g'^T - g g^T) / 8 and q = (c' g' - c g) / 4
+    (g, g' the rows of G).  Separated sites mix (a, b) per bin and
+    inverse-FFT both (G = I).  The trapezoid phase at report index n_j is
+    dt (sum_{i < n_j} rate_i + (rate_{n_j} - rate_0) / 2), the inner sums
+    being running totals of the rate over the segments between consecutive
+    report points.
     """
     if pair.n_qubits != len(drive):
         raise ValueError(
@@ -468,19 +516,33 @@ def simulate_bus_full(
         )
     gamma_eff = rate_bus(bath, pair, drive).gamma / 16.0
     labels = np.array([pair.left.bits, pair.right.bits], dtype=float)
-    factors = functional_spectral_factors(bath, topology, labels, cfg.dt, cfg.n_steps)
+    separable = separable_functional_factor(bath, topology, labels, cfg.dt, cfg.n_steps)
+    if separable is None:
+        # separated sites: a and b are mixed per bin and transformed themselves
+        factors = functional_spectral_factors(bath, topology, labels, cfg.dt, cfg.n_steps)
+        n_sources = factors.shape[2]
+        unit = np.ones(factors.shape[0])
+        mix = np.eye(2)
+    else:
+        scale, mix = separable
+        n_sources = mix.shape[1]
     _check_white_noise_limit(bath, gamma_eff)
     const_left, const_right = labels @ np.asarray(drive.phi, dtype=float)
+    # (b^2 + 2 c_R b - a^2 - 2 c_L a) / 8 with (a, b) = mix @ x
+    quad = (np.outer(mix[1], mix[1]) - np.outer(mix[0], mix[0])) / 8.0
+    lin = (const_right * mix[1] - const_left * mix[0]) / 4.0
     report_idx = _report_indices(cfg.n_steps, cfg.n_report)
 
     def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
-        noise = np.fft.irfft(_draw_functionals(factors, rng, nt), n=cfg.n_steps)
-        rate = _bus_phase_rate(noise, const_left, const_right)
-        del noise  # bounds peak memory during integration
-        phase = cumulative_trapezoid(rate, dx=cfg.dt, initial=0.0, axis=1)
-        return phase[:, report_idx]
+        if separable is None:
+            spec = _mix_per_bin(_draw_white(rng, nt, n_sources, unit), factors)
+        else:
+            spec = _draw_white(rng, nt, n_sources, scale)
+        x = np.fft.irfft(spec, n=cfg.n_steps)
+        del spec  # bounds peak memory
+        return _trapezoid_at(_quadratic_rate(x, quad, lin), report_idx, cfg.dt)
 
-    return _run_engine(sample_phase if factors.shape[2] else None, cfg, jobs)
+    return _run_engine(sample_phase if n_sources else None, cfg, jobs)
 
 
 def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate:

@@ -39,6 +39,7 @@ __all__ = [
     "spatial_correlation_matrix",
     "SpectralSynthesizer",
     "functional_spectral_factors",
+    "separable_functional_factor",
     "trapezoid_phase_factor",
     "synthesize_trajectories",
     "trajectory_seed_sequence",
@@ -309,6 +310,22 @@ def _psd_eigh(
     return np.clip(eigval, 0.0, None), eigvec
 
 
+def _functional_terms(
+    bath: OhmicBath, topology: NoiseTopology, weights, dt: float, n_steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (P, L), bin frequencies, amplitude variances scale_k^2 and site
+    kernels K_k of P functionals of the site noises, checked finite."""
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    omega, scale2 = _spectral_grid(bath, dt, n_steps)
+    kernels = _site_kernels(bath, topology, w.shape[1], omega)
+    if not all(np.isfinite(x).all() for x in (w, scale2, kernels)):
+        raise ValueError(
+            "non-finite noise covariance: check the bath, the weights and the "
+            "site positions for NaN or infinite values"
+        )
+    return w, omega, scale2, kernels
+
+
 def functional_spectral_factors(
     bath: OhmicBath,
     topology: NoiseTopology,
@@ -331,19 +348,39 @@ def functional_spectral_factors(
     ``weights @ SpectralSynthesizer(...).draw_spectrum(rng)`` in every bin, so
     the functionals are drawn from R sources instead of L.
     """
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    omega, scale2 = _spectral_grid(bath, dt, n_steps)
-    kernels = _site_kernels(bath, topology, w.shape[1], omega)
-    if not all(np.isfinite(x).all() for x in (w, scale2, kernels)):
-        raise ValueError(
-            "non-finite noise covariance: check the bath, the weights and the "
-            "site positions for NaN or infinite values"
-        )
+    w, omega, scale2, kernels = _functional_terms(bath, topology, weights, dt, n_steps)
     cov = scale2[:, None, None] * (w @ kernels @ w.T)
     eigval, eigvec = _psd_eigh(cov, "spatial correlation matrix", omega)
     eigval[eigval <= EIG_CLAMP_TOL * eigval[:, -1:]] = 0.0
     keep = (eigval > 0.0).any(axis=0)
     return (eigvec * np.sqrt(eigval)[:, None, :])[:, :, keep]
+
+
+def separable_functional_factor(
+    bath: OhmicBath,
+    topology: NoiseTopology,
+    weights,
+    dt: float,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Bin-independent form F_k = scale_k G of :func:`functional_spectral_factors`.
+
+    When the site kernel K_k is the same array in every bin (uniform,
+    independent and co-located spatial topologies; compared exactly), the
+    functionals' covariance scale_k^2 W K W^T factors once: returns the
+    per-bin amplitude scale (n_bins,) and G (P, R) with G G^T = W K W^T, under
+    the same eigenvalue rule and so with the same R.  The P functionals are
+    then G times R sources whose rfft amplitudes are scale_k * white_k, so
+    they can be mixed in time after R inverse FFTs.  Returns None when K_k
+    varies between bins (separated spatial sites).
+    """
+    w, _, scale2, kernels = _functional_terms(bath, topology, weights, dt, n_steps)
+    if not (kernels == kernels[0]).all():
+        return None
+    eigval, eigvec = _psd_eigh(w @ kernels[0] @ w.T, "spatial correlation matrix")
+    eigval[eigval <= EIG_CLAMP_TOL * eigval[-1]] = 0.0
+    keep = eigval > 0.0
+    return np.sqrt(scale2), (eigvec * np.sqrt(eigval))[:, keep]
 
 
 def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:

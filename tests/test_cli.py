@@ -97,6 +97,39 @@ def test_rates_non_integer_register_length_exits_2(tmp_path, capsys, value):
     assert "L must be an integer" in err
 
 
+def test_couplings_overflowing_cutoff_exits_3(tmp_path, capsys):
+    # cutoff^2 of the spurious coupling is beyond the float range
+    config = write_config(
+        tmp_path, {"bath": {**BATH, "cutoff": 1e300}, "positions": [0.0, 1.0]}
+    )
+    err = assert_one_line_exit(3, ["couplings", "--config", config], tmp_path / "c.csv", capsys)
+    assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("rates", {"architecture": "fsa_uniform", "L": 1e9, "bath": BATH, "pairs": "worst_case"}),
+        ("scan", {"architecture": "fsa_uniform", "noise": "central", "L_values": [2, 10**9]}),
+        ("couplings", {"bath": BATH, "positions": {"count": 10**9, "spacing": 1.0}}),
+        ("mc", {"scenario": {**MC_SCENARIO, "L": 10**9}}),
+        ("mc", {"scenario": {**MC_SCENARIO, "n_trajectories": 1e30}}),
+        ("validate", {"n_trajectories": 10**30}),
+    ],
+    ids=["rates_L", "scan_L_values", "positions_count", "mc_L", "mc_n_trajectories",
+         "validate_n_trajectories"],
+)
+def test_oversized_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, config):
+    calls = []
+    for name in ("worst_case_pair", "scaling_scan", "coupling_matrix", "GateDrive",
+                 "make_validation_scenario", "default_validation_suite"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    path = write_config(tmp_path, config)
+    err = assert_one_line_exit(2, [command, "--config", path], tmp_path / "out.csv", capsys)
+    assert "must be <=" in err
+    assert calls == []
+
+
 def test_non_string_pair_label_exits_2(tmp_path, capsys):
     scenario = {**MC_SCENARIO, "pair": {"left": 5, "right": "+-"}}
     config = write_config(tmp_path, {"scenario": scenario})

@@ -1,5 +1,8 @@
+import importlib.util
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from gatenoise.noise import (
     trajectory_seed_sequence,
     trapezoid_phase_factor,
 )
-from gatenoise.rates import ArchKind, ArchitectureModel, worst_case_pair
+from gatenoise.rates import ArchKind, ArchitectureModel, rate_bus, worst_case_pair
 from gatenoise.register import (
     CoherencePair,
     GateDrive,
@@ -296,6 +299,18 @@ def test_linear_engine_runs_no_per_chunk_irfft_or_integration(monkeypatch):
     assert calls == {"irfft": 1, "trapezoid": 0}
 
 
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # perfbench/tracing.py wraps these names by attribute, mcsim.cumulative_trapezoid
+    # among them, and crashes if one is missing
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [name for name, owner, attr, *_ in tracing.TARGETS if not hasattr(owner, attr)]
+    assert missing == []
+
+
 def test_delta_method_stderr_matches_leave_one_out_jackknife():
     scn = small_uniform_scenario(n_trajectories=2000, seed=5)
     trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg)
@@ -312,22 +327,42 @@ def test_delta_method_stderr_matches_leave_one_out_jackknife():
     np.testing.assert_allclose(trace.stderr[usable], jackknife[usable], rtol=1e-2)
 
 
-def test_blocks_straddling_chunks_are_byte_identical_across_jobs():
-    # 7 blocks over 1500 trajectories: bounds 214, 428, 642, ... cross the
-    # 512-row chunk edges, so blocks collect partial sums from two chunks
-    scn = small_uniform_scenario(n_trajectories=1500)
-    cfg = replace(scn.cfg, n_blocks=7)
-    traces = [
-        simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, cfg, jobs=jobs)
-        for jobs in (1, 2, 3)
-    ]
+def assert_byte_identical_across_jobs(run):
+    """run(jobs) at jobs 1/2/3 gives the same bytes; its 7 blocks sum to the mean."""
+    traces = [run(jobs) for jobs in (1, 2, 3)]
     for other in traces[1:]:
         for field in ("abs_coherence", "arg_coherence", "stderr", "block_sums"):
             assert getattr(other, field).tobytes() == getattr(traces[0], field).tobytes()
     trace = traces[0]
     assert trace.block_sums.shape[0] == 7
     mean = trace.abs_coherence * np.exp(1j * trace.arg_coherence)
-    np.testing.assert_allclose(trace.block_sums.sum(axis=0) / 1500, mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        trace.block_sums.sum(axis=0) / trace.n_samples, mean, rtol=0, atol=1e-12
+    )
+
+
+def test_blocks_straddling_chunks_are_byte_identical_across_jobs():
+    # 7 blocks over 1500 trajectories: bounds 214, 428, 642, ... cross the
+    # 512-row chunk edges, so blocks collect partial sums from two chunks
+    scn = small_uniform_scenario(n_trajectories=1500)
+    cfg = replace(scn.cfg, n_blocks=7)
+    assert_byte_identical_across_jobs(
+        lambda jobs: simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, cfg, jobs)
+    )
+
+
+@pytest.mark.parametrize(
+    "topology", [NoiseTopology.uniform(), NoiseTopology.spatial([0.0, 0.3, 0.6, 0.9])],
+    ids=["time_mixing", "per_bin"],
+)
+def test_bus_blocks_straddling_chunks_are_byte_identical_across_jobs(topology):
+    drive = GateDrive.two_qubit_gate(4, 0, 1, 20.0)
+    pair = worst_case_pair(ArchKind.BUS, 4, drive)
+    bath = OhmicBath(coupling=4e-4, cutoff=128.0, temperature=1.0)
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=1500, master_seed=9, n_blocks=7)
+    assert_byte_identical_across_jobs(
+        lambda jobs: simulate_bus_full(drive, pair, bath, topology, cfg, jobs)
+    )
 
 
 def test_engine_memory_does_not_grow_with_trajectories():
@@ -454,6 +489,158 @@ def test_bus_full_drift_matches_classical_correlator():
     # reproducible across seeds within 3 sigma
     assert abs(slopes[0] - slopes[1]) <= 3.0 * np.hypot(errors[0], errors[1])
     assert abs(slopes[0] - slopes[2]) <= 3.0 * np.hypot(errors[0], errors[2])
+
+
+SCAN_BATH = OhmicBath(coupling=4e-4, cutoff=128.0, temperature=1.0)
+
+
+def scan_family(n_qubits):
+    """Drive and worst-case pair of ``mc_bus_scaling``'s family at length n_qubits."""
+    drive = GateDrive.two_qubit_gate(n_qubits, 0, 1, 20.0)
+    return drive, worst_case_pair(ArchKind.BUS, n_qubits, drive)
+
+
+def reference_bus_trace(drive, pair, bath, topology, cfg):
+    """simulate_bus_full through the pipeline it replaced, on the same draws:
+    per-bin mixed spectra of (a, b), np.fft.irfft over the whole grid, the
+    quadratic rate, cumulative_trapezoid and phase[:, report_idx]."""
+    labels = np.array([pair.left.bits, pair.right.bits], dtype=float)
+    factors = functional_spectral_factors(bath, topology, labels, cfg.dt, cfg.n_steps)
+    n_bins, _, n_sources = factors.shape
+    c_left, c_right = labels @ np.asarray(drive.phi, dtype=float)
+    report_idx = np.unique(
+        np.round(np.linspace(0, cfg.n_steps - 1, min(cfg.n_report, cfg.n_steps))).astype(int)
+    )
+
+    def sample_phase(rng, nt):
+        re = rng.standard_normal((nt, n_sources, n_bins))
+        im = rng.standard_normal((nt, n_sources, n_bins))
+        white = (re + 1j * im) / np.sqrt(2.0)
+        white[:, :, 0] = re[:, :, 0]
+        white[:, :, -1] = re[:, :, -1]
+        spec = np.einsum("kpr,nrk->npk", factors, white)
+        a, b = np.moveaxis(np.fft.irfft(spec, n=cfg.n_steps), 1, 0)
+        rate = (b * (b + 2.0 * c_right) - a * (a + 2.0 * c_left)) / 8.0
+        phase = cumulative_trapezoid(rate, dx=cfg.dt, initial=0.0, axis=1)
+        return phase[:, report_idx]
+
+    return mcsim._run_engine(sample_phase, cfg, 1)
+
+
+@pytest.mark.parametrize(
+    "n_qubits, topology",
+    [
+        (2, NoiseTopology.uniform()),
+        (4, NoiseTopology.uniform()),
+        (8, NoiseTopology.uniform()),
+        (4, NoiseTopology.independent()),
+        (4, NoiseTopology.spatial([0.0] * 4)),
+        (4, NoiseTopology.spatial([0.0, 0.3, 0.6, 0.9])),
+    ],
+    ids=["uniform_L2", "uniform_L4", "uniform_L8", "independent", "colocated", "separated"],
+)
+@pytest.mark.parametrize("n_report", [257, 512])
+def test_bus_full_matches_reference_pipeline(n_qubits, topology, n_report):
+    # n_report = n_steps puts a report point on the last grid step, where a
+    # segment sum running to the end of the grid would be off by one
+    drive, pair = scan_family(n_qubits)
+    cfg = McConfig(
+        dt=0.5 / 128.0, n_steps=512, n_trajectories=600, master_seed=7, n_report=n_report
+    )
+    trace = simulate_bus_full(drive, pair, SCAN_BATH, topology, cfg)
+    reference = reference_bus_trace(drive, pair, SCAN_BATH, topology, cfg)
+    np.testing.assert_array_equal(trace.times, reference.times)
+    np.testing.assert_allclose(trace.abs_coherence, reference.abs_coherence, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.arg_coherence, reference.arg_coherence, rtol=0, atol=1e-12)
+
+
+def test_uniform_bus_transforms_one_source_and_runs_no_integration(monkeypatch):
+    # a uniform bus has one noise source: each chunk inverse-FFTs one
+    # (nt, 1, bins) series and sums the rate between report points
+    shapes, trapezoid_calls = [], []
+    irfft = np.fft.irfft
+
+    def recording_irfft(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    monkeypatch.setattr(
+        mcsim, "cumulative_trapezoid",
+        lambda *a, **k: trapezoid_calls.append(1) or cumulative_trapezoid(*a, **k),
+    )
+    drive, pair = scan_family(4)
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=1500, master_seed=7)
+    simulate_bus_full(drive, pair, SCAN_BATH, NoiseTopology.uniform(), cfg, jobs=2)
+    assert sorted(shapes) == [(476, 1, 257), (512, 1, 257), (512, 1, 257)]
+    assert trapezoid_calls == []
+
+
+def exact_bus_coherence(drive, pair, bath, topology, cfg, steps):
+    """Exact E[exp(i phase)] of the trapezoid bus phase at grid indices ``steps``.
+
+    The phase at step n is the Gaussian quadratic form x^T A x + l^T x in
+    x = (a_0..a_n, b_0..b_n), with A and l the trapezoid weights of the rate
+    (b^2 + 2 c' b - a^2 - 2 c a) / 8.  With G G^T the joint grid covariance
+    of x (from irfft(F F^T) / n_steps) and G^T A G = U diag(mu) U^T,
+    beta = U^T G^T l:  E = prod_k (1 - 2i mu_k)^(-1/2) exp(-beta_k^2 / (2 (1 - 2i mu_k)))
+    (Imhof 1961).
+    """
+    labels = np.array([pair.left.bits, pair.right.bits], dtype=float)
+    factors = functional_spectral_factors(bath, topology, labels, cfg.dt, cfg.n_steps)
+    c_left, c_right = labels @ np.asarray(drive.phi, dtype=float)
+    cov = np.fft.irfft(np.einsum("kpr,kqr->pqk", factors, factors), n=cfg.n_steps) / cfg.n_steps
+    out = []
+    for n in steps:
+        lag = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+        sigma = np.block([[cov[0, 0][lag], cov[0, 1][lag]], [cov[1, 0][lag], cov[1, 1][lag]]])
+        w = np.full(n + 1, cfg.dt)
+        w[[0, -1]] /= 2.0
+        quad = np.concatenate([-w, w]) / 8.0
+        lin = np.concatenate([-c_left * w, c_right * w]) / 4.0
+        lam, vec = np.linalg.eigh(sigma)
+        keep = lam > 1e-12 * lam[-1]
+        g = vec[:, keep] * np.sqrt(lam[keep])
+        mu, u = np.linalg.eigh(g.T @ (quad[:, None] * g))
+        beta = u.T @ (g.T @ lin)
+        d = 1.0 - 2j * mu
+        out.append(np.exp(np.sum(-0.5 * np.log(d) - 0.5 * beta**2 / d)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["uniform_L8_gate", "separated_idle"])
+def test_bus_full_matches_exact_quadratic_form(case):
+    # the oracle is exact on the engine's own grid, so only sampling noise
+    # separates the two; compared where fit_rate would use the trace
+    if case == "uniform_L8_gate":
+        drive, pair = scan_family(8)
+        bath, topology = SCAN_BATH, NoiseTopology.uniform()
+        cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=4000, master_seed=3)
+        window = cfg.absolute_fit_window(rate_bus(bath, pair, drive).gamma / 16.0)
+        max_step = cfg.n_steps
+    else:  # the drift test's idle, spatially correlated pair (per-bin branch)
+        drive, pair = GateDrive.idle(2), CoherencePair.from_strings("++", "+-")
+        bath = OhmicBath(coupling=0.02, cutoff=20.0, temperature=1.0)
+        topology = NoiseTopology.spatial([0.0, 0.05])
+        cfg = McConfig(dt=0.025, n_steps=1024, n_trajectories=3000, master_seed=11)
+        window = (2.0, 20.0)
+        max_step = 300  # the oracle's matrices grow with the step
+    trace = simulate_bus_full(drive, pair, bath, topology, cfg)
+    steps = np.round(trace.times / cfg.dt).astype(int)
+    usable = (trace.times >= window[0]) & (trace.times <= window[1])
+    usable &= (trace.abs_coherence > 5.0 * trace.stderr) & (steps <= max_step)
+    points = np.flatnonzero(usable)
+    points = points[np.linspace(0, points.size - 1, 6).round().astype(int)]
+    exact = exact_bus_coherence(drive, pair, bath, topology, cfg, steps[points])
+    # delete-one-block jackknife for arg: its spread is not the radial stderr
+    total = trace.block_sums.sum(axis=0)
+    loo = np.angle((total - trace.block_sums) / total)
+    n_blocks = loo.shape[0]
+    arg_se = np.sqrt((n_blocks - 1) / n_blocks * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+    z_abs = (trace.abs_coherence[points] - np.abs(exact)) / trace.stderr[points]
+    z_arg = np.angle(np.exp(1j * trace.arg_coherence[points]) / exact) / arg_se[points]
+    assert np.all(np.abs(z_abs) <= 4.0), z_abs
+    assert np.all(np.abs(z_arg) <= 4.0), z_arg
 
 
 def test_bus_full_scaling_is_quadratic():

@@ -13,6 +13,7 @@ from gatenoise.noise import (
     estimate_psd,
     functional_spectral_factors,
     propagation_kernel_f,
+    separable_functional_factor,
     spatial_correlation_matrix,
     spectral_density,
     synthesize_trajectories,
@@ -296,6 +297,32 @@ def test_functional_factors_reproduce_covariance(geometry, topology, weights, ra
     rebuilt = factors @ factors.transpose(0, 2, 1)
     err = np.abs(rebuilt - cov).max(axis=(1, 2))
     assert np.all(err <= 1e-12 * np.abs(cov).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "topology, weights",
+    [
+        (NoiseTopology.uniform(), [[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]),
+        (NoiseTopology.independent(), [[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]),
+        (NoiseTopology.spatial([0.0, 0.0, 0.0]), [[1.0, -1.0, 1.0], [0.5, 1.0, -2.0]]),
+        (NoiseTopology.uniform(), [[1.0, -1.0, 0.0]]),  # noise free: R = 0
+    ],
+)
+def test_separable_factor_is_the_per_bin_factor_scaled(topology, weights):
+    bath = bath_1d(cutoff=8.0)
+    factors = functional_spectral_factors(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
+    scale, g = separable_functional_factor(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
+    assert g.shape == factors.shape[1:]
+    np.testing.assert_allclose(
+        scale[:, None, None] * g, factors, rtol=0, atol=1e-14 * np.abs(factors).max(initial=1.0)
+    )
+
+
+def test_separable_factor_refuses_separated_sites():
+    topology = NoiseTopology.spatial([0.0, 0.05])
+    assert separable_functional_factor(
+        bath_1d(cutoff=8.0), topology, [[1.0, 1.0], [1.0, -1.0]], FACTOR_DT, FACTOR_STEPS
+    ) is None
 
 
 def test_functional_factors_drop_noise_free_functionals():
