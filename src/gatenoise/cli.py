@@ -8,12 +8,18 @@ reproduced byte-for-byte from its own output.
 
 Exit codes: 0 success / all validations passed, 1 validation failure,
 2 configuration error (unreadable JSON, unknown key, a value of the wrong JSON
-type such as a string or a fractional number where an integer belongs, or a
-size above its bound: register lengths, ``L_values`` entries and
-``positions.count`` <= 64, a Monte-Carlo scenario's ``L`` <= 16,
-``n_trajectories`` <= 10^6), 3 physical-constraint violation (including
+type such as a string or a fractional number where an integer belongs, a
+``rates`` architecture other than fsa_uniform, fsa_independent and bus, an
+explicit pair whose labels do not have ``L`` qubits, or a size above its
+bound: register lengths, ``L_values`` entries and ``positions.count`` <= 64,
+a Monte-Carlo scenario's ``L`` <= 16, ``n_trajectories`` <= 10^6, and a time
+grid of at most 2^20 steps), 3 physical-constraint violation (including
 non-finite physical values and coupling scales that overflow), 4 internal
 error (any other exception; never reported as 1).
+
+A scenario's grid has ``mcsim.grid_points(cutoff_ratio, fit_window)`` =
+2 * cutoff_ratio * max(3.2, 1.15 * fit_window[1]) + 1 points rounded up to a
+power of two; the bound is checked as the scenario is read.
 
 Units: natural units (hbar = k_B = 1) by default.  An optional ``units``
 block accepts frequencies in GHz and temperatures in kelvin; they are
@@ -23,12 +29,12 @@ recorded in the output header.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from . import __version__
 from .couplings import (
@@ -41,27 +47,25 @@ from .mcsim import (
     DEFAULT_MASTER_SEED,
     default_validation_suite,
     fit_rate,
+    grid_points,
     make_validation_scenario,
     simulate_dephasing,
     validate_against_analytic,
 )
 from .noise import Geometry, OhmicBath
 from .rates import (
+    ArchitectureModel,
     ArchKind,
     NoiseKind,
-    rate_bus,
-    rate_fsa_independent,
-    rate_fsa_uniform,
+    rate_table,
     scaling_scan,
     worst_case_pair,
 )
 from .register import (
     CoherencePair,
     GateDrive,
-    hamming_distance,
-    iter_coherence_pairs,
-    pointer_bus,
-    pointer_fsa_uniform,
+    RegisterLabel,
+    enumerate_labels,
     total_spin,
 )
 
@@ -76,6 +80,7 @@ GHZ_TO_NATURAL = 2.0 * math.pi          # GHz -> rad/ns
 KELVIN_TO_NATURAL = 130.92034           # k_B/hbar in rad/ns per kelvin
 
 _MAX_ALL_PAIRS_QUBITS = 8
+_RATE_TABLE_KINDS = (ArchKind.FSA_UNIFORM, ArchKind.FSA_INDEPENDENT, ArchKind.BUS)
 # Upper bounds on the config's size parameters, checked as they are read so an
 # oversized value exits 2 before anything is allocated.  Register lengths and
 # site counts: rates "L", each scan "L_values" entry, "positions.count".
@@ -85,6 +90,9 @@ _MAX_QUBITS = 64
 _MAX_MC_QUBITS = 16
 # "n_trajectories" of a scenario or of the validate override.
 _MAX_TRAJECTORIES = 10**6
+# Time steps of a scenario's grid, which its "cutoff_ratio" and the upper end of
+# its "fit_window" set (the default suite uses 1024 steps, the bus scan 8192).
+_MAX_GRID_STEPS = 2**20
 
 
 class ConfigError(Exception):
@@ -210,7 +218,8 @@ def _drive_from_config(config: Mapping, n_qubits: int) -> GateDrive | None:
 
 def _pairs_from_config(
     config: Mapping, kind: ArchKind, n_qubits: int, drive: GateDrive | None
-) -> list[CoherencePair]:
+) -> tuple[list[RegisterLabel], np.ndarray, np.ndarray]:
+    """The table's distinct labels and, per pair, the indices of its two labels."""
     spec = config.get("pairs", "all")
     if spec == "all":
         if n_qubits > _MAX_ALL_PAIRS_QUBITS:
@@ -218,12 +227,23 @@ def _pairs_from_config(
                 f"pairs: 'all' enumerates 4^L/2 rows and is capped at "
                 f"L <= {_MAX_ALL_PAIRS_QUBITS}; list pairs explicitly"
             )
-        return list(iter_coherence_pairs(n_qubits))
+        labels = enumerate_labels(n_qubits)
+        # row-major upper triangle, diagonal included: iter_coherence_pairs order
+        left, right = np.triu_indices(len(labels))
+        return labels, left, right
     if spec == "worst_case":
-        return [worst_case_pair(kind, n_qubits, drive)]
-    if isinstance(spec, list):
-        return [_label_pair(entry, f"pairs[{i}]") for i, entry in enumerate(spec)]
-    raise ConfigError("pairs must be 'all', 'worst_case', or a list of label pairs")
+        pairs = [worst_case_pair(kind, n_qubits, drive)]
+    elif isinstance(spec, list):
+        pairs = [_label_pair(entry, f"pairs[{i}]") for i, entry in enumerate(spec)]
+        for i, pair in enumerate(pairs):
+            if pair.n_qubits != n_qubits:
+                raise ConfigError(f"pairs[{i}] has {pair.n_qubits} qubits but L = {n_qubits}")
+    else:
+        raise ConfigError("pairs must be 'all', 'worst_case', or a list of label pairs")
+    index: dict[RegisterLabel, int] = {}
+    left = [index.setdefault(pair.left, len(index)) for pair in pairs]
+    right = [index.setdefault(pair.right, len(index)) for pair in pairs]
+    return list(index), np.array(left, dtype=np.intp), np.array(right, dtype=np.intp)
 
 
 def _canonical_json(obj: Any) -> str:
@@ -231,33 +251,57 @@ def _canonical_json(obj: Any) -> str:
 
 
 def _format_cell(value: Any) -> str:
+    """One CSV field, quoted as ``csv.writer`` quotes it by default: a field
+    holding a comma, a double quote or a line break is enclosed in double
+    quotes, with its double quotes doubled."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+class _Coded(NamedTuple):
+    """A column stored as its distinct values and, per row, the index of its
+    value, so that each distinct value is formatted once."""
+
+    values: Sequence[Any]
+    index: np.ndarray
+
+
+def _cells(column: Sequence[Any] | _Coded, convert: Callable[[Any], Any]) -> list:
+    if isinstance(column, _Coded):
+        converted = [convert(v) for v in column.values]
+        return [converted[i] for i in column.index.tolist()]
+    return list(map(convert, column))
+
+
+def _by_column(columns: Sequence[str], rows: Sequence[Mapping[str, Any]]) -> dict[str, list]:
+    return {c: [row[c] for row in rows] for c in columns}
 
 
 def _write_output(
     destination: str | None,
     fmt: str,
     meta: dict[str, Any],
-    columns: Sequence[str],
-    rows: Sequence[Mapping[str, Any]],
+    table: Mapping[str, Sequence[Any] | _Coded],
 ) -> None:
+    """Write a table of at least two columns, given column by column in order,
+    as CSV (``#`` header lines, then ``csv.writer``'s default dialect) or JSON."""
     if fmt == "csv":
-        buffer = io.StringIO()
-        for key, value in meta.items():
-            buffer.write(f"# {key}: {_canonical_json(value)}\n")
-        writer = csv.writer(buffer)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(c)) for c in columns])
-        text = buffer.getvalue()
+        header = "".join(f"# {key}: {_canonical_json(value)}\n" for key, value in meta.items())
+        columns = [_cells(c, _format_cell) for c in table.values()]
+        lines = [",".join(map(_format_cell, table)), *map(",".join, zip(*columns))]
+        text = header + "\r\n".join(lines) + "\r\n"
     else:
-        payload = {"meta": meta, "rows": [dict(r) for r in rows]}
+        names = list(table)
+        rows = zip(*(_cells(c, lambda v: v) for c in table.values()))
+        payload = {"meta": meta, "rows": [dict(zip(names, row)) for row in rows]}
         text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if destination is None:
         sys.stdout.write(text)
@@ -291,6 +335,10 @@ def _cmd_rates(config: Mapping, args: argparse.Namespace) -> int:
         kind = ArchKind(_structural(config, "architecture", "rates config"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if kind not in _RATE_TABLE_KINDS:
+        raise ConfigError(
+            f"rate tables exist for fsa_uniform, fsa_independent and bus, not {kind.value}"
+        )
     n_qubits = _integer(_structural(config, "L", "rates config"), "L", _MAX_QUBITS)
     units = _units_from_config(config)
     bath = _bath_from_config(
@@ -299,43 +347,26 @@ def _cmd_rates(config: Mapping, args: argparse.Namespace) -> int:
     drive = _drive_from_config(config, n_qubits)
     if kind is ArchKind.BUS and drive is None:
         raise ConfigError("bus rates require a 'drive' entry")
-    pairs = _pairs_from_config(config, kind, n_qubits, drive)
+    labels, left, right = _pairs_from_config(config, kind, n_qubits, drive)
+    table = rate_table(ArchitectureModel(kind, n_qubits, drive), bath, labels, left, right)
 
-    rows = []
-    for pair in pairs:
-        m, mp = total_spin(pair.left), total_spin(pair.right)
-        nd = hamming_distance(pair)
-        q = qp = None
-        if kind is ArchKind.FSA_UNIFORM:
-            q, qp = pointer_fsa_uniform(pair.left), pointer_fsa_uniform(pair.right)
-            gamma = rate_fsa_uniform(bath, pair).gamma
-        elif kind is ArchKind.FSA_INDEPENDENT:
-            gamma = rate_fsa_independent(bath, pair).gamma
-        elif kind is ArchKind.BUS:
-            q, qp = pointer_bus(pair.left, drive), pointer_bus(pair.right, drive)
-            gamma = rate_bus(bath, pair, drive).gamma
-        else:
-            raise ConfigError(
-                f"rate tables exist for fsa_uniform, fsa_independent and bus, "
-                f"not {kind.value}"
-            )
-        rows.append(
-            {
-                "architecture": kind.value,
-                "L": n_qubits,
-                "left": str(pair.left),
-                "right": str(pair.right),
-                "M": m,
-                "Mp": mp,
-                "Nd": nd,
-                "Q": q,
-                "Qp": qp,
-                "gamma": gamma,
-            }
-        )
-    meta = _base_meta("rates", config, seed=None)
-    columns = ["architecture", "L", "left", "right", "M", "Mp", "Nd", "Q", "Qp", "gamma"]
-    _write_output(args.output, args.format, meta, columns, rows)
+    names = [str(label) for label in labels]
+    spins = [total_spin(label) for label in labels]
+    pointers = table.pointers or [None] * len(labels)
+    every_row = np.zeros(len(left), dtype=np.intp)
+    columns = {
+        "architecture": _Coded([kind.value], every_row),
+        "L": _Coded([n_qubits], every_row),
+        "left": _Coded(names, left),
+        "right": _Coded(names, right),
+        "M": _Coded(spins, left),
+        "Mp": _Coded(spins, right),
+        "Nd": _Coded(range(n_qubits + 1), table.hamming),
+        "Q": _Coded(pointers, left),
+        "Qp": _Coded(pointers, right),
+        "gamma": table.gamma.tolist(),
+    }
+    _write_output(args.output, args.format, _base_meta("rates", config, seed=None), columns)
     return EXIT_OK
 
 
@@ -379,7 +410,7 @@ def _cmd_scan(config: Mapping, args: argparse.Namespace) -> int:
         previous = point
     meta = _base_meta("scan", config, seed=None)
     columns = ["architecture", "noise", "L", "relative_rate", "local_exponent"]
-    _write_output(args.output, args.format, meta, columns, rows)
+    _write_output(args.output, args.format, meta, _by_column(columns, rows))
     return EXIT_OK
 
 
@@ -436,7 +467,7 @@ def _cmd_couplings(config: Mapping, args: argparse.Namespace) -> int:
         meta["mu_sc_matrix"] = [list(map(float, row)) for row in mu_sc.values]
         meta["mu_tr_matrix"] = [list(map(float, row)) for row in mu_tr.values]
     columns = ["j", "k", "r_jk", "x", "mu_sc", "mu_tr", "mu_tr_1d", "mu_tr_3d", "tr_3d_dominates"]
-    _write_output(args.output, args.format, meta, columns, rows)
+    _write_output(args.output, args.format, meta, _by_column(columns, rows))
     return EXIT_OK
 
 
@@ -476,6 +507,13 @@ def _scenario_from_config(config: Mapping, seed: int, default_trajectories: int)
         )
     # fit_window is [t_min, t_max] in units of 1/rate
     fit_window = _number_pair(config.get("fit_window", [0.5, 2.0]), "scenario.fit_window")
+    cutoff_ratio = _number(config.get("cutoff_ratio", 128.0), "scenario.cutoff_ratio")
+    # Compared as is, so that NaN passes on to the physics, which rejects it.
+    if grid_points(cutoff_ratio, fit_window) > _MAX_GRID_STEPS:
+        raise ConfigError(
+            f"scenario.cutoff_ratio {cutoff_ratio:g} with scenario.fit_window upper end "
+            f"{fit_window[1]:g} needs a grid of more than {_MAX_GRID_STEPS} steps"
+        )
     reference_rate = config.get("reference_rate")
     if reference_rate is not None:
         reference_rate = _number(reference_rate, "scenario.reference_rate")
@@ -488,7 +526,7 @@ def _scenario_from_config(config: Mapping, seed: int, default_trajectories: int)
         drive=drive,
         coupling=_number(config.get("coupling", 1.0), "scenario.coupling"),
         temperature=_number(config.get("temperature", 1.0), "scenario.temperature"),
-        cutoff_ratio=_number(config.get("cutoff_ratio", 128.0), "scenario.cutoff_ratio"),
+        cutoff_ratio=cutoff_ratio,
         n_trajectories=_integer(
             config.get("n_trajectories", default_trajectories), "scenario.n_trajectories",
             _MAX_TRAJECTORIES,
@@ -526,18 +564,13 @@ def _cmd_mc(config: Mapping, args: argparse.Namespace) -> int:
     meta["gamma_hat"] = estimate.gamma_hat
     meta["stderr_gamma"] = estimate.stderr_gamma
     meta["r_squared"] = estimate.r_squared
-    rows = [
-        {
-            "t": float(t),
-            "abs_C": float(a),
-            "arg_C": float(p),
-            "stderr": float(s),
-        }
-        for t, a, p, s in zip(
-            trace.times, trace.abs_coherence, trace.arg_coherence, trace.stderr
-        )
-    ]
-    _write_output(args.output, args.format, meta, ["t", "abs_C", "arg_C", "stderr"], rows)
+    columns = {
+        "t": trace.times.tolist(),
+        "abs_C": trace.abs_coherence.tolist(),
+        "arg_C": trace.arg_coherence.tolist(),
+        "stderr": trace.stderr.tolist(),
+    }
+    _write_output(args.output, args.format, meta, columns)
     return EXIT_OK
 
 
@@ -571,7 +604,7 @@ def _cmd_validate(config: Mapping, args: argparse.Namespace) -> int:
         "scenario", "gamma_analytic", "gamma_hat", "stderr", "rel_err", "z",
         "pass", "r_squared", "n_trajectories", "master_seed",
     ]
-    _write_output(args.output, args.format, meta, columns, rows)
+    _write_output(args.output, args.format, meta, _by_column(columns, rows))
     return EXIT_OK if meta["all_pass"] else EXIT_VALIDATION_FAILED
 
 

@@ -22,6 +22,7 @@ these coefficients are validated here and not by the Monte-Carlo engine.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -154,6 +155,15 @@ def transient_coupling(bath: OhmicBath, r: float) -> float:
     return _coupling_scale(bath, CouplingKind.TRANSIENT) * kernel_h(x, bath.geometry)
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], built on first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _oscillatory_integral(
     integrand: Callable[[np.ndarray], np.ndarray],
     oscillation_scale: float,
@@ -174,11 +184,11 @@ def _oscillatory_integral(
     for _ in range(4):
         n_panels = math.ceil(span / base_panel) * refine
         edges = np.linspace(0.0, span, n_panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
         estimates = []
         for order in _GAUSS_ORDERS:
-            nodes, weights = np.polynomial.legendre.leggauss(order)
-            half = 0.5 * (edges[1:] - edges[:-1])
-            mid = 0.5 * (edges[1:] + edges[:-1])
+            nodes, weights = _gauss_legendre(order)
             pts = mid[:, None] + half[:, None] * nodes[None, :]
             panel_sums = (integrand(pts) * weights[None, :]).sum(axis=1) * half
             estimates.append(float(panel_sums.sum()))

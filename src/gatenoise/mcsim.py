@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid  # noqa: F401  wrapped by perfbench/tracing.py
 
 from .noise import (
     NoiseTopology,
@@ -105,6 +104,7 @@ __all__ = [
     "make_validation_scenario",
     "default_validation_suite",
     "mc_bus_scaling",
+    "grid_points",
 ]
 
 DEFAULT_MASTER_SEED = 20260810
@@ -657,13 +657,25 @@ class ValidationReport:
         }
 
 
+def _decay_times_on_grid(fit_window: tuple[float, float]) -> float:
+    """Grid length in decay times: past three decay times and the fit window."""
+    return max(_MIN_DECAY_SPANS + 0.2, fit_window[1] * 1.15)
+
+
 def _grid_for_rate(
     gamma: float, cutoff: float, fit_window: tuple[float, float]
 ) -> tuple[float, int]:
     dt = 0.5 / cutoff
-    span = max(_MIN_DECAY_SPANS + 0.2, fit_window[1] * 1.15) / gamma
+    span = _decay_times_on_grid(fit_window) / gamma
     n_steps = 1 << max(4, math.ceil(math.log2(span / dt + 1)))
     return dt, n_steps
+
+
+def grid_points(cutoff_ratio: float, fit_window: tuple[float, float]) -> float:
+    """Points a scenario's grid needs before ``n_steps`` rounds them up to a
+    power of two (at least 16): steps of half an inverse cutoff, with the cutoff
+    at ``cutoff_ratio`` times the rate, over the grid length in decay times."""
+    return 2.0 * cutoff_ratio * _decay_times_on_grid(fit_window) + 1.0
 
 
 def make_validation_scenario(
@@ -873,3 +885,13 @@ def mc_bus_scaling(
     log_g = np.log([g for _, g in fitted])
     exponent = float(np.polyfit(log_l, log_g, 1)[0])
     return exponent, fitted
+
+
+def __getattr__(name: str):
+    # scipy stays off the import path: ``cumulative_trapezoid`` is resolved
+    # here on first access, for callers that look it up on this module.
+    if name == "cumulative_trapezoid":
+        from scipy.integrate import cumulative_trapezoid
+
+        return cumulative_trapezoid
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

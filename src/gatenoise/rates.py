@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .noise import OhmicBath
 from .register import (
     CoherencePair,
@@ -45,12 +47,14 @@ __all__ = [
     "NoiseKind",
     "ArchitectureModel",
     "RateResult",
+    "RateTable",
     "ScanPoint",
     "dephasing_rate",
     "rate_fsa_uniform",
     "rate_fsa_independent",
     "rate_fsa_independent_bruteforce",
     "rate_bus",
+    "rate_table",
     "fsa_pair_calibration",
     "gate_count",
     "scaling_scan",
@@ -115,6 +119,21 @@ class RateResult:
 
 
 @dataclass(frozen=True)
+class RateTable:
+    """Rates of many coherence pairs over a shared list of labels.
+
+    Pair i is (labels[left[i]], labels[right[i]]).  ``pointers`` holds one
+    pointer eigenvalue per label (None under independent per-gate noise,
+    which has one pointer per gate, not per label); ``hamming`` and ``gamma``
+    hold N_d and the rate per pair.
+    """
+
+    pointers: list[float] | None
+    hamming: np.ndarray
+    gamma: np.ndarray
+
+
+@dataclass(frozen=True)
 class ScanPoint:
     n_qubits: int
     relative_rate: float
@@ -133,16 +152,27 @@ def _require_thermal(bath: OhmicBath) -> None:
         raise ValueError("thermal dephasing rates require temperature > 0")
 
 
+def _thermal_power(bath: OhmicBath) -> float:
+    """S(0) = 2 T coupling, the zero-frequency power of the thermal noise."""
+    _require_thermal(bath)
+    return 2.0 * bath.temperature * bath.coupling
+
+
+def _independent_rate(bath: OhmicBath, n_qubits: int, nd):
+    """(coupling T / 16) (L - N_d) N_d; ``nd`` may be an integer array."""
+    _require_thermal(bath)
+    return bath.coupling * bath.temperature / 16.0 * (n_qubits - nd) * nd
+
+
 def rate_fsa_uniform(bath: OhmicBath, pair: CoherencePair) -> RateResult:
     """Dephasing rate of a fully switched array under one central noise source.
 
     Quartic in the total spins; vanishes whenever M^2 == M'^2, so globally
     spin-flipped label pairs are decoherence-free.
     """
-    _require_thermal(bath)
+    s0 = _thermal_power(bath)
     q = pointer_fsa_uniform(pair.left)
     qp = pointer_fsa_uniform(pair.right)
-    s0 = 2.0 * bath.temperature * bath.coupling
     gamma = dephasing_rate(s0, q, qp)
     return RateResult(gamma=gamma, pointer_delta_sq=(q - qp) ** 2)
 
@@ -153,10 +183,9 @@ def rate_fsa_independent(bath: OhmicBath, pair: CoherencePair) -> RateResult:
     gamma = (coupling * T / 16) * (L - N_d) * N_d: zero at N_d = 0 and
     N_d = L, maximal for half-flipped labels where it grows as L^2.
     """
-    _require_thermal(bath)
     n = pair.n_qubits
     nd = hamming_distance(pair)
-    gamma = bath.coupling * bath.temperature / 16.0 * (n - nd) * nd
+    gamma = _independent_rate(bath, n, nd)
     # Each gate with exactly one flipped endpoint shifts its pointer by 1.
     return RateResult(gamma=gamma, pointer_delta_sq=float((n - nd) * nd))
 
@@ -222,11 +251,40 @@ def rate_bus(bath: OhmicBath, pair: CoherencePair, drive: GateDrive) -> RateResu
     generic kernel at noise power S(0) = 2 * coupling * T.  Since Q grows
     with the total spin, worst-case rates scale as L^2.
     """
-    _require_thermal(bath)
+    s0 = _thermal_power(bath)
     q = pointer_bus(pair.left, drive)
     qp = pointer_bus(pair.right, drive)
-    gamma = dephasing_rate(2.0 * bath.temperature * bath.coupling, q, qp)
+    gamma = dephasing_rate(s0, q, qp)
     return RateResult(gamma=gamma, pointer_delta_sq=(q - qp) ** 2)
+
+
+def rate_table(
+    arch: ArchitectureModel,
+    bath: OhmicBath,
+    labels: Sequence[RegisterLabel],
+    left: np.ndarray,
+    right: np.ndarray,
+) -> RateTable:
+    """Rates of the pairs (labels[left[i]], labels[right[i]]), as arrays.
+
+    Each label's pointer is computed once, and every rate with the same
+    arithmetic as ``rate_fsa_uniform`` / ``rate_fsa_independent`` /
+    ``rate_bus``, element by element, so the values are identical.  Every
+    label must have ``arch.n_qubits`` qubits.
+    """
+    bits = np.array([label.bits for label in labels], dtype=np.int8)
+    bits = bits.reshape(len(labels), arch.n_qubits)
+    hamming = np.count_nonzero(bits[left] != bits[right], axis=1)
+    if arch.kind is ArchKind.FSA_INDEPENDENT:
+        return RateTable(None, hamming, _independent_rate(bath, arch.n_qubits, hamming))
+    if arch.kind is ArchKind.FSA_UNIFORM:
+        pointers = [pointer_fsa_uniform(label) for label in labels]
+    elif arch.kind is ArchKind.BUS:
+        pointers = [pointer_bus(label, arch.drive) for label in labels]
+    else:
+        raise ValueError(f"no closed-form rate table for {arch.kind.value}")
+    q = np.array(pointers, dtype=float)
+    return RateTable(pointers, hamming, dephasing_rate(_thermal_power(bath), q[left], q[right]))
 
 
 def gate_count(arch: ArchitectureModel) -> int:

@@ -153,7 +153,7 @@ def test_internal_error_exits_4_not_validation_failed(tmp_path, capsys, monkeypa
     def crash(*args, **kwargs):
         raise RuntimeError("simulated fault")
 
-    monkeypatch.setattr(cli, "rate_fsa_uniform", crash)
+    monkeypatch.setattr(cli, "rate_table", crash)
     config = write_config(
         tmp_path, {"architecture": "fsa_uniform", "L": 2, "bath": BATH, "pairs": "all"}
     )
@@ -429,3 +429,30 @@ def test_commands_require_config_except_validate():
     assert main(["rates"]) == 2
     assert main(["couplings"]) == 2
     assert main(["mc"]) == 2
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [{"fit_window": [0.5, 1e4]}, {"fit_window": [0.5, 1e6]}, {"cutoff_ratio": 1e6}],
+    ids=["fit_window_1e4", "fit_window_1e6", "cutoff_ratio_1e6"],
+)
+@pytest.mark.parametrize("command", ["mc", "validate"])
+def test_oversized_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, scenario):
+    calls = []
+    monkeypatch.setattr(cli, "make_validation_scenario", lambda *a, **k: calls.append(1))
+    scenario = {**MC_SCENARIO, **scenario}
+    config = {"scenario": scenario} if command == "mc" else {"scenarios": [scenario]}
+    path = write_config(tmp_path, config)
+    err = assert_one_line_exit(2, [command, "--config", path], tmp_path / "out.csv", capsys)
+    assert f"more than {2**20} steps" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("cutoff_ratio", [20.0, 128.0, 1000.0])
+@pytest.mark.parametrize("t_max", [1.0, 2.0, 7.5, 300.0])
+@pytest.mark.parametrize("gamma", [0.013, 1.0, 37.0])
+def test_grid_bound_reads_the_grid_the_scenario_builds(cutoff_ratio, t_max, gamma):
+    from gatenoise.mcsim import _grid_for_rate, grid_points
+
+    _, n_steps = _grid_for_rate(gamma, cutoff_ratio * gamma, (0.5, t_max))
+    assert n_steps == 1 << max(4, math.ceil(math.log2(grid_points(cutoff_ratio, (0.5, t_max)))))

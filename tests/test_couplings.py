@@ -108,6 +108,32 @@ def test_quadrature_matches_closed_forms_on_log_grid(geometry):
         assert tr_err <= 1e-8 * max(abs(transient_coupling(b, r)), 1e-12 * tr_scale) + 1e-12 * tr_scale
 
 
+def test_gauss_legendre_rules_are_built_once(monkeypatch):
+    from gatenoise import couplings
+
+    leggauss = np.polynomial.legendre.leggauss
+    orders = []
+
+    def counting_leggauss(order):
+        orders.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    couplings._gauss_legendre.cache_clear()
+    samples = [
+        (quad, OhmicBath(coupling=0.7, cutoff=1.3, geometry=g, velocity=0.9), r)
+        for quad in (spurious_coupling_quadrature, transient_coupling_quadrature,
+                     spurious_coupling_thermal)
+        for g in Geometry
+        for r in (0.0, 0.05, 3.0, 70.0)
+    ]
+    cached = [quad(b, r) for quad, b, r in samples]
+    assert sorted(orders) == [16, 32]
+    # rules rebuilt on every call, as the quadrature did before the cache
+    monkeypatch.setattr(couplings, "_gauss_legendre", leggauss)
+    assert [quad(b, r) for quad, b, r in samples] == cached
+
+
 def test_thermal_variant_reduces_to_quantum_at_low_temperature():
     b = OhmicBath(coupling=1.0, cutoff=1.0, temperature=1e-7, geometry=Geometry.THREE_D)
     cold = spurious_coupling_quadrature(b, 0.5)

@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -309,6 +311,21 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     spec.loader.exec_module(tracing)
     missing = [name for name, owner, attr, *_ in tracing.TARGETS if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_import_does_not_load_scipy():
+    import gatenoise
+
+    src = Path(gatenoise.__file__).resolve().parents[1]
+    code = (
+        "import sys, gatenoise\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_delta_method_stderr_matches_leave_one_out_jackknife():
