@@ -6,16 +6,18 @@ rejected); command line flags override file values.  Every output file embeds
 the fully resolved configuration and seed in its header, so a run can be
 reproduced byte-for-byte from its own output.
 
-Exit codes: 0 success / all validations passed, 1 validation failure,
-2 configuration error (unreadable JSON, unknown key, a value of the wrong JSON
-type such as a string or a fractional number where an integer belongs, a
-``rates`` architecture other than fsa_uniform, fsa_independent and bus, an
-explicit pair whose labels do not have ``L`` qubits, or a size above its
-bound: register lengths, ``L_values`` entries and ``positions.count`` <= 64,
-a Monte-Carlo scenario's ``L`` <= 16, ``n_trajectories`` <= 10^6, and a time
-grid of at most 2^20 steps), 3 physical-constraint violation (including
-non-finite physical values and coupling scales that overflow), 4 internal
-error (any other exception; never reported as 1).
+Exit codes: 0 success / all validations passed, 1 validation failure, 2
+configuration error (unreadable JSON, unknown key, a value of the wrong JSON
+type such as a string or a fractional number where an integer belongs, an
+architecture the command does not support (``rates``, ``mc`` and ``validate``
+take fsa_uniform, fsa_independent and bus; ``scan`` takes the architecture and
+noise combinations of ``rates.scaling_scan``), an explicit pair whose labels
+do not have ``L`` qubits, or a size above its bound: register lengths,
+``L_values`` entries and ``positions.count`` <= 64, a Monte-Carlo scenario's
+``L`` <= 16, ``n_trajectories`` <= 10^6, and a time grid of at most 2^20
+steps), 3 physical-constraint violation (including non-finite physical values
+and coupling scales that overflow), 4 internal error (any other exception;
+never reported as 1).
 
 A scenario's grid has ``mcsim.grid_points(cutoff_ratio, fit_window)`` =
 2 * cutoff_ratio * max(3.2, 1.15 * fit_window[1]) + 1 points rounded up to a
@@ -54,7 +56,9 @@ from .mcsim import (
 )
 from .noise import Geometry, OhmicBath
 from .rates import (
+    ARCHITECTURES,
     ArchitectureModel,
+    ArchitectureRecord,
     ArchKind,
     NoiseKind,
     rate_table,
@@ -80,7 +84,6 @@ GHZ_TO_NATURAL = 2.0 * math.pi          # GHz -> rad/ns
 KELVIN_TO_NATURAL = 130.92034           # k_B/hbar in rad/ns per kelvin
 
 _MAX_ALL_PAIRS_QUBITS = 8
-_RATE_TABLE_KINDS = (ArchKind.FSA_UNIFORM, ArchKind.FSA_INDEPENDENT, ArchKind.BUS)
 # Upper bounds on the config's size parameters, checked as they are read so an
 # oversized value exits 2 before anything is allocated.  Register lengths and
 # site counts: rates "L", each scan "L_values" entry, "positions.count".
@@ -153,6 +156,24 @@ def _label_pair(entry: Any, context: str) -> CoherencePair:
         return CoherencePair.from_strings(*labels)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from None
+
+
+def _architecture(config: Mapping, context: str) -> ArchKind:
+    try:
+        return ArchKind(_structural(config, "architecture", context))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _supporting(kind: ArchKind, field: str, what: str) -> ArchitectureRecord:
+    """The record of ``kind``; a config error if it has no ``field`` (no ``what``)."""
+    record = ARCHITECTURES[kind]
+    if getattr(record, field) is None:
+        names = [k.value for k, r in ARCHITECTURES.items() if getattr(r, field) is not None]
+        raise ConfigError(
+            f"{what} exist for {', '.join(names[:-1])} and {names[-1]}, not {kind.value}"
+        )
+    return record
 
 
 def _physical(mapping: Mapping, key: str, context: str) -> float:
@@ -331,22 +352,16 @@ def _cmd_rates(config: Mapping, args: argparse.Namespace) -> int:
     _check_keys(
         config, ["architecture", "L", "bath", "pairs", "drive", "units"], "rates config"
     )
-    try:
-        kind = ArchKind(_structural(config, "architecture", "rates config"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if kind not in _RATE_TABLE_KINDS:
-        raise ConfigError(
-            f"rate tables exist for fsa_uniform, fsa_independent and bus, not {kind.value}"
-        )
+    kind = _architecture(config, "rates config")
+    record = _supporting(kind, "rate", "rate tables")
     n_qubits = _integer(_structural(config, "L", "rates config"), "L", _MAX_QUBITS)
     units = _units_from_config(config)
     bath = _bath_from_config(
         _structural(config, "bath", "rates config"), units, require_temperature=True
     )
     drive = _drive_from_config(config, n_qubits)
-    if kind is ArchKind.BUS and drive is None:
-        raise ConfigError("bus rates require a 'drive' entry")
+    if record.default_drive is not None and drive is None:
+        raise ConfigError(f"{kind.value} rates require a 'drive' entry")
     labels, left, right = _pairs_from_config(config, kind, n_qubits, drive)
     table = rate_table(ArchitectureModel(kind, n_qubits, drive), bath, labels, left, right)
 
@@ -372,11 +387,13 @@ def _cmd_rates(config: Mapping, args: argparse.Namespace) -> int:
 
 def _cmd_scan(config: Mapping, args: argparse.Namespace) -> int:
     _check_keys(config, ["architecture", "noise", "L_values", "units"], "scan config")
+    kind = _architecture(config, "scan config")
     try:
-        kind = ArchKind(_structural(config, "architecture", "scan config"))
         noise = NoiseKind(_structural(config, "noise", "scan config"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if noise not in ARCHITECTURES[kind].laws:
+        raise ConfigError(f"no scaling law in scope for {kind.value} with {noise.value} noise")
     l_values = _structural(config, "L_values", "scan config")
     if not isinstance(l_values, list) or not l_values:
         raise ConfigError("L_values must be a non-empty list of register lengths")
@@ -384,33 +401,25 @@ def _cmd_scan(config: Mapping, args: argparse.Namespace) -> int:
         kind, noise,
         [_integer(v, f"L_values[{i}]", _MAX_QUBITS) for i, v in enumerate(l_values)],
     )
-    rows = []
-    previous = None
-    for point in points:
-        exponent = None
+    exponents = [None]
+    for previous, point in zip(points, points[1:]):
         # the log-log slope needs two distinct lengths with non-zero rates
-        if (
-            previous is not None
-            and point.n_qubits != previous.n_qubits
-            and point.relative_rate > 0
-            and previous.relative_rate > 0
-        ):
-            exponent = math.log(point.relative_rate / previous.relative_rate) / math.log(
-                point.n_qubits / previous.n_qubits
-            )
-        rows.append(
-            {
-                "architecture": kind.value,
-                "noise": noise.value,
-                "L": point.n_qubits,
-                "relative_rate": point.relative_rate,
-                "local_exponent": exponent,
-            }
+        exponents.append(
+            math.log(point.relative_rate / previous.relative_rate)
+            / math.log(point.n_qubits / previous.n_qubits)
+            if point.n_qubits != previous.n_qubits
+            and point.relative_rate > 0 and previous.relative_rate > 0
+            else None
         )
-        previous = point
-    meta = _base_meta("scan", config, seed=None)
-    columns = ["architecture", "noise", "L", "relative_rate", "local_exponent"]
-    _write_output(args.output, args.format, meta, _by_column(columns, rows))
+    every_row = np.zeros(len(points), dtype=np.intp)
+    columns = {
+        "architecture": _Coded([kind.value], every_row),
+        "noise": _Coded([noise.value], every_row),
+        "L": [point.n_qubits for point in points],
+        "relative_rate": [point.relative_rate for point in points],
+        "local_exponent": exponents,
+    }
+    _write_output(args.output, args.format, _base_meta("scan", config, seed=None), columns)
     return EXIT_OK
 
 
@@ -488,14 +497,12 @@ _SCENARIO_KEYS = [
 
 def _scenario_from_config(config: Mapping, seed: int, default_trajectories: int):
     _check_keys(config, _SCENARIO_KEYS, "scenario")
-    try:
-        kind = ArchKind(_structural(config, "architecture", "scenario"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    kind = _architecture(config, "scenario")
+    record = _supporting(kind, "sources", "Monte-Carlo scenarios")
     n_qubits = _integer(_structural(config, "L", "scenario"), "scenario.L", _MAX_MC_QUBITS)
     drive = _drive_from_config(config, n_qubits)
-    if kind is ArchKind.BUS and drive is None:
-        drive = GateDrive.two_qubit_gate(n_qubits, 0, min(1, n_qubits - 1))
+    if record.default_drive is not None and drive is None:
+        drive = record.default_drive(n_qubits)
     pair_spec = _structural(config, "pair", "scenario")
     if pair_spec == "worst_case":
         pair = worst_case_pair(kind, n_qubits, drive)

@@ -6,7 +6,9 @@ a coherence pair is the trapezoidal time integral of the noise it couples to,
 and the coherence is estimated as the ensemble mean of exp(i * phase).  For noise
 whose spectrum is flat over the decay bandwidth, |coherence| decays
 exponentially at the analytic rate; validation scenarios therefore require
-cutoff >= 20 * analytic rate and are rejected otherwise.
+cutoff >= 20 * analytic rate and are rejected otherwise.  A scenario's noise
+sources, analytic rate and default topology come from its architecture's
+record (:data:`gatenoise.rates.ARCHITECTURES`).
 
 Noise is drawn only for what the phase reads.  The engine projects the site
 cross-spectrum onto the one (linear coupling) or two (quadratic bus coupler)
@@ -21,14 +23,16 @@ spectrum and is factored once per run
 (:func:`gatenoise.noise.trapezoid_phase_factor`), and each trajectory draws
 its report-point phases directly, with no time series, inverse FFT or
 integration.  The quadratic bus coupler (:func:`simulate_bus_full`) is not
-Gaussian in the noise: it draws R <= 2 white sources per bin and builds its
-phase rate in time.  Where the site kernel is the same in every bin
-(uniform, independent and co-located spatial topologies) the two functionals
-(a, b) are G x for one factor G, so only the R scaled sources x are
-inverse-FFT'd and the rate is the quadratic form x^T Q x + q^T x; separated
-sites mix (a, b) per bin and inverse-FFT both.  Either way the phase at the
-report points is the trapezoid rule assembled from sums of the rate over the
-segments between report points, not integrated over the whole grid.
+Gaussian in the noise: it draws R <= 2 white sources per bin
+(:func:`gatenoise.noise.draw_white`) and builds its phase rate in time.
+Where the site kernel is the same in every bin (uniform, independent and
+co-located spatial topologies) the two functionals (a, b) are G x for one
+factor G, so only the R scaled sources x are inverse-FFT'd and the rate is
+the quadratic form x^T Q x + q^T x; separated sites mix (a, b) per bin
+(:func:`gatenoise.noise.mix_per_bin`) and inverse-FFT both.  Either way the
+phase at the report points is the trapezoid rule assembled from sums of the
+rate over the segments between report points, not integrated over the whole
+grid.
 
 Determinism contract: trajectories are processed in fixed chunks of 512;
 chunk c (trajectories 512 c to 512 c + 511) draws all of its noise from one
@@ -52,6 +56,7 @@ which is insensitive to the strong correlation of the trace across time points.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -63,8 +68,9 @@ import numpy as np
 from .noise import (
     NoiseTopology,
     OhmicBath,
-    TopologyKind,
+    draw_white,
     functional_spectral_factors,
+    mix_per_bin,
     separable_functional_factor,
     trajectory_seed_sequence,
     trapezoid_phase_factor,
@@ -72,10 +78,8 @@ from .noise import (
 from .rates import (
     ArchKind,
     ArchitectureModel,
-    fsa_pair_calibration,
     rate_bus,
     rate_fsa_independent,
-    rate_fsa_uniform,
     worst_case_pair,
 )
 from .register import (
@@ -83,8 +87,6 @@ from .register import (
     GateDrive,
     RegisterLabel,
     label_with_total_spin,
-    pointer_fsa_pair,
-    pointer_fsa_uniform,
 )
 
 __all__ = [
@@ -217,40 +219,6 @@ def _report_indices(n_steps: int, n_report: int) -> np.ndarray:
 # and draws from one stream keyed by (master_seed, c).  The chunking is fixed,
 # so neither the streams nor the arithmetic depend on the number of threads.
 _CHUNK = 512
-
-
-def _draw_white(
-    rng: np.random.Generator, nt: int, n_sources: int, amplitude: np.ndarray
-) -> np.ndarray:
-    """rfft amplitudes (nt, R, n_bins) of R independent white sources, scaled per bin.
-
-    Bin k holds amplitude_k times a unit complex Gaussian, real at the DC and
-    last bins.  The draw order (all real parts, then all imaginary parts) is
-    part of the determinism contract.
-    """
-    re = rng.standard_normal((nt, n_sources, amplitude.size))
-    im = rng.standard_normal((nt, n_sources, amplitude.size))
-    white = np.empty(re.shape, dtype=complex)
-    half = amplitude / np.sqrt(2.0)
-    np.multiply(re, half, out=white.real)
-    np.multiply(im, half, out=white.imag)
-    white[:, :, 0] = re[:, :, 0] * amplitude[0]
-    white[:, :, -1] = re[:, :, -1] * amplitude[-1]
-    return white
-
-
-def _mix_per_bin(white: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """rfft amplitudes (nt, P, n_bins) of P functionals, sum_r F[k, p, r] white[:, r, k].
-
-    ``factors`` (n_bins, P, R) comes from :func:`functional_spectral_factors`.
-    """
-    nt, n_sources, n_bins = white.shape
-    spec = np.empty((nt, factors.shape[1], n_bins), dtype=complex)
-    for p in range(factors.shape[1]):
-        np.multiply(white[:, 0], factors[:, p, 0], out=spec[:, p])
-        for r in range(1, n_sources):
-            spec[:, p] += white[:, r] * factors[:, p, r]
-    return spec
 
 
 def _quadratic_rate(x: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
@@ -399,54 +367,6 @@ def _check_duration(cfg: McConfig, gamma: float) -> None:
         )
 
 
-def _dephasing_sources(
-    arch: ArchitectureModel,
-    pair: CoherencePair,
-    bath: OhmicBath,
-    topology: NoiseTopology,
-) -> tuple[np.ndarray, float]:
-    """Per-source pointer differences of a scenario and its analytic rate.
-
-    The phase is ``weights @ noise`` over the sources of ``topology``: the
-    central source, the independent gate pairs, or the bus sites.
-    """
-    if pair.n_qubits != arch.n_qubits:
-        raise ValueError(
-            f"pair length {pair.n_qubits} does not match architecture L = {arch.n_qubits}"
-        )
-    if arch.kind is ArchKind.FSA_UNIFORM:
-        if topology.kind is not TopologyKind.UNIFORM:
-            raise ValueError("a central noise source requires the uniform topology")
-        delta_q = pointer_fsa_uniform(pair.left) - pointer_fsa_uniform(pair.right)
-        return np.array([delta_q]), rate_fsa_uniform(bath, pair).gamma
-    if arch.kind is ArchKind.FSA_INDEPENDENT:
-        if topology.kind is not TopologyKind.INDEPENDENT:
-            raise ValueError("per-gate noise requires the independent topology")
-        calib = math.sqrt(fsa_pair_calibration())
-        weights = []
-        n = arch.n_qubits
-        for j in range(n):
-            for k in range(j + 1, n):
-                dq = pointer_fsa_pair(pair.left, j, k) - pointer_fsa_pair(pair.right, j, k)
-                if dq != 0.0:
-                    weights.append(dq * calib)
-        return np.asarray(weights, dtype=float), rate_fsa_independent(bath, pair).gamma
-    if arch.kind is ArchKind.BUS:
-        if arch.drive is None:
-            raise ValueError("bus scenario requires a gate drive")
-        phi = np.asarray(arch.drive.phi, dtype=float)
-        m_l = np.asarray(pair.left.bits, dtype=float)
-        m_r = np.asarray(pair.right.bits, dtype=float)
-        # Per-site weights; their sum is the pointer difference Q - Q', so in
-        # the low-frequency limit the decay rate is topology independent.
-        weights = float(phi @ m_l) * m_l - float(phi @ m_r) * m_r
-        return weights, rate_bus(bath, pair, arch.drive).gamma
-    raise ValueError(
-        f"Monte-Carlo dephasing supports switched-array and bus scenarios, "
-        f"not {arch.kind.value}"
-    )
-
-
 def simulate_dephasing(
     arch: ArchitectureModel,
     pair: CoherencePair,
@@ -458,13 +378,29 @@ def simulate_dephasing(
     """Monte-Carlo coherence decay of one density-matrix element.
 
     Per trajectory, the phase sum_s int_0^t noise_s * (Q_s - Q'_s) ds is the
-    trapezoidal integral of the synthesized noise; it is Gaussian, so it is
-    drawn directly at the report points from its exact covariance
+    trapezoidal integral of the synthesized noise over the sources of
+    ``topology`` that the architecture's record names (the central source,
+    the gates or the bus sites); it is Gaussian, so it is drawn directly at
+    the report points from its exact covariance
     (:func:`gatenoise.noise.trapezoid_phase_factor`).  The coherence is the
     ensemble mean of exp(i * phase).  Deterministic given ``cfg.master_seed``
     at any ``jobs``.
     """
-    weights, gamma = _dephasing_sources(arch, pair, bath, topology)
+    if pair.n_qubits != arch.n_qubits:
+        raise ValueError(
+            f"pair length {pair.n_qubits} does not match architecture L = {arch.n_qubits}"
+        )
+    record = arch.record
+    if record.sources is None:
+        raise ValueError(
+            f"Monte-Carlo dephasing supports switched-array and bus scenarios, "
+            f"not {arch.kind.value}"
+        )
+    if topology.kind not in record.topologies:
+        accepted = " or ".join(t.value for t in record.topologies)
+        raise ValueError(f"{arch.kind.value} noise sources require the {accepted} topology")
+    weights = record.sources(pair, arch.drive)
+    gamma = record.rate(bath, pair, arch.drive).gamma
     factors = functional_spectral_factors(bath, topology, weights, cfg.dt, cfg.n_steps)
     _check_white_noise_limit(bath, gamma)
     report_idx = _report_indices(cfg.n_steps, cfg.n_report)
@@ -535,9 +471,9 @@ def simulate_bus_full(
 
     def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
         if separable is None:
-            spec = _mix_per_bin(_draw_white(rng, nt, n_sources, unit), factors)
+            spec = mix_per_bin(draw_white(rng, nt, n_sources, unit), factors)
         else:
-            spec = _draw_white(rng, nt, n_sources, scale)
+            spec = draw_white(rng, nt, n_sources, scale)
         x = np.fft.irfft(spec, n=cfg.n_steps)
         del spec  # bounds peak memory
         return _trapezoid_at(_quadratic_rate(x, quad, lin), report_idx, cfg.dt)
@@ -696,36 +632,25 @@ def make_validation_scenario(
 
     The cutoff is set to ``cutoff_ratio`` times the analytic rate (safely in
     the white-noise regime) and the grid to resolve the cutoff while covering
-    more than three decay times.  Decoherence-free pairs have no intrinsic
+    more than three decay times; the topology is the first one the
+    architecture's record accepts.  Decoherence-free pairs have no intrinsic
     scale, so they require an explicit ``reference_rate``.
     """
     kind = ArchKind(kind)
     n = pair.n_qubits
     arch = ArchitectureModel(kind, n, drive)
     probe_bath = OhmicBath(coupling=coupling, cutoff=1.0, temperature=temperature)
-    if kind is ArchKind.FSA_UNIFORM:
-        gamma = rate_fsa_uniform(probe_bath, pair).gamma
-        topology = NoiseTopology.uniform()
-    elif kind is ArchKind.FSA_INDEPENDENT:
-        gamma = rate_fsa_independent(probe_bath, pair).gamma
-        topology = NoiseTopology.independent()
-    elif kind is ArchKind.BUS:
-        if drive is None:
-            raise ValueError("bus scenario requires a drive")
-        gamma = rate_bus(probe_bath, pair, drive).gamma
-        topology = NoiseTopology.uniform()
-    else:
+    if arch.record.sources is None:
         raise ValueError(f"no analytic Monte-Carlo scenario for {kind.value}")
+    gamma = arch.record.rate(probe_bath, pair, drive).gamma
+    topology = NoiseTopology(arch.record.topologies[0])
     scale = gamma if gamma > 0 else reference_rate
     if not scale or scale <= 0:
         raise ValueError(
             "decoherence-free scenario needs a reference_rate to set its grid"
         )
     cutoff = cutoff_ratio * scale
-    bath = OhmicBath(
-        coupling=coupling, cutoff=cutoff, temperature=temperature,
-        geometry=probe_bath.geometry, velocity=probe_bath.velocity,
-    )
+    bath = dataclasses.replace(probe_bath, cutoff=cutoff)
     dt, n_steps = _grid_for_rate(scale, cutoff, fit_window)
     if name is None:
         name = f"{kind.value}_L{n}_{pair.left}_{pair.right}"

@@ -10,9 +10,10 @@ Noise felt at two sites a distance r apart is correlated through the finite
 propagation speed of reservoir excitations; the cross spectrum is the on-site
 spectrum times a geometry kernel f(w r / v).
 
-Trajectories are synthesized spectrally: independent complex Gaussian
-amplitudes per frequency bin, scaled so the discrete process has exactly the
-target (cross-)spectrum on the grid, then inverse-FFT'd to the time domain.
+Noise is synthesized spectrally, by one path: R independent white sources
+per frequency bin (:func:`draw_white`), scaled or mixed by per-bin factors
+(:func:`mix_per_bin`) so the discrete process has exactly the target
+(cross-)spectrum on the grid, then inverse-FFT'd to the time domain.
 Natural units throughout: hbar = k_B = 1.
 """
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
     "classical_psd",
     "spatial_correlation_matrix",
     "SpectralSynthesizer",
+    "draw_white",
+    "mix_per_bin",
     "functional_spectral_factors",
     "separable_functional_factor",
     "trapezoid_phase_factor",
@@ -344,9 +347,9 @@ def functional_spectral_factors(
     functionals are noise free.
 
     With unit complex Gaussian amplitudes ``white`` (real at the DC and last
-    bins), ``F_k @ white_k`` has exactly the law of
-    ``weights @ SpectralSynthesizer(...).draw_spectrum(rng)`` in every bin, so
-    the functionals are drawn from R sources instead of L.
+    bins; :func:`draw_white` with unit amplitude), ``F_k @ white_k``
+    (:func:`mix_per_bin`) has the target covariance in every bin, so the
+    functionals are drawn from R sources instead of L.
     """
     w, omega, scale2, kernels = _functional_terms(bath, topology, weights, dt, n_steps)
     cov = scale2[:, None, None] * (w @ kernels @ w.T)
@@ -417,14 +420,49 @@ def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:
     return (eigvec[:, keep] * np.sqrt(eigval[keep])).T
 
 
+def draw_white(
+    rng: np.random.Generator, nt: int, n_sources: int, amplitude: np.ndarray
+) -> np.ndarray:
+    """rfft amplitudes (nt, R, n_bins) of R independent white sources, scaled per bin.
+
+    Bin k holds amplitude_k times a unit complex Gaussian, real at the DC and
+    last bins.  The draw order (all real parts, then all imaginary parts) is
+    part of the determinism contract of the Monte-Carlo engine.
+    """
+    re = rng.standard_normal((nt, n_sources, amplitude.size))
+    im = rng.standard_normal((nt, n_sources, amplitude.size))
+    white = np.empty(re.shape, dtype=complex)
+    half = amplitude / np.sqrt(2.0)
+    np.multiply(re, half, out=white.real)
+    np.multiply(im, half, out=white.imag)
+    white[:, :, 0] = re[:, :, 0] * amplitude[0]
+    white[:, :, -1] = re[:, :, -1] * amplitude[-1]
+    return white
+
+
+def mix_per_bin(white: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """rfft amplitudes (nt, P, n_bins) of P functionals, sum_r F[k, p, r] white[:, r, k].
+
+    ``factors`` (n_bins, P, R) comes from :func:`functional_spectral_factors`.
+    """
+    nt, n_sources, n_bins = white.shape
+    spec = np.empty((nt, factors.shape[1], n_bins), dtype=complex)
+    for p in range(factors.shape[1]):
+        np.multiply(white[:, 0], factors[:, p, 0], out=spec[:, p])
+        for r in range(1, n_sources):
+            spec[:, p] += white[:, r] * factors[:, p, r]
+    return spec
+
+
 class SpectralSynthesizer:
     """Reusable generator of noise bundles with a prescribed cross-spectrum.
 
-    Precomputes the per-bin amplitude factors once; ``draw`` then yields one
-    bundle per call from the supplied random generator.  ``draw_spectrum``
-    exposes the frequency-domain amplitudes (the rfft of the bundle) so that
-    linear functionals of the noise can be assembled before the inverse
-    transform.  ``n_sites`` is the number of rows L of a bundle, one per site.
+    ``draw`` yields one bundle per call from the supplied random generator;
+    ``draw_spectrum`` exposes the frequency-domain amplitudes (the rfft of the
+    bundle).  ``n_sites`` is the number of rows L of a bundle, one per site.
+    Uniform and independent topologies draw one or L white sources scaled
+    per bin (:func:`draw_white`); a spatial topology mixes the per-bin
+    factors of the L identity functionals (:func:`mix_per_bin`).
     """
 
     def __init__(
@@ -443,17 +481,16 @@ class SpectralSynthesizer:
             raise ValueError("need at least one site")
         self.dt = float(dt)
         self.n_steps = int(n_steps)
-        self._n_bins = self.omega.size
-        scale = np.sqrt(scale2)
+        self._uniform = topology.kind is TopologyKind.UNIFORM
         if topology.kind is TopologyKind.SPATIAL:
-            # Per-bin mixing matrices B_k with B_k B_k^T = S_jk(w_k).
-            corr = _site_kernels(bath, topology, self.n_sites, self.omega)
-            eigval, eigvec = _psd_eigh(corr, "spatial correlation matrix", self.omega)
-            self._mixing = eigvec * np.sqrt(eigval)[:, None, :] * scale[:, None, None]
-            self._scale = None
+            eye = np.eye(self.n_sites)
+            self._factors = functional_spectral_factors(bath, topology, eye, dt, n_steps)
+            self._amplitude = np.ones(self.omega.size)  # the factors carry the scale
+            self._n_sources = self._factors.shape[2]
         else:
-            self._mixing = None
-            self._scale = scale
+            self._factors = None
+            self._amplitude = np.sqrt(scale2)
+            self._n_sources = 1 if self._uniform else self.n_sites
 
     def draw_spectrum(self, rng: np.random.Generator) -> np.ndarray:
         """One bundle in the frequency domain: complex array (L, n_bins).
@@ -461,39 +498,21 @@ class SpectralSynthesizer:
         The inverse rfft of each row is one real trajectory.  The draw order
         is fixed, so a given generator state always yields the same bundle.
         """
-        nb = self._n_bins
-        if self.topology.kind is TopologyKind.UNIFORM:
-            re = rng.standard_normal(nb)
-            im = rng.standard_normal(nb)
-            z = (re + 1j * im) * (self._scale / np.sqrt(2.0))
-            z[0] = re[0] * self._scale[0]
-            z[-1] = re[-1] * self._scale[-1]
-            return np.broadcast_to(z, (self.n_sites, nb))
-        if self.topology.kind is TopologyKind.INDEPENDENT:
-            re = rng.standard_normal((self.n_sites, nb))
-            im = rng.standard_normal((self.n_sites, nb))
-            z = (re + 1j * im) * (self._scale / np.sqrt(2.0))
-            z[:, 0] = re[:, 0] * self._scale[0]
-            z[:, -1] = re[:, -1] * self._scale[-1]
-            return z
-        # Spatial: white complex vector per bin, mixed by B_k.
-        re = rng.standard_normal((nb, self.n_sites))
-        im = rng.standard_normal((nb, self.n_sites))
-        white = (re + 1j * im) / np.sqrt(2.0)
-        white[0] = re[0]   # DC and Nyquist bins must be real
-        white[-1] = re[-1]
-        z = np.einsum("kij,kj->ik", self._mixing, white)
-        return z
+        white = draw_white(rng, 1, self._n_sources, self._amplitude)
+        if self._factors is not None:
+            return mix_per_bin(white, self._factors)[0]
+        if self._uniform:
+            return np.broadcast_to(white[0, 0], (self.n_sites, self.omega.size))
+        return white[0]
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One bundle in the time domain: real array (L, n_steps), read-only."""
         z = self.draw_spectrum(rng)
-        if self.topology.kind is TopologyKind.UNIFORM:
+        if self._uniform:
             row = np.fft.irfft(z[0], n=self.n_steps)
-            samples = np.broadcast_to(row, (self.n_sites, self.n_steps))
-        else:
-            samples = np.fft.irfft(z, n=self.n_steps)
-            samples.setflags(write=False)
+            return np.broadcast_to(row, (self.n_sites, self.n_steps))
+        samples = np.fft.irfft(z, n=self.n_steps)
+        samples.setflags(write=False)
         return samples
 
 

@@ -20,17 +20,22 @@ power.  The closed forms below follow from the pointer variables of
 The per-gate pair-sum oracle carries one documented calibration constant
 (see ``fsa_pair_calibration``) because the closed forms fix only the
 functional dependence, not the bookkeeping convention of the pair sum.
+
+Everything known about one architecture is its :class:`ArchitectureRecord`
+in ``ARCHITECTURES``, which every architecture decision reads.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .noise import OhmicBath
+from .noise import OhmicBath, TopologyKind
 from .register import (
     CoherencePair,
     GateDrive,
@@ -46,6 +51,8 @@ __all__ = [
     "ArchKind",
     "NoiseKind",
     "ArchitectureModel",
+    "ArchitectureRecord",
+    "ARCHITECTURES",
     "RateResult",
     "RateTable",
     "ScanPoint",
@@ -76,6 +83,33 @@ class NoiseKind(enum.Enum):
 
 
 @dataclass(frozen=True)
+class ArchitectureRecord:
+    """What the package knows about one architecture: noise entry points, the
+    worst-case rate law per noise kind, the worst-case pair (all-up vs
+    ``worst_case(L, drive)``), the L = 2^d rule, the drive a scenario gets (a
+    drive is required if set), the closed-form rate with its per-label pointer
+    (None under per-gate noise) and the Monte-Carlo source weights on one of
+    ``topologies`` (the first by default); None where it has none."""
+
+    gate_count: Callable[[int], int]
+    laws: Mapping[NoiseKind, Callable[[int], float]]
+    worst_case: Callable[[int, GateDrive | None], RegisterLabel]
+    power_of_two: bool = False
+    default_drive: Callable[[int], GateDrive] | None = None
+    rate: Callable[[OhmicBath, CoherencePair, GateDrive | None], RateResult] | None = None
+    pointer: Callable[[RegisterLabel, GateDrive | None], float] | None = None
+    sources: Callable[[CoherencePair, GateDrive | None], np.ndarray] | None = None
+    topologies: tuple[TopologyKind, ...] = ()
+
+
+def _check_length(kind: ArchKind, n_qubits: int) -> None:
+    if n_qubits < 1:
+        raise ValueError(f"register length must be >= 1, got {n_qubits}")
+    if ARCHITECTURES[kind].power_of_two and (n_qubits < 2 or n_qubits & (n_qubits - 1)):
+        raise ValueError(f"{kind.value} requires L = 2^d with d >= 1, got L = {n_qubits}")
+
+
+@dataclass(frozen=True)
 class ArchitectureModel:
     """A register architecture: kind, length, and (for the bus) the gate drive."""
 
@@ -86,22 +120,15 @@ class ArchitectureModel:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ArchKind):
             object.__setattr__(self, "kind", ArchKind(self.kind))
-        if self.n_qubits < 1:
-            raise ValueError(f"register length must be >= 1, got {self.n_qubits}")
-        if self.kind is ArchKind.HYPERCUBE:
-            if self.n_qubits < 2 or self.n_qubits & (self.n_qubits - 1):
-                raise ValueError(
-                    f"hypercube requires L = 2^d with d >= 1, got L = {self.n_qubits}"
-                )
-        if self.kind is ArchKind.BUS:
-            if self.drive is None:
-                raise ValueError("bus architecture requires a gate drive")
-            if len(self.drive) != self.n_qubits:
-                raise ValueError(
-                    f"drive length {len(self.drive)} does not match L = {self.n_qubits}"
-                )
-        elif self.drive is not None and len(self.drive) != self.n_qubits:
-            raise ValueError("drive length does not match register length")
+        _check_length(self.kind, self.n_qubits)
+        if self.drive is None and self.record.default_drive is not None:
+            raise ValueError(f"{self.kind.value} architecture requires a gate drive")
+        if self.drive is not None and len(self.drive) != self.n_qubits:
+            raise ValueError(f"drive length {len(self.drive)} does not match L = {self.n_qubits}")
+
+    @property
+    def record(self) -> ArchitectureRecord:
+        return ARCHITECTURES[self.kind]
 
 
 @dataclass(frozen=True)
@@ -164,17 +191,23 @@ def _independent_rate(bath: OhmicBath, n_qubits: int, nd):
     return bath.coupling * bath.temperature / 16.0 * (n_qubits - nd) * nd
 
 
+def _pointer_rate(
+    bath: OhmicBath, pair: CoherencePair, pointer: Callable[[RegisterLabel], float]
+) -> RateResult:
+    """The generic kernel at S(0) = 2 T coupling with one pointer per label."""
+    s0 = _thermal_power(bath)
+    q = pointer(pair.left)
+    qp = pointer(pair.right)
+    return RateResult(gamma=dephasing_rate(s0, q, qp), pointer_delta_sq=(q - qp) ** 2)
+
+
 def rate_fsa_uniform(bath: OhmicBath, pair: CoherencePair) -> RateResult:
     """Dephasing rate of a fully switched array under one central noise source.
 
     Quartic in the total spins; vanishes whenever M^2 == M'^2, so globally
     spin-flipped label pairs are decoherence-free.
     """
-    s0 = _thermal_power(bath)
-    q = pointer_fsa_uniform(pair.left)
-    qp = pointer_fsa_uniform(pair.right)
-    gamma = dephasing_rate(s0, q, qp)
-    return RateResult(gamma=gamma, pointer_delta_sq=(q - qp) ** 2)
+    return _pointer_rate(bath, pair, pointer_fsa_uniform)
 
 
 def rate_fsa_independent(bath: OhmicBath, pair: CoherencePair) -> RateResult:
@@ -207,9 +240,7 @@ def _fsa_pair_sum(bath: OhmicBath, pair: CoherencePair, calibration: float) -> t
     return total, delta_sq, breakdown
 
 
-_PAIR_CALIBRATION: float | None = None
-
-
+@functools.cache
 def fsa_pair_calibration() -> float:
     """Calibration constant of the per-gate pair sum.
 
@@ -220,13 +251,10 @@ def fsa_pair_calibration() -> float:
     double sum over gates (ordered vs unordered pairs and the Hamiltonian
     prefactor), which the closed forms do not pin down.
     """
-    global _PAIR_CALIBRATION
-    if _PAIR_CALIBRATION is None:
-        bath = OhmicBath(coupling=1.0, cutoff=1.0, temperature=1.0)
-        anchor = CoherencePair(RegisterLabel((1, 1)), RegisterLabel((1, -1)))
-        raw, _, _ = _fsa_pair_sum(bath, anchor, 1.0)
-        _PAIR_CALIBRATION = rate_fsa_independent(bath, anchor).gamma / raw
-    return _PAIR_CALIBRATION
+    bath = OhmicBath(coupling=1.0, cutoff=1.0, temperature=1.0)
+    anchor = CoherencePair(RegisterLabel((1, 1)), RegisterLabel((1, -1)))
+    raw, _, _ = _fsa_pair_sum(bath, anchor, 1.0)
+    return rate_fsa_independent(bath, anchor).gamma / raw
 
 
 def rate_fsa_independent_bruteforce(bath: OhmicBath, pair: CoherencePair) -> RateResult:
@@ -251,11 +279,7 @@ def rate_bus(bath: OhmicBath, pair: CoherencePair, drive: GateDrive) -> RateResu
     generic kernel at noise power S(0) = 2 * coupling * T.  Since Q grows
     with the total spin, worst-case rates scale as L^2.
     """
-    s0 = _thermal_power(bath)
-    q = pointer_bus(pair.left, drive)
-    qp = pointer_bus(pair.right, drive)
-    gamma = dephasing_rate(s0, q, qp)
-    return RateResult(gamma=gamma, pointer_delta_sq=(q - qp) ** 2)
+    return _pointer_rate(bath, pair, lambda label: pointer_bus(label, drive))
 
 
 def rate_table(
@@ -272,41 +296,93 @@ def rate_table(
     ``rate_bus``, element by element, so the values are identical.  Every
     label must have ``arch.n_qubits`` qubits.
     """
+    record = arch.record
+    if record.rate is None:
+        raise ValueError(f"no closed-form rate table for {arch.kind.value}")
     bits = np.array([label.bits for label in labels], dtype=np.int8)
     bits = bits.reshape(len(labels), arch.n_qubits)
     hamming = np.count_nonzero(bits[left] != bits[right], axis=1)
-    if arch.kind is ArchKind.FSA_INDEPENDENT:
+    if record.pointer is None:
         return RateTable(None, hamming, _independent_rate(bath, arch.n_qubits, hamming))
-    if arch.kind is ArchKind.FSA_UNIFORM:
-        pointers = [pointer_fsa_uniform(label) for label in labels]
-    elif arch.kind is ArchKind.BUS:
-        pointers = [pointer_bus(label, arch.drive) for label in labels]
-    else:
-        raise ValueError(f"no closed-form rate table for {arch.kind.value}")
+    pointers = [record.pointer(label, arch.drive) for label in labels]
     q = np.array(pointers, dtype=float)
     return RateTable(pointers, hamming, dephasing_rate(_thermal_power(bath), q[left], q[right]))
 
 
+def _flipped_where(n_qubits: int, flip: Callable[[int], bool]) -> RegisterLabel:
+    return RegisterLabel(tuple(-1 if flip(j) else 1 for j in range(n_qubits)))
+
+
+def _bus_worst_case(n_qubits: int, drive: GateDrive) -> RegisterLabel:
+    active = [j for j, p in enumerate(drive.phi) if p != 0.0]
+    if not active:
+        raise ValueError("worst-case bus pair needs a non-idle drive")
+    return _flipped_where(n_qubits, lambda j: j == active[0])
+
+
+def _gate_sources(pair: CoherencePair, drive: GateDrive | None) -> np.ndarray:
+    # one source per gate whose pointer differs, weighted by the pair-sum calibration
+    calib = math.sqrt(fsa_pair_calibration())
+    n = pair.n_qubits
+    dq = [pointer_fsa_pair(pair.left, j, k) - pointer_fsa_pair(pair.right, j, k)
+          for j in range(n) for k in range(j + 1, n)]
+    return np.asarray([d * calib for d in dq if d != 0.0], dtype=float)
+
+
+def _site_sources(pair: CoherencePair, drive: GateDrive) -> np.ndarray:
+    # per-site weights sum to Q - Q': the low-frequency rate is topology independent
+    m_l, m_r = (np.asarray(label.bits, dtype=float) for label in (pair.left, pair.right))
+    phi = np.asarray(drive.phi, dtype=float)
+    return float(phi @ m_l) * m_l - float(phi @ m_r) * m_r
+
+
+ARCHITECTURES: Mapping[ArchKind, ArchitectureRecord] = MappingProxyType({
+    ArchKind.FSA_UNIFORM: ArchitectureRecord(
+        gate_count=lambda n: n * (n + 1) // 2,
+        laws={NoiseKind.CENTRAL: lambda n: float((n**2 - (n % 2)) ** 2)},
+        worst_case=lambda n, drive: label_with_total_spin(n, n % 2),  # spin balanced
+        rate=lambda bath, pair, drive: rate_fsa_uniform(bath, pair),
+        pointer=lambda label, drive: pointer_fsa_uniform(label),
+        sources=lambda pair, drive: np.array([  # one central source
+            pointer_fsa_uniform(pair.left) - pointer_fsa_uniform(pair.right)]),
+        topologies=(TopologyKind.UNIFORM,),
+    ),
+    ArchKind.FSA_INDEPENDENT: ArchitectureRecord(
+        gate_count=lambda n: n * (n + 1) // 2,
+        laws={NoiseKind.INDEPENDENT: lambda n: float((n // 2) * ((n + 1) // 2))},
+        worst_case=lambda n, drive: _flipped_where(n, lambda j: j < n // 2),
+        rate=lambda bath, pair, drive: rate_fsa_independent(bath, pair),
+        sources=_gate_sources,
+        topologies=(TopologyKind.INDEPENDENT,),
+    ),
+    ArchKind.BUS: ArchitectureRecord(
+        gate_count=lambda n: n,  # one control line per qubit
+        laws={NoiseKind.CENTRAL: lambda n: float(n**2)},
+        worst_case=_bus_worst_case,
+        default_drive=lambda n: GateDrive.two_qubit_gate(n, 0, min(1, n - 1)),
+        rate=rate_bus,
+        pointer=pointer_bus,
+        sources=_site_sources,
+        topologies=(TopologyKind.UNIFORM, TopologyKind.INDEPENDENT, TopologyKind.SPATIAL),
+    ),
+    ArchKind.HYPERCUBE: ArchitectureRecord(
+        gate_count=lambda n: (n // 2) * int(math.log2(n)),
+        laws={NoiseKind.INDEPENDENT: lambda n: (n / 2) * math.log2(n)},
+        # odd-parity vertices flipped: every edge joins a flipped and an unflipped qubit
+        worst_case=lambda n, drive: _flipped_where(n, lambda j: bin(j).count("1") % 2),
+        power_of_two=True,
+    ),
+    ArchKind.PROCESSOR_CORE: ArchitectureRecord(
+        gate_count=lambda n: n,  # L core/storage swap gates
+        laws={NoiseKind.CENTRAL: lambda n: float(n**2), NoiseKind.INDEPENDENT: lambda n: float(n)},
+        worst_case=lambda n, drive: _flipped_where(n, lambda j: True),  # every swap active
+    ),
+})
+
+
 def gate_count(arch: ArchitectureModel) -> int:
     """Number of noise entry points (GCN-vulnerable gates or control lines)."""
-    n = arch.n_qubits
-    if arch.kind in (ArchKind.FSA_UNIFORM, ArchKind.FSA_INDEPENDENT):
-        return n * (n + 1) // 2
-    if arch.kind is ArchKind.HYPERCUBE:
-        return (n // 2) * int(math.log2(n))
-    if arch.kind is ArchKind.BUS:
-        return n  # one control line per qubit
-    return n  # processor core: L core/storage swap gates
-
-
-def _max_uniform_gap_sq(n_qubits: int) -> float:
-    """max over label pairs of (M^2 - M'^2)^2: L^4 for even L, (L^2-1)^2 for odd."""
-    return float((n_qubits**2 - (n_qubits % 2)) ** 2)
-
-
-def _max_independent_sources(n_qubits: int) -> float:
-    """max over label pairs of (L - N_d) N_d, attained at half-flipped labels."""
-    return float((n_qubits // 2) * ((n_qubits + 1) // 2))
+    return arch.record.gate_count(arch.n_qubits)
 
 
 def scaling_scan(
@@ -316,7 +392,7 @@ def scaling_scan(
 ) -> list[ScanPoint]:
     """Worst-case relative dephasing rate vs register length, unit per-gate rate.
 
-    Supported combinations and their laws:
+    Supported combinations and their laws (``ArchitectureRecord.laws``):
 
     ==================  ===========  =====================================
     architecture        noise        relative rate
@@ -333,28 +409,14 @@ def scaling_scan(
     """
     kind = ArchKind(kind)
     noise = NoiseKind(noise)
+    law = ARCHITECTURES[kind].laws.get(noise)
+    if law is None:
+        raise ValueError(f"no scaling law in scope for {kind.value} with {noise.value} noise")
     points: list[ScanPoint] = []
     for n in n_qubits_values:
         n = int(n)
-        if n < 1:
-            raise ValueError(f"register length must be >= 1, got {n}")
-        if kind is ArchKind.FSA_UNIFORM and noise is NoiseKind.CENTRAL:
-            rate = _max_uniform_gap_sq(n)
-        elif kind is ArchKind.FSA_INDEPENDENT and noise is NoiseKind.INDEPENDENT:
-            rate = _max_independent_sources(n)
-        elif kind is ArchKind.BUS and noise is NoiseKind.CENTRAL:
-            rate = float(n**2)
-        elif kind is ArchKind.HYPERCUBE and noise is NoiseKind.INDEPENDENT:
-            if n < 2 or n & (n - 1):
-                raise ValueError(f"hypercube requires L = 2^d, got {n}")
-            rate = (n / 2) * math.log2(n)
-        elif kind is ArchKind.PROCESSOR_CORE:
-            rate = float(n**2) if noise is NoiseKind.CENTRAL else float(n)
-        else:
-            raise ValueError(
-                f"no scaling law in scope for {kind.value} with {noise.value} noise"
-            )
-        points.append(ScanPoint(n_qubits=n, relative_rate=rate))
+        _check_length(kind, n)
+        points.append(ScanPoint(n_qubits=n, relative_rate=law(n)))
     return points
 
 
@@ -369,34 +431,16 @@ def worst_case_pair(
     closed-form rate (all-up vs spin-balanced labels, resp. half-flipped
     labels).  For the bus it is the canonical quadratically-scaling family:
     the all-up label against the label with the first driven qubit flipped,
-    which maximizes the total-spin growth of the pointer (rate ~ L^2).  For
-    the hypercube it flips the odd-parity vertices so that every edge joins
-    a flipped and an unflipped qubit; for the processor core it flips
-    everything so all L swap gates are active.
+    which maximizes the total-spin growth of the pointer (rate ~ L^2); with
+    no drive it uses the record's default drive.  For the hypercube it flips
+    the odd-parity vertices so that every edge joins a flipped and an
+    unflipped qubit; for the processor core it flips everything so all L
+    swap gates are active.
     """
     kind = ArchKind(kind)
+    record = ARCHITECTURES[kind]
     all_up = label_with_total_spin(n_qubits, n_qubits)
-    if kind is ArchKind.FSA_UNIFORM:
-        balanced = label_with_total_spin(n_qubits, n_qubits % 2)
-        return CoherencePair(all_up, balanced)
-    if kind is ArchKind.FSA_INDEPENDENT:
-        bits = [1] * n_qubits
-        for j in range(n_qubits // 2):
-            bits[j] = -1
-        return CoherencePair(all_up, RegisterLabel(tuple(bits)))
-    if kind is ArchKind.BUS:
-        if drive is None:
-            drive = GateDrive.two_qubit_gate(n_qubits, 0, min(1, n_qubits - 1))
-        active = [j for j, p in enumerate(drive.phi) if p != 0.0]
-        if not active:
-            raise ValueError("worst-case bus pair needs a non-idle drive")
-        bits = [1] * n_qubits
-        bits[active[0]] = -1
-        return CoherencePair(all_up, RegisterLabel(tuple(bits)))
-    if kind is ArchKind.HYPERCUBE:
-        if n_qubits < 2 or n_qubits & (n_qubits - 1):
-            raise ValueError(f"hypercube requires L = 2^d, got {n_qubits}")
-        bits = tuple(-1 if bin(j).count("1") % 2 else 1 for j in range(n_qubits))
-        return CoherencePair(all_up, RegisterLabel(bits))
-    return CoherencePair(all_up, all_up.flipped())  # processor core
-
+    if drive is None and record.default_drive is not None:
+        drive = record.default_drive(n_qubits)
+    ArchitectureModel(kind, n_qubits, drive)  # the length rule and the drive's length
+    return CoherencePair(all_up, record.worst_case(n_qubits, drive))

@@ -456,3 +456,33 @@ def test_grid_bound_reads_the_grid_the_scenario_builds(cutoff_ratio, t_max, gamm
 
     _, n_steps = _grid_for_rate(gamma, cutoff_ratio * gamma, (0.5, t_max))
     assert n_steps == 1 << max(4, math.ceil(math.log2(grid_points(cutoff_ratio, (0.5, t_max)))))
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("mc", {"scenario": {**MC_SCENARIO, "architecture": "hypercube", "L": 3,
+                             "pair": "worst_case"}}, "Monte-Carlo scenarios exist for"),
+        ("mc", {"scenario": {**MC_SCENARIO, "architecture": "processor_core", "L": 4,
+                             "pair": "worst_case"}}, "Monte-Carlo scenarios exist for"),
+        ("validate", {"scenarios": [{**MC_SCENARIO, "architecture": "hypercube", "L": 4,
+                                     "pair": "worst_case"}]}, "Monte-Carlo scenarios exist for"),
+        ("scan", {"architecture": "bus", "noise": "independent", "L_values": [2, 4]},
+         "no scaling law in scope for bus with independent noise"),
+        ("scan", {"architecture": "fsa_uniform", "noise": "independent", "L_values": [2]},
+         "no scaling law in scope"),
+    ],
+    ids=["mc_hypercube_L3", "mc_processor_core", "validate_hypercube", "scan_bus_independent",
+         "scan_fsa_uniform_independent"],
+)
+def test_unsupported_architecture_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, config, message
+):
+    calls = []
+    for name in ("worst_case_pair", "scaling_scan", "make_validation_scenario",
+                 "default_validation_suite", "simulate_dephasing", "validate_against_analytic"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    path = write_config(tmp_path, config)
+    err = assert_one_line_exit(2, [command, "--config", path], tmp_path / "out.csv", capsys)
+    assert "config error" in err and message in err
+    assert calls == []
