@@ -2,9 +2,12 @@
 
 Subcommands: ``rates``, ``scan``, ``couplings``, ``mc``, ``validate``.
 Configuration is a JSON document with a strict schema (unknown keys are
-rejected); command line flags override file values.  Every output file embeds
-the fully resolved configuration and seed in its header, so a run can be
-reproduced byte-for-byte from its own output.
+rejected); command line flags override file values.  ``--output`` and
+``--format`` apply to every command; only the Monte-Carlo commands ``mc`` and
+``validate`` take ``--seed`` and ``--jobs``, and the others refuse them
+(argparse, exit 2).  Every output file embeds the fully resolved
+configuration and seed in its header, so a run can be reproduced
+byte-for-byte from its own output.
 
 Exit codes: 0 success / all validations passed, 1 validation failure, 2
 configuration error (unreadable JSON, unknown key, a value of the wrong JSON
@@ -31,6 +34,7 @@ recorded in the output header.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -43,7 +47,6 @@ from .couplings import (
     CouplingKind,
     coupling_matrix,
     drive_enhancement,
-    kernel_h,
 )
 from .mcsim import (
     DEFAULT_MASTER_SEED,
@@ -449,34 +452,33 @@ def _cmd_couplings(config: Mapping, args: argparse.Namespace) -> int:
     n = len(positions)
     mu_sc = coupling_matrix(bath, positions, CouplingKind.SPURIOUS)
     mu_tr = coupling_matrix(bath, positions, CouplingKind.TRANSIENT)
-    rows = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            r = abs(positions[k] - positions[j])
-            x = bath.cutoff * r / bath.velocity
-            tr_1d = 2.0 * bath.coupling * bath.cutoff / math.pi * kernel_h(x, Geometry.ONE_D)
-            tr_3d = 2.0 * bath.coupling * bath.cutoff / math.pi * kernel_h(x, Geometry.THREE_D)
-            rows.append(
-                {
-                    "j": j,
-                    "k": k,
-                    "r_jk": r,
-                    "x": x,
-                    "mu_sc": float(mu_sc.values[j, k]),
-                    "mu_tr": float(mu_tr.values[j, k]),
-                    "mu_tr_1d": tr_1d,
-                    "mu_tr_3d": tr_3d,
-                    "tr_3d_dominates": bool(tr_3d >= tr_1d),
-                }
-            )
+    tr_1d, tr_3d = (
+        coupling_matrix(
+            dataclasses.replace(bath, geometry=geometry), positions, CouplingKind.TRANSIENT
+        ).values
+        for geometry in (Geometry.ONE_D, Geometry.THREE_D)
+    )
+    j, k = np.triu_indices(n, 1)
+    pos = np.asarray(positions)
+    r = np.abs(pos[k] - pos[j])
+    columns = {
+        "j": j.tolist(),
+        "k": k.tolist(),
+        "r_jk": r.tolist(),
+        "x": (bath.cutoff * r / bath.velocity).tolist(),
+        "mu_sc": mu_sc.values[j, k].tolist(),
+        "mu_tr": mu_tr.values[j, k].tolist(),
+        "mu_tr_1d": tr_1d[j, k].tolist(),
+        "mu_tr_3d": tr_3d[j, k].tolist(),
+        "tr_3d_dominates": (tr_3d[j, k] >= tr_1d[j, k]).tolist(),
+    }
     meta = _base_meta("couplings", config, seed=None)
     meta["drive_enhancement"] = drive_enhancement(n, bath)
     meta["geometry"] = bath.geometry.value
     if args.format == "json":
         meta["mu_sc_matrix"] = [list(map(float, row)) for row in mu_sc.values]
         meta["mu_tr_matrix"] = [list(map(float, row)) for row in mu_tr.values]
-    columns = ["j", "k", "r_jk", "x", "mu_sc", "mu_tr", "mu_tr_1d", "mu_tr_3d", "tr_3d_dominates"]
-    _write_output(args.output, args.format, meta, _by_column(columns, rows))
+    _write_output(args.output, args.format, meta, columns)
     return EXIT_OK
 
 
@@ -498,11 +500,9 @@ _SCENARIO_KEYS = [
 def _scenario_from_config(config: Mapping, seed: int, default_trajectories: int):
     _check_keys(config, _SCENARIO_KEYS, "scenario")
     kind = _architecture(config, "scenario")
-    record = _supporting(kind, "sources", "Monte-Carlo scenarios")
+    _supporting(kind, "sources", "Monte-Carlo scenarios")
     n_qubits = _integer(_structural(config, "L", "scenario"), "scenario.L", _MAX_MC_QUBITS)
     drive = _drive_from_config(config, n_qubits)
-    if record.default_drive is not None and drive is None:
-        drive = record.default_drive(n_qubits)
     pair_spec = _structural(config, "pair", "scenario")
     if pair_spec == "worst_case":
         pair = worst_case_pair(kind, n_qubits, drive)
@@ -640,10 +640,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file")
-        cmd.add_argument("--seed", type=int, default=None, help="master seed override")
         cmd.add_argument("--output", type=str, default=None, help="output file (default: stdout)")
         cmd.add_argument("--format", choices=["csv", "json"], default="csv")
-        cmd.add_argument("--jobs", type=int, default=1, help="worker threads")
+        if name in ("mc", "validate"):  # the Monte-Carlo commands
+            cmd.add_argument("--seed", type=int, default=None, help="master seed override")
+            cmd.add_argument("--jobs", type=int, default=1, help="worker threads")
     return parser
 
 
@@ -665,7 +666,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"'{args.command}' requires --config")
         else:
             config = {}
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
         return handler(config, args)
     except ConfigError as exc:

@@ -40,7 +40,6 @@ __all__ = [
     "kernel_h",
     "spurious_coupling",
     "spurious_coupling_quadrature",
-    "spurious_coupling_thermal",
     "transient_coupling",
     "transient_coupling_quadrature",
     "coupling_matrix",
@@ -214,28 +213,6 @@ def spurious_coupling_quadrature(bath: OhmicBath, r: float, rel_tol: float = 1e-
 
     def integrand(u: np.ndarray) -> np.ndarray:
         return u * np.exp(-u) * propagation_kernel_f(x * u, geometry)
-
-    return scale * _oscillatory_integral(integrand, x, rel_tol, abs_floor=1e-14)
-
-
-def spurious_coupling_thermal(bath: OhmicBath, r: float, rel_tol: float = 1e-10) -> float:
-    """Finite-temperature variant of the spurious coupling (coth-weighted integral).
-
-    Documented extension beyond the zero-temperature coefficient: weights the
-    cross-spectral density by coth(w / 2T).  Reduces to
-    ``spurious_coupling_quadrature`` at T = 0.
-    """
-    if bath.temperature == 0.0:
-        return spurious_coupling_quadrature(bath, r, rel_tol)
-    x = bath.cutoff * r / bath.velocity
-    geometry = bath.geometry
-    scale = _coupling_scale(bath, CouplingKind.SPURIOUS)
-    # In cutoff units: coth(w / 2T) = coth(u * cutoff / 2T).
-    half_beta_cutoff = bath.cutoff / (2.0 * bath.temperature)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        arg = np.maximum(u * half_beta_cutoff, 1e-300)
-        return u * np.exp(-u) * propagation_kernel_f(x * u, geometry) / np.tanh(arg)
 
     return scale * _oscillatory_integral(integrand, x, rel_tol, abs_floor=1e-14)
 

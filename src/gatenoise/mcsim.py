@@ -44,15 +44,18 @@ sums over trajectories are numpy reductions whose order is fixed by the
 chunk's shape and memory layout; chunks are merged in chunk order.  Results
 are bit-identical for a given configuration at any level of parallelism.
 
-Error bars: each chunk is reduced, as soon as it is drawn, to its sum of
-exp(i phase), the centred second moments of its real and imaginary parts and
-its partial sums over fixed trajectory blocks; the chunks are merged in chunk
-order with the pairwise update of Chan, Golub & LeVeque (1983), so memory does
-not grow with the number of trajectories.  Per-point standard errors of
-|coherence| follow from the moments by the delta method (the variance of the
-trajectories' projection on the direction of the mean).  The standard error of
-a fitted rate comes from a delete-one-block jackknife over the block sums,
-which is insensitive to the strong correlation of the trace across time points.
+Error bars: the estimator's layout is fixed.  Trajectories run in chunks of
+512, are split by index into 50 blocks and are reported at 257 points of the
+grid (every point of a shorter grid).  Each chunk is reduced, as soon as it
+is drawn, to its sum of exp(i phase), the centred second moments of its real
+and imaginary parts and its partial sums over the blocks; the chunks are
+merged in chunk order with the pairwise update of Chan, Golub & LeVeque
+(1983), so memory does not grow with the number of trajectories.  Per-point
+standard errors of |coherence| follow from the moments by the delta method
+(the variance of the trajectories' projection on the direction of the mean).
+A fitted rate has one standard error, the delete-one-block jackknife of its
+weighted slope over the block sums, which is insensitive to the strong
+correlation of the trace across time points.
 """
 from __future__ import annotations
 
@@ -76,6 +79,7 @@ from .noise import (
     trapezoid_phase_factor,
 )
 from .rates import (
+    ARCHITECTURES,
     ArchKind,
     ArchitectureModel,
     rate_bus,
@@ -115,8 +119,6 @@ DEFAULT_MASTER_SEED = 20260810
 # rate, otherwise the flat-spectrum assumption behind the rate formulas fails.
 WHITE_NOISE_CUTOFF_RATIO = 20.0
 _MIN_DECAY_SPANS = 3.0
-# Bounds on McConfig.n_report: the phase covariance the engine factors is m x m.
-_MIN_REPORT, _MAX_REPORT = 2, 4096
 
 
 class WhiteNoiseLimitError(ValueError):
@@ -132,11 +134,10 @@ class McConfig:
     """Monte-Carlo run settings.
 
     ``fit_window`` is expressed in units of 1 / (analytic rate guess) and is
-    converted to absolute times by the validation harness.  ``n_report``
-    caps the number of stored trace points; the integration grid itself is
-    (n_steps, dt).  The engine factors the m x m covariance of the phase at
-    the report points, so ``n_report`` must lie in [2, 4096] (the default 257
-    makes a 0.5 MB factor, the maximum a 134 MB one).
+    converted to absolute times by the validation harness.  The integration
+    grid is (n_steps, dt); the trace is reported at 257 of its points and the
+    trajectories are reduced in 512-row chunks and 50 blocks, a fixed layout
+    that no setting changes.
     """
 
     dt: float
@@ -144,8 +145,6 @@ class McConfig:
     n_trajectories: int = 10_000
     master_seed: int = DEFAULT_MASTER_SEED
     fit_window: tuple[float, float] = (0.5, 2.0)
-    n_report: int = 257
-    n_blocks: int = 50
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -161,14 +160,6 @@ class McConfig:
         lo, hi = self.fit_window
         if not (math.isfinite(hi) and 0 <= lo < hi):
             raise ValueError(f"invalid fit window {self.fit_window}")
-        if not _MIN_REPORT <= self.n_report <= _MAX_REPORT:
-            raise ValueError(
-                f"n_report must be in [{_MIN_REPORT}, {_MAX_REPORT}], got {self.n_report}"
-            )
-        if not 4 <= self.n_blocks <= self.n_trajectories // 2:
-            raise ValueError(
-                f"n_blocks must be in [4, n_trajectories/2], got {self.n_blocks}"
-            )
 
     @property
     def duration(self) -> float:
@@ -186,9 +177,10 @@ class CoherenceTrace:
     """|<exp(i phase)>| and its phase vs time, with delta-method standard errors.
 
     ``stderr`` is the standard error of ``abs_coherence`` from the streamed
-    second moments of exp(i phase).  ``block_sums``/``block_counts`` hold
-    partial sums of exp(i phase) over fixed trajectory blocks (by index) and
-    feed the delete-one-block jackknife of the rate in :func:`fit_rate`.
+    second moments of exp(i phase).  ``block_sums`` (50, points) holds the
+    partial sums of exp(i phase) over the 50 trajectory blocks (by index) and
+    ``block_counts`` their sizes; they feed the delete-one-block jackknife,
+    the one standard error of a rate in :func:`fit_rate`.
     """
 
     times: np.ndarray
@@ -196,8 +188,8 @@ class CoherenceTrace:
     arg_coherence: np.ndarray
     stderr: np.ndarray
     n_samples: int
-    block_sums: np.ndarray | None = None
-    block_counts: np.ndarray | None = None
+    block_sums: np.ndarray
+    block_counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -209,16 +201,22 @@ class RateEstimate:
     n_points: int
 
 
-def _report_indices(n_steps: int, n_report: int) -> np.ndarray:
-    return np.unique(
-        np.round(np.linspace(0, n_steps - 1, min(n_report, n_steps))).astype(int)
-    )
-
-
 # Trajectories per chunk: chunk c covers trajectories [c * _CHUNK, (c + 1) * _CHUNK)
 # and draws from one stream keyed by (master_seed, c).  The chunking is fixed,
 # so neither the streams nor the arithmetic depend on the number of threads.
 _CHUNK = 512
+# Trajectory blocks of the rate's jackknife; n_trajectories >= 100 gives each
+# block at least 2 rows.
+_N_BLOCKS = 50
+# Report points of a trace (all of a shorter grid); the linear engine factors
+# the covariance of the phase at these points.
+_N_REPORT = 257
+
+
+def _report_indices(n_steps: int) -> np.ndarray:
+    return np.unique(
+        np.round(np.linspace(0, n_steps - 1, min(_N_REPORT, n_steps))).astype(int)
+    )
 
 
 def _quadratic_rate(x: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
@@ -261,7 +259,7 @@ def _trapezoid_at(rate: np.ndarray, report_idx: np.ndarray, dt: float) -> np.nda
 def _chunk_moments(
     z: np.ndarray, start: int, bounds: np.ndarray
 ) -> tuple[int, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Streaming statistics of one chunk: rows z (nt, n_report) from trajectory ``start``.
+    """Streaming statistics of one chunk: rows z (nt, points) from trajectory ``start``.
 
     Returns the row count, the sum of z, the centred second moments of
     (Re z, Im z) stacked as (rr, ii, ri), the index of the first block of
@@ -285,15 +283,15 @@ PhaseSampler = Callable[[np.random.Generator, int], np.ndarray]
 def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> CoherenceTrace:
     """Ensemble mean of exp(i phase) over ``cfg.n_trajectories`` trajectories.
 
-    ``sample_phase(rng, nt)`` returns the phase (nt, n_report) of nt
+    ``sample_phase(rng, nt)`` returns the phase (nt, points) of nt
     trajectories at the report points, drawn from the chunk's generator;
     ``None`` means no noise reaches the phase, which is then exactly zero and
     opens no stream.  Each chunk is reduced to its moments as soon as it is
     drawn, so memory does not grow with the number of trajectories.
     """
     n = cfg.n_trajectories
-    report_idx = _report_indices(cfg.n_steps, cfg.n_report)
-    bounds = np.linspace(0, n, cfg.n_blocks + 1).astype(int)
+    report_idx = _report_indices(cfg.n_steps)
+    bounds = np.linspace(0, n, _N_BLOCKS + 1).astype(int)
 
     def work(chunk: int) -> tuple:
         start = chunk * _CHUNK
@@ -315,7 +313,7 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
     count = 0
     total = np.zeros(report_idx.size, dtype=complex)
     moments = np.zeros((3, report_idx.size))
-    block_sums = np.zeros((cfg.n_blocks, report_idx.size), dtype=complex)
+    block_sums = np.zeros((_N_BLOCKS, report_idx.size), dtype=complex)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         chunks = range(-(-n // _CHUNK))
         for nt, chunk_total, chunk_moments, first, partial in (
@@ -403,7 +401,7 @@ def simulate_dephasing(
     gamma = record.rate(bath, pair, arch.drive).gamma
     factors = functional_spectral_factors(bath, topology, weights, cfg.dt, cfg.n_steps)
     _check_white_noise_limit(bath, gamma)
-    report_idx = _report_indices(cfg.n_steps, cfg.n_report)
+    report_idx = _report_indices(cfg.n_steps)
     factor = trapezoid_phase_factor((factors[:, 0] ** 2).sum(axis=1), cfg.dt, report_idx)
 
     def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
@@ -467,7 +465,7 @@ def simulate_bus_full(
     # (b^2 + 2 c_R b - a^2 - 2 c_L a) / 8 with (a, b) = mix @ x
     quad = (np.outer(mix[1], mix[1]) - np.outer(mix[0], mix[0])) / 8.0
     lin = (const_right * mix[1] - const_left * mix[0]) / 4.0
-    report_idx = _report_indices(cfg.n_steps, cfg.n_report)
+    report_idx = _report_indices(cfg.n_steps)
 
     def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
         if separable is None:
@@ -486,9 +484,11 @@ def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate
 
     Points with |coherence| <= 5 * stderr are dropped; at least 10 usable
     points are required.  The slope uses the per-point standard errors as
-    weights; its standard error comes from a delete-one-block jackknife when
-    block sums are available (the trace is strongly correlated across time,
-    which the naive weighted-least-squares error formula would ignore).
+    weights (uniform ones when every error is 0).  Its standard error is the
+    delete-one-block jackknife of that slope over the trace's block sums: the
+    trace is strongly correlated across time, which a least-squares error
+    formula would ignore.  A noise-free trace gets 0, as its leave-one-block-out
+    traces are exactly 1.
     """
     t_lo, t_hi = window
     if not t_hi > t_lo:
@@ -508,40 +508,28 @@ def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate
     if np.any(sigma > 0):
         sigma = np.where(sigma == 0, sigma[sigma > 0].min(), sigma)
         weights = 1.0 / sigma**2
-        noiseless = False
     else:
         weights = np.ones_like(t)
-        noiseless = True
-
     w_sum = weights.sum()
     t_bar = (weights * t).sum() / w_sum
-    y_bar = (weights * y).sum() / w_sum
     s_tt = (weights * (t - t_bar) ** 2).sum()
-    slope = (weights * (t - t_bar) * (y - y_bar)).sum() / s_tt
+
+    def weighted_slope(log_c: np.ndarray) -> float:
+        return (weights * (t - t_bar) * (log_c - (weights * log_c).sum() / w_sum)).sum() / s_tt
+
+    slope = weighted_slope(y)
+    y_bar = (weights * y).sum() / w_sum
     residuals = y - (y_bar + slope * (t - t_bar))
     ss_res = (weights * residuals**2).sum()
     ss_tot = (weights * (y - y_bar) ** 2).sum()
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
 
-    if trace.block_sums is not None and trace.block_sums.shape[0] >= 8:
-        sums = trace.block_sums[:, mask]
-        counts = trace.block_counts
-        total = trace.block_sums.sum(axis=0)[mask]
-        slopes = np.empty(sums.shape[0])
-        for b in range(sums.shape[0]):
-            loo = np.abs(total - sums[b]) / (trace.n_samples - counts[b])
-            y_b = np.log(np.maximum(loo, 1e-300))
-            y_b_bar = (weights * y_b).sum() / w_sum
-            slopes[b] = (weights * (t - t_bar) * (y_b - y_b_bar)).sum() / s_tt
-        n_blocks = slopes.size
-        stderr_gamma = math.sqrt(
-            (n_blocks - 1) / n_blocks * ((slopes - slopes.mean()) ** 2).sum()
-        )
-    elif noiseless:
-        dof = max(n_points - 2, 1)
-        stderr_gamma = math.sqrt(ss_res / dof / s_tt)
-    else:
-        stderr_gamma = math.sqrt(1.0 / s_tt)
+    total = trace.block_sums.sum(axis=0)[mask]
+    loo = np.abs(total - trace.block_sums[:, mask])
+    loo /= (trace.n_samples - trace.block_counts)[:, None]
+    slopes = np.array([weighted_slope(np.log(np.maximum(row, 1e-300))) for row in loo])
+    n_blocks = slopes.size
+    stderr_gamma = math.sqrt((n_blocks - 1) / n_blocks * ((slopes - slopes.mean()) ** 2).sum())
 
     return RateEstimate(
         gamma_hat=float(-slope),
@@ -633,11 +621,14 @@ def make_validation_scenario(
     The cutoff is set to ``cutoff_ratio`` times the analytic rate (safely in
     the white-noise regime) and the grid to resolve the cutoff while covering
     more than three decay times; the topology is the first one the
-    architecture's record accepts.  Decoherence-free pairs have no intrinsic
+    architecture's record accepts, and a bus without a ``drive`` takes the
+    record's default drive.  Decoherence-free pairs have no intrinsic
     scale, so they require an explicit ``reference_rate``.
     """
     kind = ArchKind(kind)
     n = pair.n_qubits
+    if drive is None and ARCHITECTURES[kind].default_drive is not None:
+        drive = ARCHITECTURES[kind].default_drive(n)
     arch = ArchitectureModel(kind, n, drive)
     probe_bath = OhmicBath(coupling=coupling, cutoff=1.0, temperature=temperature)
     if arch.record.sources is None:

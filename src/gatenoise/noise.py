@@ -162,14 +162,6 @@ class TrajectoryBundle:
     samples: np.ndarray
     seed: int
 
-    @property
-    def n_trajectories(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps) * self.dt
-
 
 def _check_frequencies(omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float)

@@ -75,9 +75,6 @@ class RegisterLabel:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
-
 
 @dataclass(frozen=True)
 class CoherencePair:
@@ -138,11 +135,6 @@ class GateDrive:
         phi = [0.0] * n_qubits
         phi[j] = phi[k] = float(amplitude)
         return cls(tuple(phi))
-
-    @property
-    def is_nominal(self) -> bool:
-        n_active = sum(1 for p in self.phi if p != 0.0)
-        return n_active in (0, 2)
 
     def __len__(self) -> int:
         return len(self.phi)

@@ -6,7 +6,8 @@ import pytest
 
 from gatenoise import cli
 from gatenoise.cli import main
-from gatenoise.noise import OhmicBath
+from gatenoise.couplings import CouplingKind, coupling_matrix, kernel_h
+from gatenoise.noise import Geometry, OhmicBath
 from gatenoise.rates import ArchKind, rate_fsa_uniform, worst_case_pair
 
 
@@ -272,6 +273,44 @@ def test_couplings_single_qubit(tmp_path):
     )
 
 
+
+def reference_coupling_rows(bath, positions):
+    """The couplings table pair by pair, with the closed forms written out."""
+    rows = []
+    mu_sc = coupling_matrix(bath, positions, CouplingKind.SPURIOUS).values
+    mu_tr = coupling_matrix(bath, positions, CouplingKind.TRANSIENT).values
+    scale = 2.0 * bath.coupling * bath.cutoff / math.pi
+    for j in range(len(positions)):
+        for k in range(j + 1, len(positions)):
+            r = abs(positions[k] - positions[j])
+            x = bath.cutoff * r / bath.velocity
+            tr_1d = scale * kernel_h(x, Geometry.ONE_D)
+            tr_3d = scale * kernel_h(x, Geometry.THREE_D)
+            rows.append({
+                "j": j, "k": k, "r_jk": r, "x": x,
+                "mu_sc": float(mu_sc[j, k]), "mu_tr": float(mu_tr[j, k]),
+                "mu_tr_1d": tr_1d, "mu_tr_3d": tr_3d, "tr_3d_dominates": bool(tr_3d >= tr_1d),
+            })
+    return rows
+
+
+@pytest.mark.parametrize("geometry", ["1d", "3d"])
+@pytest.mark.parametrize(
+    "positions",
+    [{"count": 64, "spacing": 0.37}, [0.0, 1.3, -0.4, 2.2, 5.0], [0.0]],
+    ids=["grid64", "listed", "single"],
+)
+def test_couplings_table_matches_pairwise_reference(tmp_path, geometry, positions):
+    bath_cfg = {"coupling": 0.05, "cutoff": 2.0, "geometry": geometry, "velocity": 0.7}
+    config = write_config(tmp_path, {"bath": bath_cfg, "positions": positions})
+    out = tmp_path / "couplings.json"
+    assert main(["couplings", "--config", config, "--output", str(out), "--format", "json"]) == 0
+    bath = OhmicBath(coupling=0.05, cutoff=2.0, geometry=Geometry(geometry), velocity=0.7)
+    if isinstance(positions, dict):
+        positions = [j * positions["spacing"] for j in range(positions["count"])]
+    expected = reference_coupling_rows(bath, positions)
+    assert json.dumps(json.loads(out.read_text())["rows"]) == json.dumps(expected)
+
 def test_mc_seed_flag_changes_bytes_not_physics(tmp_path):
     config = write_config(
         tmp_path,
@@ -295,6 +334,18 @@ def test_mc_seed_flag_changes_bytes_not_physics(tmp_path):
     s1, s2 = outs[0]["meta"]["stderr_gamma"], outs[1]["meta"]["stderr_gamma"]
     assert abs(g1 - g2) < 4.0 * math.hypot(s1, s2)
 
+
+
+def test_mc_bus_worst_case_takes_the_default_drive(tmp_path):
+    scenario = {"architecture": "bus", "L": 4, "pair": "worst_case", "n_trajectories": 600}
+    rows = []
+    for tag, extra in (("default", {}), ("explicit", {"drive": [1, 1, 0, 0]})):
+        config = write_config(tmp_path, {"scenario": {**scenario, **extra}}, f"{tag}.json")
+        out = tmp_path / f"{tag}.csv"
+        assert main(["mc", "--config", config, "--output", str(out)]) == 0
+        rows.append([line for line in out.read_bytes().splitlines() if not line.startswith(b"#")])
+    assert len(rows[0]) == 258  # column names and 257 report points
+    assert rows[0] == rows[1]
 
 def test_mc_trace_output_columns(tmp_path):
     config = write_config(
@@ -430,6 +481,16 @@ def test_commands_require_config_except_validate():
     assert main(["couplings"]) == 2
     assert main(["mc"]) == 2
 
+
+
+@pytest.mark.parametrize("flag", [["--seed", "7"], ["--jobs", "2"]], ids=["seed", "jobs"])
+@pytest.mark.parametrize("command", ["rates", "scan", "couplings"])
+def test_flags_of_the_monte_carlo_commands_are_refused_elsewhere(tmp_path, command, flag):
+    # rates, scan and couplings draw no noise and run no threads
+    config = write_config(tmp_path, {"bath": BATH, "positions": [0.0, 1.0]})
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", config, *flag])
+    assert exit_info.value.code == 2
 
 @pytest.mark.parametrize(
     "scenario",

@@ -13,7 +13,6 @@ from gatenoise.couplings import (
     kernel_h,
     spurious_coupling,
     spurious_coupling_quadrature,
-    spurious_coupling_thermal,
     transient_coupling,
     transient_coupling_quadrature,
     transient_energy_shift,
@@ -122,8 +121,7 @@ def test_gauss_legendre_rules_are_built_once(monkeypatch):
     couplings._gauss_legendre.cache_clear()
     samples = [
         (quad, OhmicBath(coupling=0.7, cutoff=1.3, geometry=g, velocity=0.9), r)
-        for quad in (spurious_coupling_quadrature, transient_coupling_quadrature,
-                     spurious_coupling_thermal)
+        for quad in (spurious_coupling_quadrature, transient_coupling_quadrature)
         for g in Geometry
         for r in (0.0, 0.05, 3.0, 70.0)
     ]
@@ -132,17 +130,6 @@ def test_gauss_legendre_rules_are_built_once(monkeypatch):
     # rules rebuilt on every call, as the quadrature did before the cache
     monkeypatch.setattr(couplings, "_gauss_legendre", leggauss)
     assert [quad(b, r) for quad, b, r in samples] == cached
-
-
-def test_thermal_variant_reduces_to_quantum_at_low_temperature():
-    b = OhmicBath(coupling=1.0, cutoff=1.0, temperature=1e-7, geometry=Geometry.THREE_D)
-    cold = spurious_coupling_quadrature(b, 0.5)
-    warm = spurious_coupling_thermal(b, 0.5)
-    assert warm == pytest.approx(cold, rel=1e-4)
-    hot = spurious_coupling_thermal(
-        OhmicBath(coupling=1.0, cutoff=1.0, temperature=2.0, geometry=Geometry.THREE_D), 0.5
-    )
-    assert hot > cold  # coth weighting only adds weight
 
 
 def test_coupling_matrix_symmetry_and_translation_invariance():

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +44,15 @@ def synthetic_trace(times, abs_c, stderr=None):
     times = np.asarray(times, float)
     abs_c = np.asarray(abs_c, float)
     stderr = np.zeros_like(abs_c) if stderr is None else np.asarray(stderr, float)
+    counts = np.full(50, 20)  # 50 equal blocks of the 1000 samples
     return CoherenceTrace(
         times=times,
         abs_coherence=abs_c,
         arg_coherence=np.zeros_like(abs_c),
         stderr=stderr,
         n_samples=1000,
+        block_sums=counts[:, None] * abs_c,
+        block_counts=counts,
     )
 
 
@@ -70,16 +73,12 @@ def test_mcconfig_validation():
         McConfig(dt=0.01, n_steps=256, n_trajectories=10)
     with pytest.raises(ValueError):
         McConfig(dt=0.01, n_steps=256, fit_window=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        McConfig(dt=0.01, n_steps=256, n_blocks=2)
 
 
-@pytest.mark.parametrize("n_report", [-1, 0, 1, 4097, 10**6])
-def test_mcconfig_bounds_n_report(n_report):
-    with pytest.raises(ValueError, match="n_report"):
-        McConfig(dt=0.01, n_steps=256, n_report=n_report)
-    for ok in (2, 4096):
-        assert McConfig(dt=0.01, n_steps=256, n_report=ok).n_report == ok
+def test_mcconfig_holds_only_scenario_settings():
+    # the estimator's layout (chunks, blocks, report points) is not a setting
+    names = [field.name for field in fields(McConfig)]
+    assert names == ["dt", "n_steps", "n_trajectories", "master_seed", "fit_window"]
 
 
 @pytest.mark.parametrize(
@@ -240,7 +239,7 @@ def phase_factor(scn):
     cfg = scn.cfg
     weights = [[pointer_fsa_uniform(scn.pair.left) - pointer_fsa_uniform(scn.pair.right)]]
     factors = functional_spectral_factors(scn.bath, scn.topology, weights, cfg.dt, cfg.n_steps)
-    idx = np.unique(np.round(np.linspace(0, cfg.n_steps - 1, cfg.n_report)).astype(int))
+    idx = np.unique(np.round(np.linspace(0, cfg.n_steps - 1, 257)).astype(int))
     return idx, trapezoid_phase_factor((factors[:, 0] ** 2).sum(axis=1), cfg.dt, idx)
 
 
@@ -257,15 +256,18 @@ def chunk_z_rows(master_seed, chunk, nt, idx, factor):
 
 
 def test_chunk_stream_is_pinned():
-    # chunk 1 of 600 trajectories (rows 512..599) draws from the stream keyed
-    # by (master_seed, 1) in the documented layout
+    # chunks 0 and 1 of 600 trajectories (rows 0..511, 512..599) draw from the
+    # streams keyed by (master_seed, 0) and (master_seed, 1) in the documented
+    # layout; the 50 blocks have 12 rows, so block 42 (rows 504..515) straddles
+    # the chunk edge and blocks 43..49 start at chunk 1's rows 4, 16, ..., 76
     scn = small_uniform_scenario(n_trajectories=600)
-    cfg = replace(scn.cfg, n_blocks=75)  # 8-row blocks: 64 of them end at row 512
-    trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, cfg)
+    trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg)
     idx, factor = phase_factor(scn)
-    z = chunk_z_rows(cfg.master_seed, 1, 88, idx, factor)
-    expected = np.add.reduceat(z, np.arange(0, 88, 8), axis=0)
-    assert np.array_equal(trace.block_sums[64:], expected)
+    z0 = chunk_z_rows(scn.cfg.master_seed, 0, 512, idx, factor)
+    z1 = chunk_z_rows(scn.cfg.master_seed, 1, 88, idx, factor)
+    assert np.array_equal(trace.block_sums[43:], np.add.reduceat(z1, np.arange(4, 88, 12), axis=0))
+    straddling = np.add.reduceat(z0, [504], axis=0)[0] + np.add.reduceat(z1, [0, 4], axis=0)[0]
+    assert np.array_equal(trace.block_sums[42], straddling)
 
 
 def direct_z_rows(scn):
@@ -344,14 +346,42 @@ def test_delta_method_stderr_matches_leave_one_out_jackknife():
     np.testing.assert_allclose(trace.stderr[usable], jackknife[usable], rtol=1e-2)
 
 
+def test_rate_stderr_is_the_block_jackknife_of_the_weighted_slope():
+    # recomputed from the block sums: the weighted least-squares slope of
+    # ln |C| on each leave-one-block-out trace, weights (|C| / stderr)^2
+    scn = small_uniform_scenario(n_trajectories=1500)
+    trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg)
+    window = scn.cfg.absolute_fit_window(scn.gamma_analytic)
+    est = fit_rate(trace, window)
+    use = (trace.times >= window[0]) & (trace.times <= window[1])
+    use &= trace.abs_coherence > 5.0 * trace.stderr
+    assert use.sum() == est.n_points and np.all(trace.stderr[use] > 0)
+    root_w = trace.abs_coherence[use] / trace.stderr[use]
+    design = np.column_stack([np.ones(use.sum()), trace.times[use]]) * root_w[:, None]
+
+    def slope(abs_c):
+        return np.linalg.lstsq(design, np.log(abs_c) * root_w, rcond=None)[0][1]
+
+    total = trace.block_sums.sum(axis=0)
+    slopes = np.array([
+        slope(np.abs(total - sums)[use] / (trace.n_samples - count))
+        for sums, count in zip(trace.block_sums, trace.block_counts)
+    ])
+    n_blocks = slopes.size
+    jackknife = np.sqrt((n_blocks - 1) / n_blocks * ((slopes - slopes.mean()) ** 2).sum())
+    assert n_blocks == 50
+    assert est.gamma_hat == pytest.approx(-slope(trace.abs_coherence[use]), rel=1e-12)
+    assert est.stderr_gamma == pytest.approx(jackknife, rel=1e-12)
+
+
 def assert_byte_identical_across_jobs(run):
-    """run(jobs) at jobs 1/2/3 gives the same bytes; its 7 blocks sum to the mean."""
+    """run(jobs) at jobs 1/2/3 gives the same bytes; its 50 blocks sum to the mean."""
     traces = [run(jobs) for jobs in (1, 2, 3)]
     for other in traces[1:]:
         for field in ("abs_coherence", "arg_coherence", "stderr", "block_sums"):
             assert getattr(other, field).tobytes() == getattr(traces[0], field).tobytes()
     trace = traces[0]
-    assert trace.block_sums.shape[0] == 7
+    assert trace.block_sums.shape[0] == 50
     mean = trace.abs_coherence * np.exp(1j * trace.arg_coherence)
     np.testing.assert_allclose(
         trace.block_sums.sum(axis=0) / trace.n_samples, mean, rtol=0, atol=1e-12
@@ -359,12 +389,11 @@ def assert_byte_identical_across_jobs(run):
 
 
 def test_blocks_straddling_chunks_are_byte_identical_across_jobs():
-    # 7 blocks over 1500 trajectories: bounds 214, 428, 642, ... cross the
-    # 512-row chunk edges, so blocks collect partial sums from two chunks
+    # 50 blocks over 1500 trajectories: bounds 510/540 and 1020/1050 cross the
+    # 512-row chunk edges, so those blocks collect partial sums from two chunks
     scn = small_uniform_scenario(n_trajectories=1500)
-    cfg = replace(scn.cfg, n_blocks=7)
     assert_byte_identical_across_jobs(
-        lambda jobs: simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, cfg, jobs)
+        lambda jobs: simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg, jobs)
     )
 
 
@@ -376,7 +405,7 @@ def test_bus_blocks_straddling_chunks_are_byte_identical_across_jobs(topology):
     drive = GateDrive.two_qubit_gate(4, 0, 1, 20.0)
     pair = worst_case_pair(ArchKind.BUS, 4, drive)
     bath = OhmicBath(coupling=4e-4, cutoff=128.0, temperature=1.0)
-    cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=1500, master_seed=9, n_blocks=7)
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=1500, master_seed=9)
     assert_byte_identical_across_jobs(
         lambda jobs: simulate_bus_full(drive, pair, bath, topology, cfg, jobs)
     )
@@ -526,7 +555,7 @@ def reference_bus_trace(drive, pair, bath, topology, cfg):
     n_bins, _, n_sources = factors.shape
     c_left, c_right = labels @ np.asarray(drive.phi, dtype=float)
     report_idx = np.unique(
-        np.round(np.linspace(0, cfg.n_steps - 1, min(cfg.n_report, cfg.n_steps))).astype(int)
+        np.round(np.linspace(0, cfg.n_steps - 1, min(257, cfg.n_steps))).astype(int)
     )
 
     def sample_phase(rng, nt):
@@ -556,14 +585,12 @@ def reference_bus_trace(drive, pair, bath, topology, cfg):
     ],
     ids=["uniform_L2", "uniform_L4", "uniform_L8", "independent", "colocated", "separated"],
 )
-@pytest.mark.parametrize("n_report", [257, 512])
-def test_bus_full_matches_reference_pipeline(n_qubits, topology, n_report):
-    # n_report = n_steps puts a report point on the last grid step, where a
-    # segment sum running to the end of the grid would be off by one
+@pytest.mark.parametrize("n_steps", [512, 256], ids=["257", "256"])  # ids: report points
+def test_bus_full_matches_reference_pipeline(n_qubits, topology, n_steps):
+    # 256 steps are all reported, which puts a report point on the last grid
+    # step, where a segment sum running to the end of the grid would be off by one
     drive, pair = scan_family(n_qubits)
-    cfg = McConfig(
-        dt=0.5 / 128.0, n_steps=512, n_trajectories=600, master_seed=7, n_report=n_report
-    )
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=n_steps, n_trajectories=600, master_seed=7)
     trace = simulate_bus_full(drive, pair, SCAN_BATH, topology, cfg)
     reference = reference_bus_trace(drive, pair, SCAN_BATH, topology, cfg)
     np.testing.assert_array_equal(trace.times, reference.times)
@@ -683,6 +710,15 @@ def test_scenario_requires_reference_for_zero_rate():
     with pytest.raises(ValueError, match="reference_rate"):
         make_validation_scenario(ArchKind.FSA_UNIFORM, pair, n_trajectories=200)
 
+
+
+def test_bus_scenario_defaults_to_the_records_drive():
+    pair = worst_case_pair(ArchKind.BUS, 4)
+    default = make_validation_scenario(ArchKind.BUS, pair, n_trajectories=500)
+    explicit = make_validation_scenario(
+        ArchKind.BUS, pair, drive=GateDrive.two_qubit_gate(4, 0, 1), n_trajectories=500
+    )
+    assert default == explicit  # same pair, drive, gamma_analytic and cfg
 
 def test_worst_case_bus_scenario_roundtrip():
     drive = GateDrive.two_qubit_gate(4, 0, 1)

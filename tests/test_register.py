@@ -115,13 +115,6 @@ def test_label_with_total_spin():
         label_with_total_spin(3, 5)
 
 
-def test_gate_drive_nominal_flag():
-    assert GateDrive.idle(4).is_nominal
-    assert GateDrive.two_qubit_gate(4, 1, 3).is_nominal
-    assert not GateDrive((1.0, 1.0, 1.0, 0.0)).is_nominal
-    assert not GateDrive((1.0, 0.0)).is_nominal
-
-
 @pytest.mark.parametrize(
     "phi", [(float("nan"), 1.0), (1.0, float("inf")), (0.0, 0.0, float("-inf"))]
 )
