@@ -1,33 +1,42 @@
 """Config-driven command line frontend.
 
 Subcommands: ``rates``, ``scan``, ``couplings``, ``mc``, ``validate``.
-Configuration is a JSON document with a strict schema (unknown keys are
-rejected); command line flags override file values.  ``--output`` and
-``--format`` apply to every command; only the Monte-Carlo commands ``mc`` and
-``validate`` take ``--seed`` and ``--jobs``, and the others refuse them
-(argparse, exit 2).  Every output file embeds the fully resolved
+Configuration is a JSON document read against one slot table per command
+(``_COMMANDS``): each key maps to a reader and a default, a nested object is
+a nested table, and one loop (``_read``) reads every slot in table order.
+Unknown keys are rejected, and JSON ``null`` means absent everywhere.
+``--config`` is required by every command whose table has a required slot,
+which is all but ``validate``.  ``--output`` and ``--format`` apply to every
+command; only the Monte-Carlo commands ``mc`` and ``validate`` take
+``--seed`` (overriding the config's seed) and ``--jobs``, and the others
+refuse them (argparse, exit 2).  Every output file embeds the fully resolved
 configuration and seed in its header, so a run can be reproduced
 byte-for-byte from its own output.
 
 Exit codes: 0 success / all validations passed, 1 validation failure, 2
-configuration error (unreadable JSON, unknown key, a value of the wrong JSON
-type such as a string or a fractional number where an integer belongs, an
-architecture the command does not support (``rates``, ``mc`` and ``validate``
-take fsa_uniform, fsa_independent and bus; ``scan`` takes the architecture and
-noise combinations of ``rates.scaling_scan``), an explicit pair whose labels
-do not have ``L`` qubits, or a size above its bound: register lengths,
-``L_values`` entries and ``positions.count`` <= 64, a Monte-Carlo scenario's
-``L`` <= 16, ``n_trajectories`` <= 10^6, and a time grid of at most 2^20
-steps), 3 physical-constraint violation (including non-finite physical values
-and coupling scales that overflow), 4 internal error (any other exception;
+configuration error (unreadable JSON, unknown key, missing required key, a
+value of the wrong JSON type such as a string or a fractional number where an
+integer belongs, an empty list, a non-finite position, an architecture the
+command does not support (``rates``, ``mc`` and ``validate`` take
+fsa_uniform, fsa_independent and bus; ``scan`` takes the architecture and
+noise combinations of ``rates.scaling_scan``), a pair or drive whose length is
+not ``L``, or a value outside its bounds: register lengths, ``L_values``
+entries and ``positions.count`` in [1, 64], a Monte-Carlo scenario's ``L`` in
+[1, 16], ``n_trajectories`` in [100, 10^6], ``seed`` and ``--seed`` in
+[0, 2^64 - 1], ``--jobs`` in [1, 64], and a time grid of at most 2^20 steps),
+3 physical-constraint violation (a missing bath ``coupling`` or ``cutoff``
+or ``rates`` temperature, non-finite physical values, and rates, couplings or
+coupling scales that overflow), 4 internal error (any other exception;
 never reported as 1).
 
 A scenario's grid has ``mcsim.grid_points(cutoff_ratio, fit_window)`` =
 2 * cutoff_ratio * max(3.2, 1.15 * fit_window[1]) + 1 points rounded up to a
-power of two; the bound is checked as the scenario is read.
+power of two; the bound is checked after the scenario is read, before any
+work.
 
-Units: natural units (hbar = k_B = 1) by default.  An optional ``units``
-block accepts frequencies in GHz and temperatures in kelvin; they are
+Units: natural units (hbar = k_B = 1) by default.  ``rates`` and
+``couplings``, the commands that convert a value with it, accept an optional
+``units`` block with frequencies in GHz and temperatures in kelvin; they are
 converted at this boundary (time unit: ns) and the conversion factors are
 recorded in the output header.
 """
@@ -99,6 +108,8 @@ _MAX_TRAJECTORIES = 10**6
 # Time steps of a scenario's grid, which its "cutoff_ratio" and the upper end of
 # its "fit_window" set (the default suite uses 1024 steps, the bus scan 8192).
 _MAX_GRID_STEPS = 2**20
+# "--jobs": the thread pool starts a thread per queued chunk while none is idle.
+_MAX_JOBS = 64
 
 
 class ConfigError(Exception):
@@ -109,63 +120,194 @@ class PhysicalParameterError(ValueError):
     """A physical parameter is missing or violates its constraints."""
 
 
-def _check_keys(mapping: Mapping, allowed: Sequence[str], context: str) -> None:
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{context} must be an object, got {type(mapping).__name__}")
-    unknown = sorted(set(mapping) - set(allowed))
+# The default of a required slot is the error its absence raises.
+_REQUIRED = ConfigError
+_PHYSICAL = PhysicalParameterError
+
+Reader = Callable[[Any, str], Any]
+
+
+class _Table(dict):
+    """The slots of one JSON object, key -> (reader, default), in reading
+    order.  A default is a JSON value passed through the slot's reader, None
+    (the slot stays None) or ``_REQUIRED`` / ``_PHYSICAL``.  A table is the
+    reader of a nested object, and a reader that wraps others exposes them
+    (``item`` of a list, ``by_type`` of a type switch), so the whole slot set
+    can be walked as data."""
+
+    def __call__(self, value: Any, where: str) -> dict[str, Any]:
+        return _read(value, self, where)
+
+
+def _read(config: Any, table: Mapping[str, tuple[Reader, Any]], where: str) -> dict[str, Any]:
+    """Every slot of ``table`` read from the JSON object ``config``: unknown
+    keys are refused, and an absent or null slot takes its default."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"{where or 'config'} must be an object, got {type(config).__name__}")
+    unknown = sorted(set(config) - set(table))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) in {where or 'config'}: {', '.join(map(repr, unknown))}")
+    values = {}
+    for key, (reader, default) in table.items():
+        path = f"{where}.{key}" if where else key
+        value = default if config.get(key) is None else config[key]
+        if isinstance(value, type):
+            raise value(f"missing required key '{path}'")
+        values[key] = None if value is None else reader(value, path)
+    return values
 
 
-def _structural(mapping: Mapping, key: str, context: str) -> Any:
-    if key not in mapping:
-        raise ConfigError(f"missing required key '{key}' in {context}")
-    return mapping[key]
-
-
-def _number(value: Any, context: str) -> float:
+def _number(value: Any, where: str) -> float:
     """A JSON number as a float.  Non-finite values pass: the physics rejects them."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context} must be a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is beyond the float range") from None
 
 
-def _integer(value: Any, context: str, maximum: int | None = None) -> int:
-    """A JSON integer, at most ``maximum`` if given; an integral float such as
-    2.0 is accepted, 2.7 is not."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context} must be an integer, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{context} must be <= {maximum}, got {value}")
+def _finite_number(value: Any, where: str) -> float:
+    number = _number(value, where)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {number}")
+    return number
+
+
+def _integer(lo: int, hi: int) -> Reader:
+    """Reader of a JSON integer in [lo, hi]; an integral float such as 2.0 is
+    accepted, 2.7 is not."""
+
+    def read(value: Any, where: str) -> int:
+        number = int(value) if isinstance(value, float) and value.is_integer() else value
+        if isinstance(number, bool) or not isinstance(number, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if not lo <= number <= hi:
+            bound = f">= {lo}" if number < lo else f"<= {hi}"
+            raise ConfigError(f"{where} must be {bound}, got {value!r}")
+        return number
+
+    return read
+
+
+def _string(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
     return value
 
 
-def _number_pair(value: Any, context: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{context} must be a list of two numbers, got {value!r}")
-    return (_number(value[0], f"{context}[0]"), _number(value[1], f"{context}[1]"))
+def _choice(options: type | Mapping[str, Any] | Sequence[str]) -> Reader:
+    """Reader of one word of ``options``: an enum's values (read as its
+    members), a mapping of words to values, or the words themselves."""
+    if isinstance(options, type):
+        options = {member.value: member for member in options}
+    elif not isinstance(options, Mapping):
+        options = dict(zip(options, options))
+
+    def read(value: Any, where: str) -> Any:
+        if not isinstance(value, str) or value not in options:
+            raise ConfigError(
+                f"{where} must be one of {', '.join(map(repr, options))}, got {value!r}"
+            )
+        return options[value]
+
+    return read
 
 
-def _label_pair(entry: Any, context: str) -> CoherencePair:
-    """A coherence pair from {"left": "+-...", "right": "..."}."""
-    _check_keys(entry, ["left", "right"], context)
-    labels = [_structural(entry, side, context) for side in ("left", "right")]
-    for side, label in zip(("left", "right"), labels):
-        if not isinstance(label, str):
-            raise ConfigError(f"{context}.{side} must be a label string, got {label!r}")
+def _items(item: Reader, length: int | None = None) -> Reader:
+    """Reader of a non-empty JSON list (of exactly ``length`` entries if
+    given) as a tuple, each entry read by ``item``."""
+
+    def read(value: Any, where: str) -> tuple:
+        if not isinstance(value, list) or not value or length not in (None, len(value)):
+            size = "non-empty" if length is None else f"{length}-entry"
+            raise ConfigError(f"{where} must be a {size} list, got {value!r}")
+        return tuple(item(entry, f"{where}[{i}]") for i, entry in enumerate(value))
+
+    read.item = item
+    return read
+
+
+_JSON_KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _by_type(readers: Mapping[type, Reader]) -> Reader:
+    """Reader that reads a value by the reader of its JSON type."""
+
+    def read(value: Any, where: str) -> Any:
+        reader = readers.get(type(value))
+        if reader is None:
+            kinds = " or ".join(_JSON_KINDS[kind] for kind in readers)
+            raise ConfigError(f"{where} must be {kinds}, got {value!r}")
+        return reader(value, where)
+
+    read.by_type = readers
+    return read
+
+
+def _label(value: Any, where: str) -> RegisterLabel:
     try:
-        return CoherencePair.from_strings(*labels)
+        return RegisterLabel.from_string(_string(value, where))
     except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def _architecture(config: Mapping, context: str) -> ArchKind:
-    try:
-        return ArchKind(_structural(config, "architecture", context))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+_seed = _integer(0, 2**64 - 1)
+_jobs = _integer(1, _MAX_JOBS)
+
+_UNITS = _Table(
+    frequency=(_choice({"natural": 1.0, "ghz": GHZ_TO_NATURAL}), "natural"),
+    temperature=(_choice({"natural": 1.0, "kelvin": KELVIN_TO_NATURAL}), "natural"),
+)
+_RATES_BATH = _Table(
+    coupling=(_number, _PHYSICAL),
+    cutoff=(_number, _PHYSICAL),
+    temperature=(_number, _PHYSICAL),
+    geometry=(_choice(Geometry), "1d"),
+    velocity=(_number, 1.0),
+)
+_COUPLINGS_BATH = _Table(_RATES_BATH, temperature=(_number, 0.0))
+# A coherence pair {"left": "+-...", "right": "..."}; ``_pair`` checks its length.
+_PAIR = _Table(left=(_label, _REQUIRED), right=(_label, _REQUIRED))
+_SCENARIO = _Table(
+    name=(_string, None),
+    architecture=(_choice(ArchKind), _REQUIRED),
+    L=(_integer(1, _MAX_MC_QUBITS), _REQUIRED),
+    pair=(_by_type({str: _choice(["worst_case"]), dict: _PAIR}), _REQUIRED),
+    drive=(_items(_number), None),
+    coupling=(_number, 1.0),
+    temperature=(_number, 1.0),
+    cutoff_ratio=(_number, 128.0),
+    reference_rate=(_number, None),
+    n_trajectories=(_integer(100, _MAX_TRAJECTORIES), None),
+    fit_window=(_items(_number, 2), [0.5, 2.0]),  # [t_min, t_max] in units of 1/rate
+)
+_RATES = _Table(
+    architecture=(_choice(ArchKind), _REQUIRED),
+    L=(_integer(1, _MAX_QUBITS), _REQUIRED),
+    bath=(_RATES_BATH, _REQUIRED),
+    pairs=(_by_type({str: _choice(["all", "worst_case"]), list: _items(_PAIR)}), "all"),
+    drive=(_items(_number), None),
+    units=(_UNITS, {}),
+)
+_SCAN = _Table(
+    architecture=(_choice(ArchKind), _REQUIRED),
+    noise=(_choice(NoiseKind), _REQUIRED),
+    L_values=(_items(_integer(1, _MAX_QUBITS)), _REQUIRED),
+)
+_GRID = _Table(count=(_integer(1, _MAX_QUBITS), _REQUIRED), spacing=(_number, _REQUIRED))
+_COUPLINGS = _Table(
+    bath=(_COUPLINGS_BATH, _REQUIRED),
+    positions=(_by_type({list: _items(_finite_number), dict: _GRID}), _REQUIRED),
+    units=(_UNITS, {}),
+)
+_MC = _Table(scenario=(_SCENARIO, _REQUIRED), seed=(_seed, DEFAULT_MASTER_SEED))
+_VALIDATE = _Table(
+    suite=(_choice(["default"]), "default"),
+    scenarios=(_items(_SCENARIO), None),
+    n_trajectories=(_integer(100, _MAX_TRAJECTORIES), None),
+    seed=(_seed, DEFAULT_MASTER_SEED),
+)
 
 
 def _supporting(kind: ArchKind, field: str, what: str) -> ArchitectureRecord:
@@ -179,72 +321,36 @@ def _supporting(kind: ArchKind, field: str, what: str) -> ArchitectureRecord:
     return record
 
 
-def _physical(mapping: Mapping, key: str, context: str) -> float:
-    if key not in mapping:
-        raise PhysicalParameterError(f"missing physical parameter '{context}.{key}'")
-    return _number(mapping[key], f"{context}.{key}")
+def _bath(values: Mapping[str, Any]) -> OhmicBath:
+    """The bath of a rates or couplings config, converted by its units block."""
+    bath, units = values["bath"], values["units"]
+    return OhmicBath(**{
+        **bath,
+        "cutoff": bath["cutoff"] * units["frequency"],
+        "temperature": bath["temperature"] * units["temperature"],
+    })
 
 
-def _units_from_config(config: Mapping) -> dict[str, float]:
-    block = config.get("units", {})
-    _check_keys(block, ["frequency", "temperature"], "units")
-    factors = {"frequency": 1.0, "temperature": 1.0}
-    freq = block.get("frequency", "natural")
-    if freq == "ghz":
-        factors["frequency"] = GHZ_TO_NATURAL
-    elif freq != "natural":
-        raise ConfigError(f"units.frequency must be 'natural' or 'ghz', got {freq!r}")
-    temp = block.get("temperature", "natural")
-    if temp == "kelvin":
-        factors["temperature"] = KELVIN_TO_NATURAL
-    elif temp != "natural":
-        raise ConfigError(
-            f"units.temperature must be 'natural' or 'kelvin', got {temp!r}"
-        )
-    return factors
-
-
-def _bath_from_config(
-    config: Mapping, units: Mapping[str, float], require_temperature: bool
-) -> OhmicBath:
-    _check_keys(config, ["coupling", "cutoff", "temperature", "geometry", "velocity"], "bath")
-    coupling = _physical(config, "coupling", "bath")
-    cutoff = _physical(config, "cutoff", "bath") * units["frequency"]
-    if require_temperature:
-        temperature = _physical(config, "temperature", "bath") * units["temperature"]
-    else:
-        temperature = _number(config.get("temperature", 0.0), "bath.temperature")
-        temperature *= units["temperature"]
-    geometry = config.get("geometry", "1d")
-    try:
-        geometry = Geometry(geometry)
-    except ValueError:
-        raise ConfigError(f"bath.geometry must be '1d' or '3d', got {geometry!r}") from None
-    return OhmicBath(
-        coupling=coupling,
-        cutoff=cutoff,
-        temperature=temperature,
-        geometry=geometry,
-        velocity=_number(config.get("velocity", 1.0), "bath.velocity"),
-    )
-
-
-def _drive_from_config(config: Mapping, n_qubits: int) -> GateDrive | None:
-    if "drive" not in config:
+def _drive(phi: tuple[float, ...] | None, n_qubits: int, where: str) -> GateDrive | None:
+    if phi is None:
         return None
-    raw = config["drive"]
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError("drive must be a list of per-qubit amplitudes")
-    if len(raw) != n_qubits:
-        raise ConfigError(f"drive has {len(raw)} entries for L = {n_qubits}")
-    return GateDrive(tuple(_number(p, f"drive[{j}]") for j, p in enumerate(raw)))
+    if len(phi) != n_qubits:
+        raise ConfigError(f"{where} has {len(phi)} entries for L = {n_qubits}")
+    return GateDrive(phi)
 
 
-def _pairs_from_config(
-    config: Mapping, kind: ArchKind, n_qubits: int, drive: GateDrive | None
+def _pair(pair: Mapping[str, RegisterLabel], n_qubits: int, where: str) -> CoherencePair:
+    """The coherence pair read by ``_PAIR``; both labels must have ``n_qubits`` qubits."""
+    for label in (pair["left"], pair["right"]):
+        if len(label) != n_qubits:
+            raise ConfigError(f"{where} has {len(label)} qubits but L = {n_qubits}")
+    return CoherencePair(pair["left"], pair["right"])
+
+
+def _rate_pairs(
+    spec: str | tuple, kind: ArchKind, n_qubits: int, drive: GateDrive | None
 ) -> tuple[list[RegisterLabel], np.ndarray, np.ndarray]:
     """The table's distinct labels and, per pair, the indices of its two labels."""
-    spec = config.get("pairs", "all")
     if spec == "all":
         if n_qubits > _MAX_ALL_PAIRS_QUBITS:
             raise ConfigError(
@@ -257,13 +363,8 @@ def _pairs_from_config(
         return labels, left, right
     if spec == "worst_case":
         pairs = [worst_case_pair(kind, n_qubits, drive)]
-    elif isinstance(spec, list):
-        pairs = [_label_pair(entry, f"pairs[{i}]") for i, entry in enumerate(spec)]
-        for i, pair in enumerate(pairs):
-            if pair.n_qubits != n_qubits:
-                raise ConfigError(f"pairs[{i}] has {pair.n_qubits} qubits but L = {n_qubits}")
     else:
-        raise ConfigError("pairs must be 'all', 'worst_case', or a list of label pairs")
+        pairs = [_pair(entry, n_qubits, f"pairs[{i}]") for i, entry in enumerate(spec)]
     index: dict[RegisterLabel, int] = {}
     left = [index.setdefault(pair.left, len(index)) for pair in pairs]
     right = [index.setdefault(pair.right, len(index)) for pair in pairs]
@@ -334,15 +435,15 @@ def _write_output(
             fh.write(text)
 
 
-def _base_meta(command: str, config: Mapping, seed: int | None) -> dict[str, Any]:
-    meta: dict[str, Any] = {
-        "tool": f"gatenoise {command} v{__version__}",
-        "config": config,
-    }
+
+def _base_meta(
+    command: str, config: Mapping, seed: int | None = None, units: Mapping | None = None
+) -> dict[str, Any]:
+    """The header of an output; a seed also goes into the config it records."""
+    meta: dict[str, Any] = {"tool": f"gatenoise {command} v{__version__}", "config": config}
     if seed is not None:
-        meta["seed"] = seed
-    units = _units_from_config(config)
-    if units["frequency"] != 1.0 or units["temperature"] != 1.0:
+        meta.update(config={**config, "seed": seed}, seed=seed)
+    if units is not None and (units["frequency"] != 1.0 or units["temperature"] != 1.0):
         meta["unit_conversion"] = {
             "frequency_to_natural": units["frequency"],
             "temperature_to_natural": units["temperature"],
@@ -351,21 +452,14 @@ def _base_meta(command: str, config: Mapping, seed: int | None) -> dict[str, Any
     return meta
 
 
-def _cmd_rates(config: Mapping, args: argparse.Namespace) -> int:
-    _check_keys(
-        config, ["architecture", "L", "bath", "pairs", "drive", "units"], "rates config"
-    )
-    kind = _architecture(config, "rates config")
+def _cmd_rates(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
+    kind, n_qubits = values["architecture"], values["L"]
     record = _supporting(kind, "rate", "rate tables")
-    n_qubits = _integer(_structural(config, "L", "rates config"), "L", _MAX_QUBITS)
-    units = _units_from_config(config)
-    bath = _bath_from_config(
-        _structural(config, "bath", "rates config"), units, require_temperature=True
-    )
-    drive = _drive_from_config(config, n_qubits)
+    bath = _bath(values)
+    drive = _drive(values["drive"], n_qubits, "drive")
     if record.default_drive is not None and drive is None:
         raise ConfigError(f"{kind.value} rates require a 'drive' entry")
-    labels, left, right = _pairs_from_config(config, kind, n_qubits, drive)
+    labels, left, right = _rate_pairs(values["pairs"], kind, n_qubits, drive)
     table = rate_table(ArchitectureModel(kind, n_qubits, drive), bath, labels, left, right)
 
     names = [str(label) for label in labels]
@@ -384,26 +478,16 @@ def _cmd_rates(config: Mapping, args: argparse.Namespace) -> int:
         "Qp": _Coded(pointers, right),
         "gamma": table.gamma.tolist(),
     }
-    _write_output(args.output, args.format, _base_meta("rates", config, seed=None), columns)
+    meta = _base_meta("rates", config, units=values["units"])
+    _write_output(args.output, args.format, meta, columns)
     return EXIT_OK
 
 
-def _cmd_scan(config: Mapping, args: argparse.Namespace) -> int:
-    _check_keys(config, ["architecture", "noise", "L_values", "units"], "scan config")
-    kind = _architecture(config, "scan config")
-    try:
-        noise = NoiseKind(_structural(config, "noise", "scan config"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _cmd_scan(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
+    kind, noise = values["architecture"], values["noise"]
     if noise not in ARCHITECTURES[kind].laws:
         raise ConfigError(f"no scaling law in scope for {kind.value} with {noise.value} noise")
-    l_values = _structural(config, "L_values", "scan config")
-    if not isinstance(l_values, list) or not l_values:
-        raise ConfigError("L_values must be a non-empty list of register lengths")
-    points = scaling_scan(
-        kind, noise,
-        [_integer(v, f"L_values[{i}]", _MAX_QUBITS) for i, v in enumerate(l_values)],
-    )
+    points = scaling_scan(kind, noise, values["L_values"])
     exponents = [None]
     for previous, point in zip(points, points[1:]):
         # the log-log slope needs two distinct lengths with non-zero rates
@@ -422,33 +506,18 @@ def _cmd_scan(config: Mapping, args: argparse.Namespace) -> int:
         "relative_rate": [point.relative_rate for point in points],
         "local_exponent": exponents,
     }
-    _write_output(args.output, args.format, _base_meta("scan", config, seed=None), columns)
+    _write_output(args.output, args.format, _base_meta("scan", config), columns)
     return EXIT_OK
 
 
-def _positions_from_config(config: Mapping) -> list[float]:
-    raw = _structural(config, "positions", "couplings config")
-    if isinstance(raw, Mapping):
-        _check_keys(raw, ["count", "spacing"], "positions")
-        count = _integer(
-            _structural(raw, "count", "positions"), "positions.count", _MAX_QUBITS
-        )
-        spacing = _number(_structural(raw, "spacing", "positions"), "positions.spacing")
-        if count < 1:
-            raise ConfigError("positions.count must be >= 1")
-        return [j * spacing for j in range(count)]
-    if isinstance(raw, list) and raw:
-        return [_number(p, f"positions[{i}]") for i, p in enumerate(raw)]
-    raise ConfigError("positions must be a list or {count, spacing}")
-
-
-def _cmd_couplings(config: Mapping, args: argparse.Namespace) -> int:
-    _check_keys(config, ["bath", "positions", "units"], "couplings config")
-    units = _units_from_config(config)
-    bath = _bath_from_config(
-        _structural(config, "bath", "couplings config"), units, require_temperature=False
-    )
-    positions = _positions_from_config(config)
+def _cmd_couplings(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
+    bath = _bath(values)
+    positions = values["positions"]
+    if isinstance(positions, dict):  # {count, spacing}
+        count, spacing = positions["count"], positions["spacing"]
+        if not math.isfinite((count - 1) * spacing):
+            raise ConfigError(f"positions.spacing {spacing!r} puts site {count - 1} out of range")
+        positions = [j * spacing for j in range(count)]
     n = len(positions)
     mu_sc = coupling_matrix(bath, positions, CouplingKind.SPURIOUS)
     mu_tr = coupling_matrix(bath, positions, CouplingKind.TRANSIENT)
@@ -472,7 +541,7 @@ def _cmd_couplings(config: Mapping, args: argparse.Namespace) -> int:
         "mu_tr_3d": tr_3d[j, k].tolist(),
         "tr_3d_dominates": (tr_3d[j, k] >= tr_1d[j, k]).tolist(),
     }
-    meta = _base_meta("couplings", config, seed=None)
+    meta = _base_meta("couplings", config, units=values["units"])
     meta["drive_enhancement"] = drive_enhancement(n, bath)
     meta["geometry"] = bath.geometry.value
     if args.format == "json":
@@ -482,90 +551,41 @@ def _cmd_couplings(config: Mapping, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SCENARIO_KEYS = [
-    "name",
-    "architecture",
-    "L",
-    "pair",
-    "drive",
-    "coupling",
-    "temperature",
-    "cutoff_ratio",
-    "reference_rate",
-    "n_trajectories",
-    "fit_window",
-]
-
-
-def _scenario_from_config(config: Mapping, seed: int, default_trajectories: int):
-    _check_keys(config, _SCENARIO_KEYS, "scenario")
-    kind = _architecture(config, "scenario")
+def _scenario(values: Mapping, seed: int, n_trajectories: int, where: str):
+    """The Monte-Carlo scenario read by ``_SCENARIO``, with ``n_trajectories``
+    where it sets none."""
+    kind, n_qubits = values["architecture"], values["L"]
     _supporting(kind, "sources", "Monte-Carlo scenarios")
-    n_qubits = _integer(_structural(config, "L", "scenario"), "scenario.L", _MAX_MC_QUBITS)
-    drive = _drive_from_config(config, n_qubits)
-    pair_spec = _structural(config, "pair", "scenario")
-    if pair_spec == "worst_case":
+    drive = _drive(values["drive"], n_qubits, f"{where}.drive")
+    if values["pair"] == "worst_case":
         pair = worst_case_pair(kind, n_qubits, drive)
     else:
-        pair = _label_pair(pair_spec, "scenario.pair")
-    if pair.n_qubits != n_qubits:
-        raise ConfigError(
-            f"scenario.pair has {pair.n_qubits} qubits but L = {n_qubits}"
-        )
-    # fit_window is [t_min, t_max] in units of 1/rate
-    fit_window = _number_pair(config.get("fit_window", [0.5, 2.0]), "scenario.fit_window")
-    cutoff_ratio = _number(config.get("cutoff_ratio", 128.0), "scenario.cutoff_ratio")
+        pair = _pair(values["pair"], n_qubits, f"{where}.pair")
+    fit_window, cutoff_ratio = values["fit_window"], values["cutoff_ratio"]
     # Compared as is, so that NaN passes on to the physics, which rejects it.
     if grid_points(cutoff_ratio, fit_window) > _MAX_GRID_STEPS:
         raise ConfigError(
-            f"scenario.cutoff_ratio {cutoff_ratio:g} with scenario.fit_window upper end "
+            f"{where}.cutoff_ratio {cutoff_ratio:g} with {where}.fit_window upper end "
             f"{fit_window[1]:g} needs a grid of more than {_MAX_GRID_STEPS} steps"
         )
-    reference_rate = config.get("reference_rate")
-    if reference_rate is not None:
-        reference_rate = _number(reference_rate, "scenario.reference_rate")
-    name = config.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ConfigError(f"scenario.name must be a string, got {name!r}")
+    named = ("name", "coupling", "temperature", "cutoff_ratio", "reference_rate", "fit_window")
     return make_validation_scenario(
-        kind,
-        pair,
-        drive=drive,
-        coupling=_number(config.get("coupling", 1.0), "scenario.coupling"),
-        temperature=_number(config.get("temperature", 1.0), "scenario.temperature"),
-        cutoff_ratio=cutoff_ratio,
-        n_trajectories=_integer(
-            config.get("n_trajectories", default_trajectories), "scenario.n_trajectories",
-            _MAX_TRAJECTORIES,
-        ),
-        master_seed=seed,
-        fit_window=fit_window,
-        reference_rate=reference_rate,
-        name=name,
+        kind, pair, drive=drive, master_seed=seed,
+        n_trajectories=values["n_trajectories"] or n_trajectories,
+        **{key: values[key] for key in named},
     )
 
 
-def _resolve_seed(config: Mapping, args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _integer(config.get("seed", DEFAULT_MASTER_SEED), "seed")
-
-
-def _cmd_mc(config: Mapping, args: argparse.Namespace) -> int:
-    _check_keys(config, ["scenario", "seed", "units"], "mc config")
-    seed = _resolve_seed(config, args)
-    resolved = dict(config)
-    resolved["seed"] = seed
-    scenario = _scenario_from_config(
-        _structural(config, "scenario", "mc config"), seed, default_trajectories=10_000
-    )
+def _cmd_mc(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
+    seed = values["seed"]
+    scenario = _scenario(values["scenario"], seed, 10_000, "scenario")
     trace = simulate_dephasing(
         scenario.arch, scenario.pair, scenario.bath, scenario.topology,
         scenario.cfg, jobs=args.jobs,
     )
     gamma = scenario.gamma_analytic
     estimate = fit_rate(trace, scenario.cfg.absolute_fit_window(gamma))
-    meta = _base_meta("mc", resolved, seed=seed)
+    meta = _base_meta("mc", config, seed=seed)
     meta["scenario"] = scenario.name
     meta["gamma_analytic"] = gamma
     meta["gamma_hat"] = estimate.gamma_hat
@@ -581,31 +601,18 @@ def _cmd_mc(config: Mapping, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(config: Mapping, args: argparse.Namespace) -> int:
-    _check_keys(config, ["suite", "scenarios", "n_trajectories", "seed", "units"], "validate config")
-    seed = _resolve_seed(config, args)
-    resolved = dict(config)
-    resolved["seed"] = seed
-    n_override = config.get("n_trajectories")
-    if n_override is not None:
-        n_override = _integer(n_override, "n_trajectories", _MAX_TRAJECTORIES)
-    if "scenarios" in config:
-        if not isinstance(config["scenarios"], list):
-            raise ConfigError("scenarios must be a list of scenario objects")
-        scenarios = [
-            _scenario_from_config(entry, seed, default_trajectories=n_override or 10_000)
-            for entry in config["scenarios"]
-        ]
+def _cmd_validate(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
+    seed, n_override = values["seed"], values["n_trajectories"]
+    if values["scenarios"] is None:  # the one bundled suite, "default"
+        scenarios = default_validation_suite(master_seed=seed, n_trajectories=n_override)
     else:
-        suite = config.get("suite", "default")
-        if suite != "default":
-            raise ConfigError(f"unknown suite {suite!r}; only 'default' is bundled")
-        scenarios = default_validation_suite(
-            master_seed=seed, n_trajectories=n_override
-        )
+        scenarios = [
+            _scenario(entry, seed, n_override or 10_000, f"scenarios[{i}]")
+            for i, entry in enumerate(values["scenarios"])
+        ]
     reports = [validate_against_analytic(s, jobs=args.jobs) for s in scenarios]
     rows = [r.to_dict() for r in reports]
-    meta = _base_meta("validate", resolved, seed=seed)
+    meta = _base_meta("validate", config, seed=seed)
     meta["all_pass"] = all(r.passed for r in reports)
     columns = [
         "scenario", "gamma_analytic", "gamma_hat", "stderr", "rel_err", "z",
@@ -616,11 +623,11 @@ def _cmd_validate(config: Mapping, args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "rates": (_cmd_rates, True),
-    "scan": (_cmd_scan, True),
-    "couplings": (_cmd_couplings, True),
-    "mc": (_cmd_mc, True),
-    "validate": (_cmd_validate, False),
+    "rates": (_cmd_rates, _RATES),
+    "scan": (_cmd_scan, _SCAN),
+    "couplings": (_cmd_couplings, _COUPLINGS),
+    "mc": (_cmd_mc, _MC),
+    "validate": (_cmd_validate, _VALIDATE),
 }
 
 
@@ -644,31 +651,33 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=["csv", "json"], default="csv")
         if name in ("mc", "validate"):  # the Monte-Carlo commands
             cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-            cmd.add_argument("--jobs", type=int, default=1, help="worker threads")
+            cmd.add_argument(
+                "--jobs", type=int, default=1, help=f"worker threads (1 to {_MAX_JOBS})"
+            )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, config_required = _COMMANDS[args.command]
+    handler, table = _COMMANDS[args.command]
     try:
+        config: Any = {}
         if args.config is not None:
             try:
                 with open(args.config) as fh:
                     config = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}") from None
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an undecodable file or an overlong integer
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
-            if not isinstance(config, dict):
-                raise ConfigError("config must be a JSON object")
-        elif config_required:
+        elif any(isinstance(default, type) for _, default in table.values()):
             raise ConfigError(f"'{args.command}' requires --config")
-        else:
-            config = {}
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError("--jobs must be >= 1")
-        return handler(config, args)
+        values = _read(config, table, "")
+        if getattr(args, "seed", None) is not None:
+            values["seed"] = _seed(args.seed, "--seed")
+        if hasattr(args, "jobs"):
+            args.jobs = _jobs(args.jobs, "--jobs")
+        return handler(values, config, args)
     except ConfigError as exc:
         print(f"gatenoise: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

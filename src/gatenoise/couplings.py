@@ -236,13 +236,16 @@ def coupling_matrix(bath: OhmicBath, positions: Sequence, kind: CouplingKind) ->
 
     Entries are the closed forms evaluated at the pairwise distances, so the
     matrix is symmetric and translation invariant; the diagonal carries the
-    zero-distance value.
+    zero-distance value.  A distance or a coupling beyond the float range
+    raises ValueError.
     """
     kind = CouplingKind(kind)
-    distances = _distance_matrix(positions)
-    x = bath.cutoff * distances / bath.velocity
     kernel = kernel_g if kind is CouplingKind.SPURIOUS else kernel_h
-    values = _coupling_scale(bath, kind) * kernel(x, bath.geometry)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        x = bath.cutoff * _distance_matrix(positions) / bath.velocity
+        values = _coupling_scale(bath, kind) * kernel(x, bath.geometry)
+    if not (np.isfinite(x).all() and np.isfinite(values).all()):
+        raise ValueError(f"{kind.value} coupling overflows: check the positions and the bath")
     pos = tuple(tuple(p) if np.ndim(p) else float(p) for p in positions)
     return CouplingMatrix(kind=kind, values=values, positions=pos)
 
@@ -278,4 +281,7 @@ def drive_enhancement(n_qubits: int, bath: OhmicBath) -> float:
     """
     if n_qubits < 1:
         raise ValueError(f"register length must be >= 1, got {n_qubits}")
-    return 1.0 + n_qubits * bath.coupling * bath.cutoff / (4.0 * math.pi)
+    enhancement = 1.0 + n_qubits * bath.coupling * bath.cutoff / (4.0 * math.pi)
+    if not math.isfinite(enhancement):
+        raise ValueError(f"drive enhancement overflows for {n_qubits} qubits")
+    return enhancement

@@ -231,6 +231,8 @@ def _distance_matrix(positions: Sequence) -> np.ndarray:
     if pts.shape[0] == 1 and pts.shape[1] > 1 and np.ndim(positions) == 1:
         pts = pts.T  # list of scalar coordinates
     diff = pts[:, None, :] - pts[None, :, :]
+    if pts.shape[1] == 1:
+        return np.abs(diff[..., 0])  # exact, where the squares would overflow
     return np.sqrt((diff**2).sum(axis=-1))
 
 
@@ -282,7 +284,10 @@ def _site_kernels(
             f"for {n_sites} sites"
         )
     r = _distance_matrix(topology.positions)
-    return propagation_kernel_f(omega[:, None, None] * r / bath.velocity, bath.geometry)
+    kernels = propagation_kernel_f(omega[:, None, None] * r / bath.velocity, bath.geometry)
+    if not np.isfinite(kernels).all():
+        raise ValueError("non-finite noise covariance: check the site positions")
+    return kernels
 
 
 def _psd_eigh(
@@ -309,16 +314,16 @@ def _functional_terms(
     bath: OhmicBath, topology: NoiseTopology, weights, dt: float, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weights (P, L), bin frequencies, amplitude variances scale_k^2 and site
-    kernels K_k of P functionals of the site noises, checked finite."""
+    kernels K_k of P functionals of the site noises, checked finite (the
+    kernels where ``_site_kernels`` builds them from positions)."""
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     omega, scale2 = _spectral_grid(bath, dt, n_steps)
-    kernels = _site_kernels(bath, topology, w.shape[1], omega)
-    if not all(np.isfinite(x).all() for x in (w, scale2, kernels)):
+    if not (np.isfinite(w).all() and np.isfinite(scale2).all()):
         raise ValueError(
-            "non-finite noise covariance: check the bath, the weights and the "
-            "site positions for NaN or infinite values"
+            "non-finite noise covariance: check the bath and the weights for NaN or "
+            "infinite values"
         )
-    return w, omega, scale2, kernels
+    return w, omega, scale2, _site_kernels(bath, topology, w.shape[1], omega)
 
 
 def functional_spectral_factors(

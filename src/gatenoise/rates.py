@@ -174,6 +174,13 @@ def dephasing_rate(s0: float, q: float, qp: float) -> float:
     return 0.5 * s0 * dq * dq
 
 
+def _finite(value, what: str):
+    """``value`` (a number or an array), or a ValueError if any entry is not finite."""
+    if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
+        raise ValueError(f"{what} overflows the float range")
+    return value
+
+
 def _require_thermal(bath: OhmicBath) -> None:
     if bath.temperature <= 0:
         raise ValueError("thermal dephasing rates require temperature > 0")
@@ -182,7 +189,10 @@ def _require_thermal(bath: OhmicBath) -> None:
 def _thermal_power(bath: OhmicBath) -> float:
     """S(0) = 2 T coupling, the zero-frequency power of the thermal noise."""
     _require_thermal(bath)
-    return 2.0 * bath.temperature * bath.coupling
+    return _finite(
+        2.0 * bath.temperature * bath.coupling,
+        f"noise power S(0) at temperature {bath.temperature:g} and coupling {bath.coupling:g}",
+    )
 
 
 def _independent_rate(bath: OhmicBath, n_qubits: int, nd):
@@ -196,9 +206,13 @@ def _pointer_rate(
 ) -> RateResult:
     """The generic kernel at S(0) = 2 T coupling with one pointer per label."""
     s0 = _thermal_power(bath)
-    q = pointer(pair.left)
-    qp = pointer(pair.right)
-    return RateResult(gamma=dephasing_rate(s0, q, qp), pointer_delta_sq=(q - qp) ** 2)
+    q = _finite(pointer(pair.left), "pointer")
+    qp = _finite(pointer(pair.right), "pointer")
+    gamma = _finite(dephasing_rate(s0, q, qp), "dephasing rate")
+    try:
+        return RateResult(gamma=gamma, pointer_delta_sq=(q - qp) ** 2)
+    except OverflowError:  # float ** raises where * gives inf
+        raise ValueError("pointer separation overflows the float range") from None
 
 
 def rate_fsa_uniform(bath: OhmicBath, pair: CoherencePair) -> RateResult:
@@ -218,7 +232,7 @@ def rate_fsa_independent(bath: OhmicBath, pair: CoherencePair) -> RateResult:
     """
     n = pair.n_qubits
     nd = hamming_distance(pair)
-    gamma = _independent_rate(bath, n, nd)
+    gamma = _finite(_independent_rate(bath, n, nd), "dephasing rate")
     # Each gate with exactly one flipped endpoint shifts its pointer by 1.
     return RateResult(gamma=gamma, pointer_delta_sq=float((n - nd) * nd))
 
@@ -269,7 +283,8 @@ def rate_fsa_independent_bruteforce(bath: OhmicBath, pair: CoherencePair) -> Rat
     if pair.n_qubits > 12:
         raise ValueError(f"brute force guarded to L <= 12, got {pair.n_qubits}")
     total, delta_sq, breakdown = _fsa_pair_sum(bath, pair, fsa_pair_calibration())
-    return RateResult(gamma=total, pointer_delta_sq=delta_sq, breakdown=breakdown)
+    gamma = _finite(total, "dephasing rate")
+    return RateResult(gamma=gamma, pointer_delta_sq=delta_sq, breakdown=breakdown)
 
 
 def rate_bus(bath: OhmicBath, pair: CoherencePair, drive: GateDrive) -> RateResult:
@@ -294,7 +309,8 @@ def rate_table(
     Each label's pointer is computed once, and every rate with the same
     arithmetic as ``rate_fsa_uniform`` / ``rate_fsa_independent`` /
     ``rate_bus``, element by element, so the values are identical.  Every
-    label must have ``arch.n_qubits`` qubits.
+    label must have ``arch.n_qubits`` qubits.  A pointer or a rate beyond the
+    float range raises ValueError, as it does in the scalar functions.
     """
     record = arch.record
     if record.rate is None:
@@ -302,11 +318,15 @@ def rate_table(
     bits = np.array([label.bits for label in labels], dtype=np.int8)
     bits = bits.reshape(len(labels), arch.n_qubits)
     hamming = np.count_nonzero(bits[left] != bits[right], axis=1)
-    if record.pointer is None:
-        return RateTable(None, hamming, _independent_rate(bath, arch.n_qubits, hamming))
-    pointers = [record.pointer(label, arch.drive) for label in labels]
-    q = np.array(pointers, dtype=float)
-    return RateTable(pointers, hamming, dephasing_rate(_thermal_power(bath), q[left], q[right]))
+    pointers = None
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        if record.pointer is None:
+            gamma = _independent_rate(bath, arch.n_qubits, hamming)
+        else:
+            pointers = [record.pointer(label, arch.drive) for label in labels]
+            q = _finite(np.array(pointers, dtype=float), "pointer")
+            gamma = dephasing_rate(_thermal_power(bath), q[left], q[right])
+    return RateTable(pointers, hamming, _finite(gamma, "dephasing rate"))
 
 
 def _flipped_where(n_qubits: int, flip: Callable[[int], bool]) -> RegisterLabel:

@@ -1,8 +1,17 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import os
+import re
+import tempfile
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gatenoise import cli
 from gatenoise.cli import main
@@ -547,3 +556,215 @@ def test_unsupported_architecture_exits_2_before_any_work(
     err = assert_one_line_exit(2, [command, "--config", path], tmp_path / "out.csv", capsys)
     assert "config error" in err and message in err
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"architecture": "fsa_uniform", "L": 2, "bath": {**BATH, "coupling": 1e308}},
+        {"architecture": "fsa_uniform", "L": 2, "bath": {**BATH, "temperature": 1e308}},
+        {"architecture": "bus", "L": 2, "bath": BATH, "drive": [1e308, 1]},
+        {"architecture": "fsa_independent", "L": 2,
+         "bath": {**BATH, "coupling": 1e308, "temperature": 10.0}},
+    ],
+    ids=["fsa_uniform_coupling", "fsa_uniform_temperature", "bus_drive", "fsa_independent"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_beyond_the_float_range_exits_3(tmp_path, capsys, config):
+    err = assert_one_line_exit(3, ["rates", "--config", write_config(tmp_path, config)],
+                               tmp_path / "r.csv", capsys)
+    assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "positions, where",
+    [([0.0, math.nan, 1.0], "positions[1]"), ([0.0, math.inf], "positions[1]"),
+     ({"count": 3, "spacing": 1e308}, "positions.spacing"),
+     ({"count": 2, "spacing": math.nan}, "positions.spacing")],
+    ids=["nan", "inf", "grid_overflow", "grid_nan"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_positions_exit_2_naming_the_slot(tmp_path, capsys, positions, where):
+    config = write_config(tmp_path, {"bath": BATH, "positions": positions})
+    err = assert_one_line_exit(2, ["couplings", "--config", config], tmp_path / "c.csv", capsys)
+    assert where in err
+
+
+@pytest.mark.parametrize("geometry", ["1d", "3d"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_apart_positions_give_finite_couplings_or_exit_3(tmp_path, capsys, geometry):
+    bath = {"coupling": 0.05, "cutoff": 2.0, "geometry": geometry}
+    config = write_config(tmp_path, {"bath": bath, "positions": [0.0, 1e200, -1e200]})
+    out = tmp_path / "far.json"
+    code = main(["couplings", "--config", config, "--output", str(out), "--format", "json"])
+    err = capsys.readouterr().err
+    assert "symmetric" not in err
+    if code == 0:
+        rows = json.loads(out.read_text())["rows"]
+        assert all(math.isfinite(v) for row in rows for v in row.values())
+    else:
+        assert code == 3 and "overflows" in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, code",
+    [
+        ("rates", {"architecture": "fsa_uniform", "L": 0, "bath": BATH}, [], 2),
+        ("scan", {"architecture": "fsa_uniform", "noise": "central", "L_values": [0, 2]}, [], 2),
+        ("scan", {"architecture": "fsa_uniform", "noise": "central", "L_values": []}, [], 2),
+        ("rates", {"architecture": "fsa_uniform", "L": 2, "bath": BATH, "pairs": []}, [], 2),
+        ("mc", {"scenario": {**MC_SCENARIO, "n_trajectories": 99}}, [], 2),
+        ("validate", {"n_trajectories": 0}, [], 2),
+        ("validate", {"scenarios": []}, [], 2),
+        ("validate", {"suite": "other", "scenarios": [MC_SCENARIO]}, [], 2),
+        ("mc", {"scenario": MC_SCENARIO, "seed": -1}, [], 2),
+        ("mc", {"scenario": MC_SCENARIO, "seed": 2**70}, [], 2),
+        ("mc", {"scenario": MC_SCENARIO}, ["--seed", str(2**64)], 2),
+        ("mc", {"scenario": MC_SCENARIO}, ["--jobs", "65"], 2),
+        ("mc", {"scenario": MC_SCENARIO}, ["--jobs", "0"], 2),
+        ("mc", {"scenario": MC_SCENARIO, "units": {"frequency": "ghz"}}, [], 2),
+        ("scan", {"architecture": "fsa_uniform", "noise": "central", "L_values": [2],
+                  "units": {}}, [], 2),
+        ("rates", {"architecture": "fsa_uniform", "L": 2, "bath": BATH, "drive": None,
+                   "pairs": None, "units": None}, [], 0),
+        ("rates", {"architecture": "fsa_uniform", "L": 2,
+                   "bath": {**BATH, "coupling": None}}, [], 3),
+        ("couplings", {"bath": {**BATH, "geometry": None}, "positions": [0.0, 1.0]}, [], 0),
+    ],
+    ids=["rates_L_0", "scan_L_0", "scan_no_lengths", "rates_no_pairs", "mc_99_trajectories",
+         "validate_0_trajectories", "validate_no_scenarios", "validate_suite_with_scenarios",
+         "negative_seed", "seed_2_70", "seed_flag_2_64", "jobs_65", "jobs_0", "mc_units",
+         "scan_units", "rates_nulls_are_absent", "null_coupling_is_missing",
+         "null_geometry_is_absent"],
+)
+def test_each_slot_kind_has_one_rule(tmp_path, capsys, monkeypatch, command, config, flags,
+                                     code):
+    # bad values exit before any Monte-Carlo work; legal ones would run it
+    monkeypatch.setattr(cli, "simulate_dephasing", None)
+    monkeypatch.setattr(cli, "validate_against_analytic", None)
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", write_config(tmp_path, config), "--output", str(out), *flags]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == (code != 0) and "Traceback" not in err
+    assert out.exists() == (code == 0)
+
+
+# --- config fuzzing: every slot of every command's table ----------------------
+
+FUZZ_BASES = {
+    "rates": [
+        {"architecture": "fsa_uniform", "L": 2, "pairs": "all",
+         "bath": {**BATH, "geometry": "1d", "velocity": 1.0},
+         "units": {"frequency": "natural", "temperature": "natural"}},
+        {"architecture": "bus", "L": 2, "bath": BATH, "drive": [1.0, 1.0],
+         "pairs": [{"left": "++", "right": "+-"}]},
+        {"architecture": "fsa_independent", "L": 4, "bath": {**BATH, "temperature": 10.0},
+         "pairs": "worst_case"},
+    ],
+    "scan": [{"architecture": "fsa_uniform", "noise": "central", "L_values": [2, 4]}],
+    "couplings": [
+        {"bath": {"coupling": 0.05, "cutoff": 2.0, "temperature": 0.5, "geometry": "1d",
+                  "velocity": 0.7},
+         "positions": [0.0, 1.3, -0.4], "units": {"frequency": "ghz"}},
+        {"bath": {"coupling": 1.0, "cutoff": 1.0, "geometry": "3d"},
+         "positions": {"count": 4, "spacing": 1.0}},
+    ],
+    "mc": [{"scenario": {"name": "s", "architecture": "bus", "L": 2, "pair": "worst_case",
+                         "drive": [1.0, 1.0], "coupling": 1.0, "temperature": 1.0,
+                         "cutoff_ratio": 128.0, "reference_rate": 1.0,
+                         "n_trajectories": 500, "fit_window": [0.5, 2.0]},
+            "seed": 5}],
+    "validate": [{"suite": "default", "scenarios": [MC_SCENARIO], "n_trajectories": 1000,
+                  "seed": 3}],
+}
+
+
+def table_slots(table, base, path=()):
+    """Paths of every slot of ``table`` and of the nested tables ``base`` fills."""
+    for key, (reader, _) in table.items():
+        yield path + (key,)
+        if key in base:
+            yield from nested_slots(reader, base[key], path + (key,))
+
+
+def nested_slots(reader, value, path):
+    reader = getattr(reader, "by_type", {}).get(type(value), reader)
+    if isinstance(reader, cli._Table):
+        yield from table_slots(reader, value, path)
+    elif hasattr(reader, "item") and isinstance(value, list):
+        for i, entry in enumerate(value):
+            yield from nested_slots(reader.item, entry, path + (i,))
+
+
+FUZZ_SLOTS = [
+    (command, i, path)
+    for command, (_, table) in cli._COMMANDS.items()
+    for i, base in enumerate(FUZZ_BASES[command])
+    for path in table_slots(table, base)
+]
+
+DELETE = object()
+WORDS = st.sampled_from(["", "all", "worst_case", "default", "++", "+-", "1d", "3d", "ghz",
+                         "kelvin", "central", "fsa_uniform", "bus", "hypercube", "a\nb"])
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2**63, 2**64, 2**70, -(2**64), 10**400, 1e308, -1e308, 1e200]),
+    st.floats(), st.text(max_size=6), WORDS,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(WORDS | st.sampled_from(["left", "right", "count", "spacing"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class ReachedTheEngine(BaseException):
+    """Raised by the stubbed Monte-Carlo entry points: the config was legal."""
+
+
+def reached(*args, **kwargs):
+    raise ReachedTheEngine
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(slot=st.sampled_from(FUZZ_SLOTS), value=st.just(DELETE) | JSON_VALUES)
+@example(slot=("rates", 0, ("bath", "coupling")), value=1e308)
+@example(slot=("rates", 1, ("drive",)), value=[1e308, 1.0])
+@example(slot=("rates", 2, ("bath", "coupling")), value=1e308)
+@example(slot=("couplings", 0, ("positions",)), value=[0.0, math.nan, 1.0])
+@example(slot=("couplings", 0, ("positions",)), value=[0.0, 1e200, -1e200])
+@example(slot=("couplings", 1, ("positions", "spacing")), value=1e308)
+def test_config_fuzz_never_crashes_or_writes_non_finite(slot, value):
+    command, i, path = slot
+    config = copy.deepcopy(FUZZ_BASES[command][i])
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        node.pop(path[-1], None)
+    else:
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            mock.patch.object(cli, "simulate_dephasing", reached), \
+            mock.patch.object(cli, "validate_against_analytic", reached), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error", RuntimeWarning)
+        path_in, path_out = os.path.join(tmp, "c.json"), os.path.join(tmp, "out.csv")
+        with open(path_in, "w") as fh:
+            json.dump(config, fh)
+        try:
+            code = main([command, "--config", path_in, "--output", path_out])
+        except ReachedTheEngine:
+            return
+        written = open(path_out).read() if os.path.exists(path_out) else None
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert len(lines) == (code != 0) and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not NON_FINITE_TOKEN.search(written)
+    else:
+        assert written is None

@@ -355,6 +355,24 @@ def test_functional_factors_reject_non_finite_input():
         )
 
 
+def test_functional_factors_do_not_expand_a_broadcast_kernel_stack():
+    # 64 independent sources share one identity kernel; a (bins, 64, 64) copy of
+    # it (or of its finiteness mask) would take over 100 MB at 2^16 steps
+    import tracemalloc
+
+    weights = np.random.default_rng(3).standard_normal((1, 64))
+    tracemalloc.start()
+    try:
+        factors = functional_spectral_factors(
+            bath_1d(), NoiseTopology.independent(), weights, 0.5, 2**16
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors.shape == (2**15 + 1, 1, 1)
+    assert peak < 40e6
+
+
 def test_functional_factors_match_synthesizer_statistics():
     # per-bin variances of the synthesizer's functionals weights @ draw_spectrum()
     # agree within 4 sigma with the reference covariance built from the public
