@@ -406,6 +406,16 @@ def _cells(column: Sequence[Any] | _Coded, convert: Callable[[Any], Any]) -> lis
     return list(map(convert, column))
 
 
+def _json_cells(column: Sequence[Any] | _Coded) -> list[str]:
+    """The JSON text of each cell of a column of scalars, from one call of the C
+    encoder: an encoded scalar holds no line break, so one splits the cells."""
+    if isinstance(column, _Coded):
+        texts = _json_cells(column.values)
+        return [texts[i] for i in column.index.tolist()]
+    text = json.dumps(list(column), separators=("\n", ":"))[1:-1]
+    return text.split("\n") if text else []
+
+
 def _by_column(columns: Sequence[str], rows: Sequence[Mapping[str, Any]]) -> dict[str, list]:
     return {c: [row[c] for row in rows] for c in columns}
 
@@ -424,10 +434,15 @@ def _write_output(
         lines = [",".join(map(_format_cell, table)), *map(",".join, zip(*columns))]
         text = header + "\r\n".join(lines) + "\r\n"
     else:
-        names = list(table)
-        rows = zip(*(_cells(c, lambda v: v) for c in table.values()))
-        payload = {"meta": meta, "rows": [dict(zip(names, row)) for row in rows]}
-        text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        # The bytes of json.dumps({"meta": meta, "rows": [...]}, indent=2), with
+        # the flat rows put together from their cells' JSON text.
+        row_text = "    {\n" + ",\n".join(
+            "      " + json.dumps(name).replace("%", "%%") + ": %s" for name in table
+        ) + "\n    }"
+        rows = [row_text % row for row in zip(*map(_json_cells, table.values()))]
+        meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
+        rows_text = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        text = f'{{\n  "meta": {meta_text},\n  "rows": {rows_text}\n}}\n'
     if destination is None:
         sys.stdout.write(text)
     else:
@@ -652,7 +667,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("mc", "validate"):  # the Monte-Carlo commands
             cmd.add_argument("--seed", type=int, default=None, help="master seed override")
             cmd.add_argument(
-                "--jobs", type=int, default=1, help=f"worker threads (1 to {_MAX_JOBS})"
+                "--jobs", type=int, default=1,
+                help=f"engine threads (1 to {_MAX_JOBS}); above 1, BLAS runs "
+                "single-threaded inside each",
             )
     return parser
 

@@ -100,11 +100,16 @@ def kernel_g(x, geometry: Geometry) -> float | np.ndarray:
     x = 1, while the 3D kernel is strictly positive.
     """
     xv = np.asarray(x, dtype=float)
-    x2 = xv * xv
-    if Geometry(geometry) is Geometry.ONE_D:
-        out = (1.0 - x2) / (1.0 + x2) ** 2
-    else:
-        out = 1.0 / (1.0 + x2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf x^2 is handled
+        x2 = xv * xv
+        if Geometry(geometry) is Geometry.ONE_D:
+            # Where x^2 overflows the literal form is inf/inf; there the kernel
+            # is -(1/x)^2 to double precision, with no square of x.
+            far = np.isinf(x2)
+            inv = 1.0 / np.where(far, xv, 1.0)
+            out = np.where(far, -inv * inv, (1.0 - x2) / (1.0 + x2) ** 2)
+        else:
+            out = 1.0 / (1.0 + x2)
     return float(out) if np.ndim(x) == 0 else out
 
 

@@ -41,8 +41,11 @@ stream keyed by (master_seed, c), in a fixed layout.  Linear coupling: one
 the phase at the report points is [0, xi @ B].  Bus coupler: the real parts
 (trajectory, source, bin), then the imaginary parts.  Within a chunk, the
 sums over trajectories are numpy reductions whose order is fixed by the
-chunk's shape and memory layout; chunks are merged in chunk order.  Results
-are bit-identical for a given configuration at any level of parallelism.
+chunk's shape and memory layout; chunks are merged in chunk order.  Every
+covariance factorisation runs on one BLAS thread, and with ``jobs`` > 1 so
+does BLAS inside the engine threads.  Results are bit-identical for a given
+configuration at any ``jobs`` and, wherever the process's OpenBLAS is found
+(:func:`gatenoise.noise._one_blas_thread`), at any OpenBLAS thread count.
 
 Error bars: the estimator's layout is fixed.  Trajectories run in chunks of
 512, are split by index into 50 blocks and are reported at 257 points of the
@@ -59,6 +62,7 @@ correlation of the trace across time points.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import zlib
@@ -71,6 +75,7 @@ import numpy as np
 from .noise import (
     NoiseTopology,
     OhmicBath,
+    _one_blas_thread,
     draw_white,
     functional_spectral_factors,
     mix_per_bin,
@@ -314,7 +319,10 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
     total = np.zeros(report_idx.size, dtype=complex)
     moments = np.zeros((3, report_idx.size))
     block_sums = np.zeros((_N_BLOCKS, report_idx.size), dtype=complex)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    # With engine threads, BLAS runs on one thread inside each of them: its
+    # helper threads would otherwise spin on the cores the pool needs.
+    pinned = _one_blas_thread() if jobs > 1 else contextlib.nullcontext()
+    with pinned, ThreadPoolExecutor(max_workers=jobs) as pool:
         chunks = range(-(-n // _CHUNK))
         for nt, chunk_total, chunk_moments, first, partial in (
             pool.map(work, chunks) if jobs > 1 else map(work, chunks)
@@ -732,7 +740,7 @@ def default_validation_suite(
             make_validation_scenario(
                 ArchKind.FSA_UNIFORM,
                 _pair_from_spins(n, m, mp),
-                n_trajectories=n_trajectories or 20_000,
+                n_trajectories=20_000 if n_trajectories is None else n_trajectories,
                 master_seed=master_seed,
                 name=f"fsa_uniform_L{n}_M{m}_Mp{mp}",
             )
@@ -745,7 +753,7 @@ def default_validation_suite(
             make_validation_scenario(
                 ArchKind.FSA_INDEPENDENT,
                 _pair_with_flips(6, nd),
-                n_trajectories=n_trajectories or 10_000,
+                n_trajectories=10_000 if n_trajectories is None else n_trajectories,
                 master_seed=master_seed,
                 reference_rate=peak,
                 name=f"fsa_independent_L6_Nd{nd}",
@@ -757,7 +765,7 @@ def default_validation_suite(
             ArchKind.BUS,
             worst_case_pair(ArchKind.BUS, 4, drive),
             drive=drive,
-            n_trajectories=n_trajectories or 20_000,
+            n_trajectories=20_000 if n_trajectories is None else n_trajectories,
             master_seed=master_seed,
             name="bus_L4_active_gate",
         )

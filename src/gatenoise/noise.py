@@ -18,11 +18,15 @@ Natural units throughout: hbar = k_B = 1.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import enum
+import functools
 import math
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -275,7 +279,7 @@ def _site_kernels(
     """
     shape = (omega.size, n_sites, n_sites)
     if topology.kind is TopologyKind.UNIFORM:
-        return np.ones(shape)
+        return np.broadcast_to(np.ones((n_sites, n_sites)), shape)
     if topology.kind is TopologyKind.INDEPENDENT:
         return np.broadcast_to(np.eye(n_sites), shape)
     if len(topology.positions) != n_sites:
@@ -290,14 +294,88 @@ def _site_kernels(
     return kernels
 
 
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count pairs of every OpenBLAS this process has loaded.
+
+    The libraries are found by path in ``/proc/self/maps`` and bound through
+    ``ctypes``, on first use.  Empty where there is no such file (macOS,
+    Windows) or no OpenBLAS is loaded (numpy on MKL or Accelerate).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {
+                fields[5].strip()
+                for fields in (line.split(None, 5) for line in fh)
+                if len(fields) == 6 and "openblas" in fields[5].lower()
+            }
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in [
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ]:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+_blas_lock = threading.Lock()
+_blas_pins = 0
+_blas_saved: list[int] = []
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with OpenBLAS on one thread, then restore the count it had.
+
+    OpenBLAS's thread count is global to the process, so entries are counted
+    under a lock: the first sets every loaded OpenBLAS to one thread and the
+    last restores the counts the first found, whichever threads nest or
+    overlap them.  A multi-threaded ``eigh`` rounds differently from a
+    single-threaded one, and BLAS helper threads left spinning after a call
+    take cores from the engine's own threads.  Does nothing where no OpenBLAS
+    is found (see :func:`_openblas_thread_controls`).
+    """
+    global _blas_pins, _blas_saved
+    controls = _openblas_thread_controls()
+    with _blas_lock:
+        if _blas_pins == 0:
+            _blas_saved = [get() for get, _ in controls]
+            for _, put in controls:
+                put(1)
+        _blas_pins += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0:
+                for (_, put), count in zip(controls, _blas_saved):
+                    put(count)
+
+
 def _psd_eigh(
     cov: np.ndarray, what: str, omega: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of symmetric PSD matrices, round-off negatives set to 0.
 
-    ``cov`` is one matrix or a stack of them (one per bin of ``omega``).
+    ``cov`` is one matrix or a stack of them (one per bin of ``omega``).  The
+    factorisation runs on one BLAS thread, so its bits do not depend on the
+    process's BLAS thread count.
     """
-    eigval, eigvec = np.linalg.eigh(cov)
+    with _one_blas_thread():
+        eigval, eigvec = np.linalg.eigh(cov)
     floor = -EIG_CLAMP_TOL * np.maximum(eigval[..., -1:], 0.0)
     bad = np.flatnonzero((eigval < floor).any(axis=-1))
     if bad.size:
@@ -375,7 +453,7 @@ def separable_functional_factor(
     varies between bins (separated spatial sites).
     """
     w, _, scale2, kernels = _functional_terms(bath, topology, weights, dt, n_steps)
-    if not (kernels == kernels[0]).all():
+    if kernels.strides[0] and not (kernels == kernels[0]).all():  # stride 0: one array
         return None
     eigval, eigvec = _psd_eigh(w @ kernels[0] @ w.T, "spatial correlation matrix")
     eigval[eigval <= EIG_CLAMP_TOL * eigval[-1]] = 0.0

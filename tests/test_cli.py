@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -604,6 +605,36 @@ def test_far_apart_positions_give_finite_couplings_or_exit_3(tmp_path, capsys, g
         assert all(math.isfinite(v) for row in rows for v in row.values())
     else:
         assert code == 3 and "overflows" in err and not out.exists()
+
+
+@pytest.mark.parametrize("geometry", ["1d", "3d"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_apart_positions_give_finite_couplings(tmp_path, capsys, geometry):
+    bath = {"coupling": 0.05, "cutoff": 2.0, "geometry": geometry}
+    config = write_config(tmp_path, {"bath": bath, "positions": [0.0, 1e200, -1e200]})
+    out = tmp_path / "far.json"
+    assert main(["couplings", "--config", config, "--output", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 3
+    assert all(math.isfinite(v) for row in rows for v in row.values())
+
+
+def test_json_writer_matches_an_indented_dump(tmp_path):
+    # non-ASCII and escaped text, a '%' in a column name, nested meta, no rows
+    meta = {"tool": "t\u00e9st", "config": {"a": [1, {"b": None}], "c": {}}, "e": []}
+    table = {
+        "100%": ["caf\u00e9", "tab\there", "%s", "\u2603"],
+        "x": [1.5, -0.0, float("nan"), None],
+        "coded": cli._Coded([True, "q\"uote"], np.array([0, 1, 1, 0])),
+    }
+    rows = [{"100%": a, "x": b, "coded": [True, 'q"uote'][i]}
+            for a, b, i in zip(table["100%"], table["x"], [0, 1, 1, 0])]
+    empty = {"j": [], "k": cli._Coded([], np.array([], dtype=np.intp))}
+    for columns, expected in ((table, rows), (empty, [])):
+        out = tmp_path / "t.json"
+        cli._write_output(str(out), "json", meta, columns)
+        payload = {"meta": meta, "rows": expected}
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

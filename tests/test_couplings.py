@@ -32,6 +32,16 @@ def test_kernel_g_examples():
     assert kernel_g(0.0, Geometry.THREE_D) == 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_g_stays_finite_where_x_squared_overflows():
+    x = np.logspace(0, 308, 500)
+    g = kernel_g(x, Geometry.ONE_D)
+    assert np.isfinite(g).all() and (g[1:] <= 0).all()
+    inv = 1.0 / 1e160  # x^2 overflows here; the kernel is -(1/x)^2
+    assert kernel_g(1e160, Geometry.ONE_D) == -inv * inv < 0
+    assert kernel_g(1e200, Geometry.ONE_D) == 0.0
+
+
 def test_kernel_h_examples():
     assert kernel_h(0.0, Geometry.THREE_D) == 1.0
     assert kernel_h(1.0, Geometry.ONE_D) == 0.5

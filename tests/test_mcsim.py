@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from gatenoise import mcsim
+from gatenoise import mcsim, noise
 from gatenoise.mcsim import (
     CoherenceTrace,
     FitWindowError,
@@ -729,3 +730,95 @@ def test_worst_case_bus_scenario_roundtrip():
     assert scn.gamma_analytic == 64.0
     rep = validate_against_analytic(scn)
     assert rep.rel_err == pytest.approx(0.0, abs=0.12)
+
+
+def test_default_suite_refuses_a_zero_count():
+    # 0 is a count, not "use the default": it reaches McConfig's check
+    with pytest.raises(ValueError, match="at least 100 trajectories"):
+        default_validation_suite(n_trajectories=0)
+
+
+def openblas_controls():
+    controls = noise._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    return controls[0]
+
+
+def test_linear_engine_bytes_do_not_depend_on_the_blas_thread_count():
+    openblas_controls()
+    import gatenoise
+
+    src = Path(gatenoise.__file__).resolve().parents[1]
+    code = (
+        "import hashlib\n"
+        "from gatenoise.mcsim import default_validation_suite, simulate_dephasing\n"
+        "s = default_validation_suite(n_trajectories=1000)[0]\n"
+        "t = simulate_dephasing(s.arch, s.pair, s.bath, s.topology, s.cfg)\n"
+        "print(hashlib.sha256(t.abs_coherence.tobytes() + t.stderr.tobytes()).hexdigest())"
+    )
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+        ).stdout.strip()
+        for threads in ("1", "2")
+    }
+    assert len(digests) == 1
+
+
+def test_one_blas_thread_restores_the_count_it_found():
+    get, put = openblas_controls()
+    original = get()
+    try:
+        put(2)
+        found = get()
+        with noise._one_blas_thread():
+            assert get() == 1
+            with noise._one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == found
+        # overlapping (not nested) entries, as from two engine calls in two threads
+        first, second = noise._one_blas_thread(), noise._one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert get() == 1
+        second.__exit__(None, None, None)
+        assert get() == found
+        scn = small_uniform_scenario(n_trajectories=1500)
+        simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg, jobs=2)
+        assert get() == found
+    finally:
+        put(original)
+
+
+def test_one_blas_thread_under_contention():
+    # eight threads enter and leave concurrently; a lost update of the entry
+    # count would leave OpenBLAS pinned or unpin it under a thread still inside
+    get, put = openblas_controls()
+    original = get()
+    inside_counts = set()
+
+    def churn():
+        for _ in range(300):
+            with noise._one_blas_thread():
+                inside_counts.add(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        put(2)
+        found = get()
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside_counts == {1}
+        assert get() == found and noise._blas_pins == 0
+    finally:
+        sys.setswitchinterval(interval)
+        put(original)

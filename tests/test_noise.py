@@ -7,6 +7,7 @@ from gatenoise.noise import (
     NoiseTopology,
     OhmicBath,
     SpectralSynthesizer,
+    _site_kernels,
     TopologyKind,
     classical_psd,
     cross_spectral_density,
@@ -371,6 +372,15 @@ def test_functional_factors_do_not_expand_a_broadcast_kernel_stack():
         tracemalloc.stop()
     assert factors.shape == (2**15 + 1, 1, 1)
     assert peak < 40e6
+
+
+def test_uniform_site_kernel_stack_is_one_broadcast_matrix():
+    # a full (bins, L, L) stack of ones would take 2 KB per bin at L = 16
+    omega = np.linspace(0.0, 10.0, 2**17 + 1)
+    kernels = _site_kernels(bath_1d(), NoiseTopology.uniform(), 16, omega)
+    assert kernels.shape == (omega.size, 16, 16)
+    assert kernels.strides[0] == 0
+    assert (kernels[0] == 1.0).all()
 
 
 def test_functional_factors_match_synthesizer_statistics():
