@@ -51,6 +51,9 @@ __all__ = [
 # the truncated tail far below the 1e-8 relative target.
 _CUTOFF_UNITS_SPAN = 45.0
 _GAUSS_ORDERS = (16, 32)
+# Convergence target of the quadratures: the two orders agree to this
+# relative difference (or to an absolute 1e-14).
+_REL_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
@@ -103,11 +106,13 @@ def kernel_g(x, geometry: Geometry) -> float | np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # inf x^2 is handled
         x2 = xv * xv
         if Geometry(geometry) is Geometry.ONE_D:
-            # Where x^2 overflows the literal form is inf/inf; there the kernel
-            # is -(1/x)^2 to double precision, with no square of x.
-            far = np.isinf(x2)
+            # Where (1 + x^2)^2 overflows the literal form is -0.0 or inf/inf;
+            # there the kernel is -(1/x)^2 to double precision, with no square
+            # of x.
+            den = (1.0 + x2) ** 2
+            far = np.isinf(den)
             inv = 1.0 / np.where(far, xv, 1.0)
-            out = np.where(far, -inv * inv, (1.0 - x2) / (1.0 + x2) ** 2)
+            out = np.where(far, -inv * inv, (1.0 - x2) / den)
         else:
             out = 1.0 / (1.0 + x2)
     return float(out) if np.ndim(x) == 0 else out
@@ -171,7 +176,6 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _oscillatory_integral(
     integrand: Callable[[np.ndarray], np.ndarray],
     oscillation_scale: float,
-    rel_tol: float,
     abs_floor: float,
 ) -> float:
     """Integrate a damped, mildly oscillatory integrand on [0, span].
@@ -198,13 +202,13 @@ def _oscillatory_integral(
             estimates.append(float(panel_sums.sum()))
         result = estimates[-1]
         error = abs(estimates[-1] - estimates[0])
-        if error <= max(abs_floor, rel_tol * abs(result)):
+        if error <= max(abs_floor, _REL_TOL * abs(result)):
             return result
         refine *= 2
     raise QuadratureError("oscillatory quadrature did not converge", result, error)
 
 
-def spurious_coupling_quadrature(bath: OhmicBath, r: float, rel_tol: float = 1e-10) -> float:
+def spurious_coupling_quadrature(bath: OhmicBath, r: float) -> float:
     """Spurious coupling from its integral definition, (1/pi) int_0^inf J_jk(w) dw.
 
     Zero-temperature symmetrized correlator; agrees with the closed form to
@@ -219,10 +223,10 @@ def spurious_coupling_quadrature(bath: OhmicBath, r: float, rel_tol: float = 1e-
     def integrand(u: np.ndarray) -> np.ndarray:
         return u * np.exp(-u) * propagation_kernel_f(x * u, geometry)
 
-    return scale * _oscillatory_integral(integrand, x, rel_tol, abs_floor=1e-14)
+    return scale * _oscillatory_integral(integrand, x, abs_floor=1e-14)
 
 
-def transient_coupling_quadrature(bath: OhmicBath, r: float, rel_tol: float = 1e-10) -> float:
+def transient_coupling_quadrature(bath: OhmicBath, r: float) -> float:
     """Transient coupling from its integral definition, (2/pi) int_0^inf J_kn(w)/w dw."""
     if r < 0:
         raise ValueError(f"distance must be >= 0, got {r}")
@@ -233,7 +237,7 @@ def transient_coupling_quadrature(bath: OhmicBath, r: float, rel_tol: float = 1e
     def integrand(u: np.ndarray) -> np.ndarray:
         return np.exp(-u) * propagation_kernel_f(x * u, geometry)
 
-    return scale * _oscillatory_integral(integrand, x, rel_tol, abs_floor=1e-14)
+    return scale * _oscillatory_integral(integrand, x, abs_floor=1e-14)
 
 
 def coupling_matrix(bath: OhmicBath, positions: Sequence, kind: CouplingKind) -> CouplingMatrix:

@@ -12,23 +12,24 @@ record (:data:`gatenoise.rates.ARCHITECTURES`).
 
 Noise is drawn only for what the phase reads.  The engine projects the site
 cross-spectrum onto the one (linear coupling) or two (quadratic bus coupler)
-linear functionals of the site noises it integrates and factors the per-bin
-covariance of those functionals
-(:func:`gatenoise.noise.functional_spectral_factors`); a linear combination
-of circular complex Gaussian amplitudes is again one, so this is exact in
-distribution for every topology.  Under a linear coupling the phase is a
-linear functional of Gaussian noise and so Gaussian itself: its covariance
-at the report points follows in closed form from the functional's power
-spectrum and is factored once per run
-(:func:`gatenoise.noise.trapezoid_phase_factor`), and each trajectory draws
-its report-point phases directly, with no time series, inverse FFT or
-integration.  The quadratic bus coupler (:func:`simulate_bus_full`) is not
+linear functionals of the site noises it integrates and factors the
+covariance of those functionals (:func:`gatenoise.noise.functional_factor`):
+once, with a per-bin amplitude, where the sites are co-located (all
+distances zero), share one source or have independent ones, and per bin for
+separated sites.  A linear combination of circular complex Gaussian
+amplitudes is again one, so this is exact in distribution for every
+topology.  Under a linear coupling the phase is a linear functional of
+Gaussian noise and so Gaussian itself: its covariance at the report points
+follows in closed form from the functional's power spectrum and is factored
+once per run (:func:`gatenoise.noise.trapezoid_phase_factor`), and each
+trajectory draws its report-point phases directly, with no time series,
+inverse FFT or integration.  The quadratic bus coupler (:func:`simulate_bus_full`) is not
 Gaussian in the noise: it draws R <= 2 white sources per bin
 (:func:`gatenoise.noise.draw_white`) and builds its phase rate in time.
-Where the site kernel is the same in every bin (uniform, independent and
-co-located spatial topologies) the two functionals (a, b) are G x for one
-factor G, so only the R scaled sources x are inverse-FFT'd and the rate is
-the quadratic form x^T Q x + q^T x; separated sites mix (a, b) per bin
+Where the factor is one matrix G (uniform, independent and co-located
+spatial topologies, all distances zero) the two functionals (a, b) are G x,
+so only the R scaled sources x are inverse-FFT'd and the rate is the
+quadratic form x^T Q x + q^T x; separated sites mix (a, b) per bin
 (:func:`gatenoise.noise.mix_per_bin`) and inverse-FFT both.  Either way the
 phase at the report points is the trapezoid rule assembled from sums of the
 rate over the segments between report points, not integrated over the whole
@@ -77,9 +78,8 @@ from .noise import (
     OhmicBath,
     _one_blas_thread,
     draw_white,
-    functional_spectral_factors,
+    functional_factor,
     mix_per_bin,
-    separable_functional_factor,
     trajectory_seed_sequence,
     trapezoid_phase_factor,
 )
@@ -407,10 +407,11 @@ def simulate_dephasing(
         raise ValueError(f"{arch.kind.value} noise sources require the {accepted} topology")
     weights = record.sources(pair, arch.drive)
     gamma = record.rate(bath, pair, arch.drive).gamma
-    factors = functional_spectral_factors(bath, topology, weights, cfg.dt, cfg.n_steps)
+    amplitude, mix = functional_factor(bath, topology, weights, cfg.dt, cfg.n_steps)
     _check_white_noise_limit(bath, gamma)
     report_idx = _report_indices(cfg.n_steps)
-    factor = trapezoid_phase_factor((factors[:, 0] ** 2).sum(axis=1), cfg.dt, report_idx)
+    power = amplitude**2 * (mix[..., 0, :] ** 2).sum(axis=-1)
+    factor = trapezoid_phase_factor(power, cfg.dt, report_idx)
 
     def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
         phase = np.zeros((nt, report_idx.size))
@@ -441,10 +442,11 @@ def simulate_bus_full(
     The diagonal energy of label m is A_m^2 / 8 with
     A_m(t) = sum_j (phi_j + xi_j(t)) m_j, so with a = m . xi, b = m' . xi and
     c = m . phi, c' = m' . phi the phase rate, less its noise-free part, is
-    (b^2 + 2 c' b - a^2 - 2 c a) / 8.  When the site kernel is the same in
-    every bin (:func:`gatenoise.noise.separable_functional_factor`),
-    (a, b) = G x for R sources x whose rfft amplitudes are scale_k * white_k:
-    each chunk inverse-FFTs only those R series and forms the rate as
+    (b^2 + 2 c' b - a^2 - 2 c a) / 8.  Each chunk draws R white sources x
+    at the per-bin amplitude of :func:`gatenoise.noise.functional_factor`.
+    Where its factor is one (2, R) matrix G (uniform, independent and
+    co-located spatial topologies, all distances zero), (a, b) = G x: each
+    chunk inverse-FFTs only the R series x and forms the rate as
     x^T Q x + q^T x with Q = (g' g'^T - g g^T) / 8 and q = (c' g' - c g) / 4
     (g, g' the rows of G).  Separated sites mix (a, b) per bin and
     inverse-FFT both (G = I).  The trapezoid phase at report index n_j is
@@ -458,16 +460,11 @@ def simulate_bus_full(
         )
     gamma_eff = rate_bus(bath, pair, drive).gamma / 16.0
     labels = np.array([pair.left.bits, pair.right.bits], dtype=float)
-    separable = separable_functional_factor(bath, topology, labels, cfg.dt, cfg.n_steps)
-    if separable is None:
-        # separated sites: a and b are mixed per bin and transformed themselves
-        factors = functional_spectral_factors(bath, topology, labels, cfg.dt, cfg.n_steps)
-        n_sources = factors.shape[2]
-        unit = np.ones(factors.shape[0])
-        mix = np.eye(2)
-    else:
-        scale, mix = separable
-        n_sources = mix.shape[1]
+    amplitude, factor = functional_factor(bath, topology, labels, cfg.dt, cfg.n_steps)
+    n_sources = factor.shape[-1]
+    per_bin = factor.ndim == 3
+    # separated sites: a and b are mixed per bin and transformed themselves
+    mix = np.eye(2) if per_bin else factor
     _check_white_noise_limit(bath, gamma_eff)
     const_left, const_right = labels @ np.asarray(drive.phi, dtype=float)
     # (b^2 + 2 c_R b - a^2 - 2 c_L a) / 8 with (a, b) = mix @ x
@@ -476,10 +473,9 @@ def simulate_bus_full(
     report_idx = _report_indices(cfg.n_steps)
 
     def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
-        if separable is None:
-            spec = mix_per_bin(draw_white(rng, nt, n_sources, unit), factors)
-        else:
-            spec = draw_white(rng, nt, n_sources, scale)
+        spec = draw_white(rng, nt, n_sources, amplitude)
+        if per_bin:
+            spec = mix_per_bin(spec, factor)
         x = np.fft.irfft(spec, n=cfg.n_steps)
         del spec  # bounds peak memory
         return _trapezoid_at(_quadratic_rate(x, quad, lin), report_idx, cfg.dt)

@@ -11,9 +11,13 @@ propagation speed of reservoir excitations; the cross spectrum is the on-site
 spectrum times a geometry kernel f(w r / v).
 
 Noise is synthesized spectrally, by one path: R independent white sources
-per frequency bin (:func:`draw_white`), scaled or mixed by per-bin factors
-(:func:`mix_per_bin`) so the discrete process has exactly the target
-(cross-)spectrum on the grid, then inverse-FFT'd to the time domain.
+per frequency bin (:func:`draw_white`), scaled per bin and mixed by one
+factor (:func:`functional_factor`) so the discrete process has exactly the
+target (cross-)spectrum on the grid, then inverse-FFT'd to the time domain.
+The factor is one (P, R) matrix where the sites are co-located (all
+distances zero), share one source or have independent ones; separated
+sites, whose cross-spectrum varies with frequency, are mixed per bin
+(:func:`mix_per_bin`).
 Natural units throughout: hbar = k_B = 1.
 """
 from __future__ import annotations
@@ -45,8 +49,7 @@ __all__ = [
     "SpectralSynthesizer",
     "draw_white",
     "mix_per_bin",
-    "functional_spectral_factors",
-    "separable_functional_factor",
+    "functional_factor",
     "trapezoid_phase_factor",
     "synthesize_trajectories",
     "trajectory_seed_sequence",
@@ -240,8 +243,12 @@ def _distance_matrix(positions: Sequence) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=-1))
 
 
-def spatial_correlation_matrix(bath: OhmicBath, positions: Sequence, omega: float) -> np.ndarray:
-    """Per-frequency matrix of kernels f(w r_jk / v); symmetric PSD, unit diagonal."""
+def spatial_correlation_matrix(bath: OhmicBath, positions: Sequence, omega) -> np.ndarray:
+    """Per-frequency matrix of kernels f(w r_jk / v); symmetric PSD, unit diagonal.
+
+    ``omega`` is one frequency, or an array of shape (n, 1, 1) for a stack of
+    n matrices.
+    """
     r = _distance_matrix(positions)
     return propagation_kernel_f(omega * r / bath.velocity, bath.geometry)
 
@@ -269,29 +276,29 @@ def _spectral_grid(bath: OhmicBath, dt: float, n_steps: int) -> tuple[np.ndarray
     return omega, n_steps * classical_psd(bath, omega) / dt
 
 
-def _site_kernels(
+def _site_kernel(
     bath: OhmicBath, topology: NoiseTopology, n_sites: int, omega: np.ndarray
 ) -> np.ndarray:
-    """Per-bin site correlation matrices K_k, shape (n_bins, L, L).
+    """Site correlation matrix K: one (L, L) matrix where it is the same in every bin.
 
-    All ones for a uniform topology, the identity for an independent one and
-    f(w_k r_jk / v) for a spatial one.
+    All ones for a uniform topology and for co-located spatial sites (every
+    distance zero, f(0) = 1), the identity for an independent one; separated
+    spatial sites get the per-bin stack f(w_k r_jk / v), shape (n_bins, L, L).
     """
-    shape = (omega.size, n_sites, n_sites)
-    if topology.kind is TopologyKind.UNIFORM:
-        return np.broadcast_to(np.ones((n_sites, n_sites)), shape)
     if topology.kind is TopologyKind.INDEPENDENT:
-        return np.broadcast_to(np.eye(n_sites), shape)
-    if len(topology.positions) != n_sites:
-        raise ValueError(
-            f"spatial topology has {len(topology.positions)} positions "
-            f"for {n_sites} sites"
-        )
-    r = _distance_matrix(topology.positions)
-    kernels = propagation_kernel_f(omega[:, None, None] * r / bath.velocity, bath.geometry)
-    if not np.isfinite(kernels).all():
-        raise ValueError("non-finite noise covariance: check the site positions")
-    return kernels
+        return np.eye(n_sites)
+    if topology.kind is TopologyKind.SPATIAL:
+        if len(topology.positions) != n_sites:
+            raise ValueError(
+                f"spatial topology has {len(topology.positions)} positions "
+                f"for {n_sites} sites"
+            )
+        if _distance_matrix(topology.positions).any():  # NaN distances count as nonzero
+            kernels = spatial_correlation_matrix(bath, topology.positions, omega[:, None, None])
+            if not np.isfinite(kernels).all():
+                raise ValueError("non-finite noise covariance: check the site positions")
+            return kernels
+    return np.ones((n_sites, n_sites))
 
 
 @functools.cache
@@ -388,12 +395,34 @@ def _psd_eigh(
     return np.clip(eigval, 0.0, None), eigvec
 
 
-def _functional_terms(
-    bath: OhmicBath, topology: NoiseTopology, weights, dt: float, n_steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weights (P, L), bin frequencies, amplitude variances scale_k^2 and site
-    kernels K_k of P functionals of the site noises, checked finite (the
-    kernels where ``_site_kernels`` builds them from positions)."""
+def functional_factor(
+    bath: OhmicBath,
+    topology: NoiseTopology,
+    weights,
+    dt: float,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin amplitude (n_bins,) and factor F of P linear functionals of site noises.
+
+    ``weights`` has shape (P, L): functional p is ``weights[p] @ noise`` over
+    the L sites of ``topology``.  The covariance of the functionals' rfft
+    amplitudes in bin k is scale_k^2 W K_k W^T (see ``_site_kernel`` for K_k,
+    and ``_spectral_grid`` for scale_k^2).  How F depends on frequency is
+    carried by its shape:
+
+    - where K is the same in every bin (uniform and independent topologies,
+      co-located spatial sites: all distances zero), F has shape (P, R) with
+      F F^T = W K W^T and ``amplitude`` is scale_k;
+    - for separated spatial sites, F has shape (n_bins, P, R) with
+      F_k F_k^T = scale_k^2 W K_k W^T and ``amplitude`` is 1.
+
+    Eigenvalues at or below EIG_CLAMP_TOL * lambda_max (of their bin) count as
+    zero, and only the R directions that carry noise in some bin are kept;
+    R = 0 means the functionals are noise free.  With ``white`` from
+    :func:`draw_white` at ``amplitude``, ``F @ white`` (or, per bin,
+    :func:`mix_per_bin`) has the target covariance in every bin, so the
+    functionals are drawn from R sources instead of L.
+    """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     omega, scale2 = _spectral_grid(bath, dt, n_steps)
     if not (np.isfinite(w).all() and np.isfinite(scale2).all()):
@@ -401,74 +430,27 @@ def _functional_terms(
             "non-finite noise covariance: check the bath and the weights for NaN or "
             "infinite values"
         )
-    return w, omega, scale2, _site_kernels(bath, topology, w.shape[1], omega)
-
-
-def functional_spectral_factors(
-    bath: OhmicBath,
-    topology: NoiseTopology,
-    weights,
-    dt: float,
-    n_steps: int,
-) -> np.ndarray:
-    """Per-bin factors of P linear functionals of the site noises.
-
-    ``weights`` has shape (P, L): functional p is ``weights[p] @ noise`` over
-    the L sites of ``topology``.  Returns F with shape (n_bins, P, R) and
-    F_k F_k^T = scale_k^2 W K_k W^T, the covariance of the functionals' rfft
-    amplitudes in bin k (see ``_site_kernels`` for K_k).  Eigenvalues at or
-    below EIG_CLAMP_TOL * lambda_max of their bin count as zero, and only the
-    R directions that carry noise in some bin are kept; R = 0 means the
-    functionals are noise free.
-
-    With unit complex Gaussian amplitudes ``white`` (real at the DC and last
-    bins; :func:`draw_white` with unit amplitude), ``F_k @ white_k``
-    (:func:`mix_per_bin`) has the target covariance in every bin, so the
-    functionals are drawn from R sources instead of L.
-    """
-    w, omega, scale2, kernels = _functional_terms(bath, topology, weights, dt, n_steps)
-    cov = scale2[:, None, None] * (w @ kernels @ w.T)
-    eigval, eigvec = _psd_eigh(cov, "spatial correlation matrix", omega)
-    eigval[eigval <= EIG_CLAMP_TOL * eigval[:, -1:]] = 0.0
-    keep = (eigval > 0.0).any(axis=0)
-    return (eigvec * np.sqrt(eigval)[:, None, :])[:, :, keep]
-
-
-def separable_functional_factor(
-    bath: OhmicBath,
-    topology: NoiseTopology,
-    weights,
-    dt: float,
-    n_steps: int,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Bin-independent form F_k = scale_k G of :func:`functional_spectral_factors`.
-
-    When the site kernel K_k is the same array in every bin (uniform,
-    independent and co-located spatial topologies; compared exactly), the
-    functionals' covariance scale_k^2 W K W^T factors once: returns the
-    per-bin amplitude scale (n_bins,) and G (P, R) with G G^T = W K W^T, under
-    the same eigenvalue rule and so with the same R.  The P functionals are
-    then G times R sources whose rfft amplitudes are scale_k * white_k, so
-    they can be mixed in time after R inverse FFTs.  Returns None when K_k
-    varies between bins (separated spatial sites).
-    """
-    w, _, scale2, kernels = _functional_terms(bath, topology, weights, dt, n_steps)
-    if kernels.strides[0] and not (kernels == kernels[0]).all():  # stride 0: one array
-        return None
-    eigval, eigvec = _psd_eigh(w @ kernels[0] @ w.T, "spatial correlation matrix")
-    eigval[eigval <= EIG_CLAMP_TOL * eigval[-1]] = 0.0
-    keep = eigval > 0.0
-    return np.sqrt(scale2), (eigvec * np.sqrt(eigval))[:, keep]
+    kernel = _site_kernel(bath, topology, w.shape[1], omega)
+    if kernel.ndim == 2:
+        amplitude = np.sqrt(scale2)
+        eigval, eigvec = _psd_eigh(w @ kernel @ w.T, "spatial correlation matrix")
+    else:
+        amplitude = np.ones(omega.size)
+        cov = scale2[:, None, None] * (w @ kernel @ w.T)
+        eigval, eigvec = _psd_eigh(cov, "spatial correlation matrix", omega)
+    eigval[eigval <= EIG_CLAMP_TOL * eigval[..., -1:]] = 0.0
+    keep = np.atleast_2d(eigval > 0.0).any(axis=0)
+    return amplitude, (eigvec * np.sqrt(eigval)[..., None, :])[..., keep]
 
 
 def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:
     """Factor B, shape (k, m - 1), of the law of a functional's integrated phase.
 
-    ``power`` (n_bins,) is the per-bin power |F_k|^2 of one functional's rfft
-    amplitudes (:func:`functional_spectral_factors` with P = 1, summed over
-    its sources).  The functional x is then stationary and circulant on
-    n_steps = 2 (n_bins - 1) points with autocovariance
-    c = irfft(power) / n_steps, and its trapezoid integral
+    ``power`` (n_bins,) is the per-bin power of one functional's rfft
+    amplitudes (from :func:`functional_factor` with P = 1,
+    amplitude_k^2 |F_k|^2 summed over its sources).  The functional x is
+    then stationary and circulant on n_steps = 2 (n_bins - 1) points with
+    autocovariance c = irfft(power) / n_steps, and its trapezoid integral
     phase_j = dt (x_0 + ... + x_j - (x_0 + x_j) / 2) is Gaussian.
     ``report_idx`` (m,) starts at 0, where the phase is exactly 0, and
     B^T B is the covariance of the phase at ``report_idx[1:]``, so
@@ -518,7 +500,10 @@ def draw_white(
 def mix_per_bin(white: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """rfft amplitudes (nt, P, n_bins) of P functionals, sum_r F[k, p, r] white[:, r, k].
 
-    ``factors`` (n_bins, P, R) comes from :func:`functional_spectral_factors`.
+    ``factors`` (n_bins, P, R) is the per-bin factor :func:`functional_factor`
+    gives for separated sites; where the sites are co-located (all distances
+    zero), share one source or have independent ones, the factor is one
+    (P, R) matrix instead and the mix needs no per-bin loop.
     """
     nt, n_sources, n_bins = white.shape
     spec = np.empty((nt, factors.shape[1], n_bins), dtype=complex)
@@ -536,8 +521,10 @@ class SpectralSynthesizer:
     ``draw_spectrum`` exposes the frequency-domain amplitudes (the rfft of the
     bundle).  ``n_sites`` is the number of rows L of a bundle, one per site.
     Uniform and independent topologies draw one or L white sources scaled
-    per bin (:func:`draw_white`); a spatial topology mixes the per-bin
-    factors of the L identity functionals (:func:`mix_per_bin`).
+    per bin (:func:`draw_white`); a spatial topology mixes the sources by the
+    factor of the L identity functionals (:func:`functional_factor`), per bin
+    (:func:`mix_per_bin`) unless the sites are co-located (all distances
+    zero).
     """
 
     def __init__(
@@ -559,12 +546,10 @@ class SpectralSynthesizer:
         self._uniform = topology.kind is TopologyKind.UNIFORM
         if topology.kind is TopologyKind.SPATIAL:
             eye = np.eye(self.n_sites)
-            self._factors = functional_spectral_factors(bath, topology, eye, dt, n_steps)
-            self._amplitude = np.ones(self.omega.size)  # the factors carry the scale
-            self._n_sources = self._factors.shape[2]
+            self._amplitude, self._factor = functional_factor(bath, topology, eye, dt, n_steps)
+            self._n_sources = self._factor.shape[-1]
         else:
-            self._factors = None
-            self._amplitude = np.sqrt(scale2)
+            self._amplitude, self._factor = np.sqrt(scale2), None
             self._n_sources = 1 if self._uniform else self.n_sites
 
     def draw_spectrum(self, rng: np.random.Generator) -> np.ndarray:
@@ -574,8 +559,10 @@ class SpectralSynthesizer:
         is fixed, so a given generator state always yields the same bundle.
         """
         white = draw_white(rng, 1, self._n_sources, self._amplitude)
-        if self._factors is not None:
-            return mix_per_bin(white, self._factors)[0]
+        if self._factor is not None:
+            if self._factor.ndim == 3:
+                return mix_per_bin(white, self._factor)[0]
+            return self._factor @ white[0]
         if self._uniform:
             return np.broadcast_to(white[0, 0], (self.n_sites, self.omega.size))
         return white[0]

@@ -42,6 +42,14 @@ def test_kernel_g_stays_finite_where_x_squared_overflows():
     assert kernel_g(1e200, Geometry.ONE_D) == 0.0
 
 
+def test_kernel_g_switches_where_the_denominator_overflows():
+    # (1 + x^2)^2 overflows from x ~ 1.2e77 while x^2 stays finite up to ~1.3e154;
+    # there the literal form gave -0.0 for a kernel of -(1/x)^2
+    assert kernel_g(1e100, Geometry.ONE_D) == -1e-200
+    x = 1e76  # the denominator is finite: the literal form is kept
+    assert kernel_g(x, Geometry.ONE_D) == (1.0 - x * x) / (1.0 + x * x) ** 2 < 0
+
+
 def test_kernel_h_examples():
     assert kernel_h(0.0, Geometry.THREE_D) == 1.0
     assert kernel_h(1.0, Geometry.ONE_D) == 0.5

@@ -28,7 +28,7 @@ from gatenoise.mcsim import (
 from gatenoise.noise import (
     NoiseTopology,
     OhmicBath,
-    functional_spectral_factors,
+    functional_factor,
     trajectory_seed_sequence,
     trapezoid_phase_factor,
 )
@@ -239,9 +239,10 @@ def phase_factor(scn):
     """Report indices and phase factor B of a central-noise scenario."""
     cfg = scn.cfg
     weights = [[pointer_fsa_uniform(scn.pair.left) - pointer_fsa_uniform(scn.pair.right)]]
-    factors = functional_spectral_factors(scn.bath, scn.topology, weights, cfg.dt, cfg.n_steps)
+    amplitude, mix = functional_factor(scn.bath, scn.topology, weights, cfg.dt, cfg.n_steps)
+    power = amplitude**2 * (mix[..., 0, :] ** 2).sum(axis=-1)
     idx = np.unique(np.round(np.linspace(0, cfg.n_steps - 1, 257)).astype(int))
-    return idx, trapezoid_phase_factor((factors[:, 0] ** 2).sum(axis=1), cfg.dt, idx)
+    return idx, trapezoid_phase_factor(power, cfg.dt, idx)
 
 
 def chunk_z_rows(master_seed, chunk, nt, idx, factor):
@@ -547,12 +548,18 @@ def scan_family(n_qubits):
     return drive, worst_case_pair(ArchKind.BUS, n_qubits, drive)
 
 
+def per_bin_factors(bath, topology, labels, cfg):
+    """F_k (n_bins, P, R) of ``functional_factor`` in every bin, scaled by its amplitude."""
+    amplitude, factor = functional_factor(bath, topology, labels, cfg.dt, cfg.n_steps)
+    return factor if factor.ndim == 3 else amplitude[:, None, None] * factor
+
+
 def reference_bus_trace(drive, pair, bath, topology, cfg):
     """simulate_bus_full through the pipeline it replaced, on the same draws:
     per-bin mixed spectra of (a, b), np.fft.irfft over the whole grid, the
     quadratic rate, cumulative_trapezoid and phase[:, report_idx]."""
     labels = np.array([pair.left.bits, pair.right.bits], dtype=float)
-    factors = functional_spectral_factors(bath, topology, labels, cfg.dt, cfg.n_steps)
+    factors = per_bin_factors(bath, topology, labels, cfg)
     n_bins, _, n_sources = factors.shape
     c_left, c_right = labels @ np.asarray(drive.phi, dtype=float)
     report_idx = np.unique(
@@ -632,7 +639,7 @@ def exact_bus_coherence(drive, pair, bath, topology, cfg, steps):
     (Imhof 1961).
     """
     labels = np.array([pair.left.bits, pair.right.bits], dtype=float)
-    factors = functional_spectral_factors(bath, topology, labels, cfg.dt, cfg.n_steps)
+    factors = per_bin_factors(bath, topology, labels, cfg)
     c_left, c_right = labels @ np.asarray(drive.phi, dtype=float)
     cov = np.fft.irfft(np.einsum("kpr,kqr->pqk", factors, factors), n=cfg.n_steps) / cfg.n_steps
     out = []

@@ -7,14 +7,13 @@ from gatenoise.noise import (
     NoiseTopology,
     OhmicBath,
     SpectralSynthesizer,
-    _site_kernels,
+    _site_kernel,
     TopologyKind,
     classical_psd,
     cross_spectral_density,
     estimate_psd,
-    functional_spectral_factors,
+    functional_factor,
     propagation_kernel_f,
-    separable_functional_factor,
     spatial_correlation_matrix,
     spectral_density,
     synthesize_trajectories,
@@ -245,7 +244,7 @@ def test_spatial_topology_requires_matching_positions():
             bath, NoiseTopology.spatial([0.0, 1.0]), 3, dt=0.05, n_steps=256, seed=1
         )
     with pytest.raises(ValueError, match="positions"):
-        functional_spectral_factors(
+        functional_factor(
             bath, NoiseTopology.spatial([0.0, 1.0]), np.ones((1, 3)), dt=0.05, n_steps=256
         )
     with pytest.raises(ValueError):
@@ -274,6 +273,12 @@ def _functional_covariance(bath, topology, weights, dt=FACTOR_DT, n_steps=FACTOR
     return cov
 
 
+def _per_bin_factors(bath, topology, weights, dt=FACTOR_DT, n_steps=FACTOR_STEPS):
+    """F_k of :func:`functional_factor` in every bin, shape (n_bins, P, R)."""
+    amplitude, factor = functional_factor(bath, topology, weights, dt, n_steps)
+    return factor if factor.ndim == 3 else amplitude[:, None, None] * factor
+
+
 @pytest.mark.parametrize(
     "geometry, topology, weights, rank",
     [
@@ -287,13 +292,25 @@ def _functional_covariance(bath, topology, weights, dt=FACTOR_DT, n_steps=FACTOR
         # rank deficient: the second functional is twice the first
         ("3d", NoiseTopology.spatial([[0, 0, 0], [0.04, 0.03, 0], [0, 0.1, 0.02]]),
          [[1.0, -1.0, 0.5], [2.0, -2.0, 1.0]], 1),
+        # co-located sites (all distances zero): f(0) = 1 in every bin
+        ("1d", NoiseTopology.spatial([0.0, 0.0, 0.0]), [[1.0, -1.0, 1.0], [0.5, 1.0, -2.0]], 1),
+        ("3d", NoiseTopology.spatial([[0.1, 0.2, 0.3]] * 3),
+         [[1.0, -1.0, 0.5], [0.3, 1.0, 2.0]], 1),
     ],
 )
 def test_functional_factors_reproduce_covariance(geometry, topology, weights, rank):
+    # one (P, R) factor times the per-bin amplitude where the kernel is the
+    # same in every bin; a per-bin (n_bins, P, R) factor for separated sites
     bath = OhmicBath(coupling=0.7, cutoff=8.0, temperature=1.3, geometry=geometry)
     weights = np.asarray(weights)
-    factors = functional_spectral_factors(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
-    assert factors.shape == (FACTOR_STEPS // 2 + 1, weights.shape[0], rank)
+    amplitude, factor = functional_factor(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
+    if topology.kind is TopologyKind.SPATIAL and len(set(topology.positions)) > 1:
+        assert factor.shape == (FACTOR_STEPS // 2 + 1, weights.shape[0], rank)
+        assert (amplitude == 1.0).all()
+        factors = factor
+    else:
+        assert factor.shape == (weights.shape[0], rank)
+        factors = amplitude[:, None, None] * factor
     cov = _functional_covariance(bath, topology, weights)
     rebuilt = factors @ factors.transpose(0, 2, 1)
     err = np.abs(rebuilt - cov).max(axis=(1, 2))
@@ -310,20 +327,33 @@ def test_functional_factors_reproduce_covariance(geometry, topology, weights, ra
     ],
 )
 def test_separable_factor_is_the_per_bin_factor_scaled(topology, weights):
+    # where the site kernel is the same in every bin, the factor is one (P, R)
+    # matrix G of the per-bin rank and the amplitude is the grid's scale_k, so
+    # scale_k G is a per-bin factor of the functionals' covariance
     bath = bath_1d(cutoff=8.0)
-    factors = functional_spectral_factors(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
-    scale, g = separable_functional_factor(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
-    assert g.shape == factors.shape[1:]
+    weights = np.asarray(weights)
+    scale, g = functional_factor(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
+    omega = 2 * np.pi * np.fft.rfftfreq(FACTOR_STEPS, FACTOR_DT)
+    np.testing.assert_array_equal(
+        scale, np.sqrt(FACTOR_STEPS * classical_psd(bath, omega) / FACTOR_DT)
+    )
+    cov = _functional_covariance(bath, topology, weights)
+    assert g.shape == (weights.shape[0], np.linalg.matrix_rank(cov[0]))
+    factors = scale[:, None, None] * g
     np.testing.assert_allclose(
-        scale[:, None, None] * g, factors, rtol=0, atol=1e-14 * np.abs(factors).max(initial=1.0)
+        factors @ factors.transpose(0, 2, 1), cov, rtol=0,
+        atol=1e-14 * np.abs(cov).max(initial=1.0),
     )
 
 
 def test_separable_factor_refuses_separated_sites():
-    topology = NoiseTopology.spatial([0.0, 0.05])
-    assert separable_functional_factor(
-        bath_1d(cutoff=8.0), topology, [[1.0, 1.0], [1.0, -1.0]], FACTOR_DT, FACTOR_STEPS
-    ) is None
+    # separated sites: the kernel varies with frequency, so the factor is per bin
+    amplitude, factor = functional_factor(
+        bath_1d(cutoff=8.0), NoiseTopology.spatial([0.0, 0.05]), [[1.0, 1.0], [1.0, -1.0]],
+        FACTOR_DT, FACTOR_STEPS,
+    )
+    assert factor.shape == (FACTOR_STEPS // 2 + 1, 2, 2)
+    assert (amplitude == 1.0).all()
 
 
 def test_functional_factors_drop_noise_free_functionals():
@@ -331,8 +361,9 @@ def test_functional_factors_drop_noise_free_functionals():
     balanced = [[1.0, -1.0, 0.0]]  # sum(w) = 0 on a shared source
     for topology, weights in [(NoiseTopology.uniform(), balanced),
                               (NoiseTopology.independent(), np.zeros((1, 0)))]:
-        factors = functional_spectral_factors(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
-        assert factors.shape == (FACTOR_STEPS // 2 + 1, 1, 0)
+        amplitude, factor = functional_factor(bath, topology, weights, FACTOR_DT, FACTOR_STEPS)
+        assert amplitude.shape == (FACTOR_STEPS // 2 + 1,)
+        assert factor.shape == (1, 0)
 
 
 def test_functional_factors_reject_non_finite_input():
@@ -341,16 +372,16 @@ def test_functional_factors_reject_non_finite_input():
     nan_bath = bath_1d(cutoff=8.0)
     object.__setattr__(nan_bath, "coupling", np.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        functional_spectral_factors(
+        functional_factor(
             nan_bath, NoiseTopology.uniform(), [[1.0]], FACTOR_DT, FACTOR_STEPS
         )
     with pytest.raises(ValueError, match="non-finite"):
-        functional_spectral_factors(
+        functional_factor(
             bath_1d(cutoff=8.0), NoiseTopology.independent(), [[1.0, np.inf]],
             FACTOR_DT, FACTOR_STEPS,
         )
     with pytest.raises(ValueError, match="non-finite"):
-        functional_spectral_factors(
+        functional_factor(
             bath_1d(cutoff=8.0), NoiseTopology.spatial([0.0, np.nan]), [[1.0, 1.0]],
             FACTOR_DT, FACTOR_STEPS,
         )
@@ -364,23 +395,42 @@ def test_functional_factors_do_not_expand_a_broadcast_kernel_stack():
     weights = np.random.default_rng(3).standard_normal((1, 64))
     tracemalloc.start()
     try:
-        factors = functional_spectral_factors(
+        amplitude, factor = functional_factor(
             bath_1d(), NoiseTopology.independent(), weights, 0.5, 2**16
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert factors.shape == (2**15 + 1, 1, 1)
+    assert amplitude.shape == (2**15 + 1,)
+    assert factor.shape == (1, 1)
+    assert peak < 40e6
+
+
+def test_colocated_sites_are_factored_once():
+    # 16 co-located sites (all distances zero) share one all-ones kernel; a
+    # (bins, 16, 16) stack of f(0) would take 67 MB at 2^16 steps
+    import tracemalloc
+
+    weights = np.random.default_rng(5).standard_normal((2, 16))
+    tracemalloc.start()
+    try:
+        amplitude, factor = functional_factor(
+            bath_1d(), NoiseTopology.spatial([0.0] * 16), weights, 0.5, 2**16
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert amplitude.shape == (2**15 + 1,)
+    assert factor.shape == (2, 1)
     assert peak < 40e6
 
 
 def test_uniform_site_kernel_stack_is_one_broadcast_matrix():
     # a full (bins, L, L) stack of ones would take 2 KB per bin at L = 16
     omega = np.linspace(0.0, 10.0, 2**17 + 1)
-    kernels = _site_kernels(bath_1d(), NoiseTopology.uniform(), 16, omega)
-    assert kernels.shape == (omega.size, 16, 16)
-    assert kernels.strides[0] == 0
-    assert (kernels[0] == 1.0).all()
+    kernel = _site_kernel(bath_1d(), NoiseTopology.uniform(), 16, omega)
+    assert kernel.shape == (16, 16)
+    assert (kernel == 1.0).all()
 
 
 def test_functional_factors_match_synthesizer_statistics():
@@ -441,7 +491,7 @@ def test_trapezoid_phase_factor_reproduces_pipeline_covariance(geometry, topolog
     m_l, m_r = np.ones(4), np.array([-1.0, 1.0, 1.0, 1.0])
     weights = [(phi @ m_l) * m_l - (phi @ m_r) * m_r]
     dt = 0.5 / bath.cutoff
-    factors = functional_spectral_factors(bath, topology, weights, dt, n_steps)
+    factors = _per_bin_factors(bath, topology, weights, dt, n_steps)
     report_idx = np.unique(np.round(np.linspace(0, n_steps - 1, 257)).astype(int))
     factor = trapezoid_phase_factor((factors[:, 0] ** 2).sum(axis=1), dt, report_idx)
     expected = _pipeline_phase_covariance(factors, dt, n_steps, report_idx)
