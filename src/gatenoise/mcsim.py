@@ -25,7 +25,8 @@ once per run (:func:`gatenoise.noise.trapezoid_phase_factor`), and each
 trajectory draws its report-point phases directly, with no time series,
 inverse FFT or integration.  The quadratic bus coupler (:func:`simulate_bus_full`) is not
 Gaussian in the noise: it draws R <= 2 white sources per bin
-(:func:`gatenoise.noise.draw_white`) and builds its phase rate in time.
+(:func:`gatenoise.noise.draw_white_blocks`) and builds its phase rate in
+time, one row block of a chunk at a time.
 Where the factor is one matrix G (uniform, independent and co-located
 spatial topologies, all distances zero) the two functionals (a, b) are G x,
 so only the R scaled sources x are inverse-FFT'd and the rate is the
@@ -40,12 +41,19 @@ chunk c (trajectories 512 c to 512 c + 511) draws all of its noise from one
 stream keyed by (master_seed, c), in a fixed layout.  Linear coupling: one
 ``standard_normal((nt, k))`` for the k directions of the phase factor B, and
 the phase at the report points is [0, xi @ B].  Bus coupler: the real parts
-(trajectory, source, bin), then the imaginary parts.  Within a chunk, the
-sums over trajectories are numpy reductions whose order is fixed by the
-chunk's shape and memory layout; chunks are merged in chunk order.  Every
-covariance factorisation runs on one BLAS thread, and with ``jobs`` > 1 so
-does BLAS inside the engine threads.  Results are bit-identical for a given
-configuration at any ``jobs`` and, wherever the process's OpenBLAS is found
+of the whole chunk (trajectory, source, bin), then the imaginary parts in
+the same order, drawn one row block at a time.  A row block holds about
+2^17 samples of the time series the engine transforms (``_BLOCK_SAMPLES``)
+and is transformed and integrated into the chunk's phase array before the
+next is drawn.  Consecutive draws give the normals of one draw and every
+step after the draw is row-local, so the row-block height changes neither
+the draws nor a byte of the result; it bounds the memory to the chunk's
+real parts plus one row block.  Within a chunk, the sums over trajectories
+are numpy reductions whose order is fixed by the chunk's shape and memory
+layout; chunks are merged in chunk order.  Every covariance factorisation
+runs on one BLAS thread, and with ``jobs`` > 1 so does BLAS inside the
+engine threads.  Results are bit-identical for a given configuration at any
+``jobs`` and, wherever the process's OpenBLAS is found
 (:func:`gatenoise.noise._one_blas_thread`), at any OpenBLAS thread count.
 
 Error bars: the estimator's layout is fixed.  Trajectories run in chunks of
@@ -77,7 +85,7 @@ from .noise import (
     NoiseTopology,
     OhmicBath,
     _one_blas_thread,
-    draw_white,
+    draw_white_blocks,
     functional_factor,
     mix_per_bin,
     trajectory_seed_sequence,
@@ -152,6 +160,10 @@ class McConfig:
     fit_window: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self) -> None:
+        for name in ("n_steps", "n_trajectories", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.n_steps < 2 or self.n_steps & (self.n_steps - 1):
@@ -210,6 +222,11 @@ class RateEstimate:
 # and draws from one stream keyed by (master_seed, c).  The chunking is fixed,
 # so neither the streams nor the arithmetic depend on the number of threads.
 _CHUNK = 512
+# Samples of the bus engine's transformed time series per row block: a chunk
+# is transformed and integrated max(1, _BLOCK_SAMPLES // (series per row *
+# n_steps)) rows at a time.  Every step after the draw is row-local, so the
+# block height changes no byte, only the memory; it is not a setting.
+_BLOCK_SAMPLES = 1 << 17
 # Trajectory blocks of the rate's jackknife; n_trajectories >= 100 gives each
 # block at least 2 rows.
 _N_BLOCKS = 50
@@ -245,20 +262,21 @@ def _quadratic_rate(x: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndar
     return rate
 
 
-def _trapezoid_at(rate: np.ndarray, report_idx: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid integral (nt, m) of ``rate`` (nt, n_steps) from 0 to each report index.
+def _trapezoid_at(
+    rate: np.ndarray, report_idx: np.ndarray, dt: float, phase: np.ndarray
+) -> None:
+    """Write into ``phase`` (nt, m) the trapezoid integral of ``rate`` (nt, n_steps)
+    from 0 to each report index.
 
     The sums of the rate over [idx_m, idx_{m+1}), up to the last report
     index, accumulate to sum_{i < idx_{m+1}} rate_i; the end terms
     (rate_idx - rate_0) / 2 complete the trapezoid rule.
     """
-    phase = np.empty((rate.shape[0], report_idx.size))
     phase[:, 0] = 0.0
     segments = np.add.reduceat(rate[:, :report_idx[-1]], report_idx[:-1], axis=1)
     np.cumsum(segments, axis=1, out=phase[:, 1:])
     phase[:, 1:] += 0.5 * (rate[:, report_idx[1:]] - rate[:, :1])
     phase *= dt
-    return phase
 
 
 def _chunk_moments(
@@ -443,13 +461,20 @@ def simulate_bus_full(
     A_m(t) = sum_j (phi_j + xi_j(t)) m_j, so with a = m . xi, b = m' . xi and
     c = m . phi, c' = m' . phi the phase rate, less its noise-free part, is
     (b^2 + 2 c' b - a^2 - 2 c a) / 8.  Each chunk draws R white sources x
-    at the per-bin amplitude of :func:`gatenoise.noise.functional_factor`.
-    Where its factor is one (2, R) matrix G (uniform, independent and
-    co-located spatial topologies, all distances zero), (a, b) = G x: each
-    chunk inverse-FFTs only the R series x and forms the rate as
-    x^T Q x + q^T x with Q = (g' g'^T - g g^T) / 8 and q = (c' g' - c g) / 4
-    (g, g' the rows of G).  Separated sites mix (a, b) per bin and
-    inverse-FFT both (G = I).  The trapezoid phase at report index n_j is
+    at the per-bin amplitude of :func:`gatenoise.noise.functional_factor`,
+    in the module's fixed layout: all real parts first, then the imaginary
+    parts one row block at a time (:func:`gatenoise.noise.draw_white_blocks`).
+    Each row block is transformed, its rate formed and integrated, and its
+    phase written into the chunk's phase array before the next is drawn; the
+    block height (``_BLOCK_SAMPLES`` samples of the transformed series)
+    bounds the memory and moves no byte of the result.
+
+    Where the factor is one (2, R) matrix G (uniform, independent and
+    co-located spatial topologies, all distances zero), (a, b) = G x: only
+    the R series x are inverse-FFT'd and the rate is x^T Q x + q^T x with
+    Q = (g' g'^T - g g^T) / 8 and q = (c' g' - c g) / 4 (g, g' the rows of
+    G).  Separated sites mix (a, b) per bin and inverse-FFT both (G = I).
+    The trapezoid phase at report index n_j is
     dt (sum_{i < n_j} rate_i + (rate_{n_j} - rate_0) / 2), the inner sums
     being running totals of the rate over the segments between consecutive
     report points.
@@ -473,12 +498,17 @@ def simulate_bus_full(
     report_idx = _report_indices(cfg.n_steps)
 
     def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
-        spec = draw_white(rng, nt, n_sources, amplitude)
-        if per_bin:
-            spec = mix_per_bin(spec, factor)
-        x = np.fft.irfft(spec, n=cfg.n_steps)
-        del spec  # bounds peak memory
-        return _trapezoid_at(_quadratic_rate(x, quad, lin), report_idx, cfg.dt)
+        # x holds mix.shape[1] series per trajectory: R sources, or (a, b)
+        rows = max(1, _BLOCK_SAMPLES // (mix.shape[1] * cfg.n_steps))
+        phase = np.empty((nt, report_idx.size))
+        blocks = draw_white_blocks(rng, nt, n_sources, amplitude, rows)
+        for start, spec in zip(range(0, nt, rows), blocks):
+            if per_bin:
+                spec = mix_per_bin(spec, factor)
+            x = np.fft.irfft(spec, n=cfg.n_steps)
+            rate = _quadratic_rate(x, quad, lin)
+            _trapezoid_at(rate, report_idx, cfg.dt, phase[start:start + rate.shape[0]])
+        return phase
 
     return _run_engine(sample_phase if n_sources else None, cfg, jobs)
 
@@ -785,8 +815,14 @@ def mc_bus_scaling(
     Scans the canonical worst-case family (all-up label vs flipped first
     driven qubit, pointer difference growing linearly in L) and returns the
     log-log slope together with the per-L fitted rates; the slope checks the
-    quadratic superdecoherence law of the driven bus.
+    quadratic superdecoherence law of the driven bus, so at least two distinct
+    lengths are needed.
     """
+    if len(set(n_qubits_values)) < 2:
+        raise ValueError(
+            "need at least two distinct register lengths to fit an exponent, "
+            f"got {tuple(n_qubits_values)}"
+        )
     fitted: list[tuple[int, float]] = []
     for n in n_qubits_values:
         drive = GateDrive.two_qubit_gate(n, 0, 1, amplitude)

@@ -11,9 +11,10 @@ propagation speed of reservoir excitations; the cross spectrum is the on-site
 spectrum times a geometry kernel f(w r / v).
 
 Noise is synthesized spectrally, by one path: R independent white sources
-per frequency bin (:func:`draw_white`), scaled per bin and mixed by one
-factor (:func:`functional_factor`) so the discrete process has exactly the
-target (cross-)spectrum on the grid, then inverse-FFT'd to the time domain.
+per frequency bin (:func:`draw_white_blocks`, in row blocks of a fixed draw
+layout), scaled per bin and mixed by one factor (:func:`functional_factor`)
+so the discrete process has exactly the target (cross-)spectrum on the
+grid, then inverse-FFT'd to the time domain.
 The factor is one (P, R) matrix where the sites are co-located (all
 distances zero), share one source or have independent ones; separated
 sites, whose cross-spectrum varies with frequency, are mixed per bin
@@ -47,7 +48,7 @@ __all__ = [
     "classical_psd",
     "spatial_correlation_matrix",
     "SpectralSynthesizer",
-    "draw_white",
+    "draw_white_blocks",
     "mix_per_bin",
     "functional_factor",
     "trapezoid_phase_factor",
@@ -419,7 +420,7 @@ def functional_factor(
     Eigenvalues at or below EIG_CLAMP_TOL * lambda_max (of their bin) count as
     zero, and only the R directions that carry noise in some bin are kept;
     R = 0 means the functionals are noise free.  With ``white`` from
-    :func:`draw_white` at ``amplitude``, ``F @ white`` (or, per bin,
+    :func:`draw_white_blocks` at ``amplitude``, ``F @ white`` (or, per bin,
     :func:`mix_per_bin`) has the target covariance in every bin, so the
     functionals are drawn from R sources instead of L.
     """
@@ -477,24 +478,32 @@ def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:
     return (eigvec[:, keep] * np.sqrt(eigval[keep])).T
 
 
-def draw_white(
-    rng: np.random.Generator, nt: int, n_sources: int, amplitude: np.ndarray
-) -> np.ndarray:
-    """rfft amplitudes (nt, R, n_bins) of R independent white sources, scaled per bin.
+def draw_white_blocks(
+    rng: np.random.Generator, nt: int, n_sources: int, amplitude: np.ndarray, rows: int
+) -> Iterator[np.ndarray]:
+    """rfft amplitudes of nt rows of R independent white sources, scaled per bin,
+    in blocks of ``rows`` rows: complex arrays (<= rows, R, n_bins), in row order.
 
     Bin k holds amplitude_k times a unit complex Gaussian, real at the DC and
-    last bins.  The draw order (all real parts, then all imaginary parts) is
-    part of the determinism contract of the Monte-Carlo engine.
+    last bins.  The draw order is part of the determinism contract of the
+    Monte-Carlo engine: the real parts of all nt rows (trajectory, source,
+    bin) first, then the imaginary parts, one block after another.  A
+    generator's normals in consecutive draws are those of one draw, so the
+    imaginary parts are those of one (nt, R, n_bins) draw and the amplitudes
+    do not depend on ``rows``; only the real parts and one block are held at
+    a time.  The draws happen as the blocks are taken, so take them all
+    before drawing anything else from ``rng``.
     """
     re = rng.standard_normal((nt, n_sources, amplitude.size))
-    im = rng.standard_normal((nt, n_sources, amplitude.size))
-    white = np.empty(re.shape, dtype=complex)
     half = amplitude / np.sqrt(2.0)
-    np.multiply(re, half, out=white.real)
-    np.multiply(im, half, out=white.imag)
-    white[:, :, 0] = re[:, :, 0] * amplitude[0]
-    white[:, :, -1] = re[:, :, -1] * amplitude[-1]
-    return white
+    for start in range(0, nt, rows):
+        block = re[start:start + rows]
+        white = np.empty(block.shape, dtype=complex)
+        np.multiply(block, half, out=white.real)
+        np.multiply(rng.standard_normal(block.shape), half, out=white.imag)
+        white[:, :, 0] = block[:, :, 0] * amplitude[0]
+        white[:, :, -1] = block[:, :, -1] * amplitude[-1]
+        yield white
 
 
 def mix_per_bin(white: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -521,10 +530,10 @@ class SpectralSynthesizer:
     ``draw_spectrum`` exposes the frequency-domain amplitudes (the rfft of the
     bundle).  ``n_sites`` is the number of rows L of a bundle, one per site.
     Uniform and independent topologies draw one or L white sources scaled
-    per bin (:func:`draw_white`); a spatial topology mixes the sources by the
-    factor of the L identity functionals (:func:`functional_factor`), per bin
-    (:func:`mix_per_bin`) unless the sites are co-located (all distances
-    zero).
+    per bin (one row block of :func:`draw_white_blocks`); a spatial topology
+    mixes the sources by the factor of the L identity functionals
+    (:func:`functional_factor`), per bin (:func:`mix_per_bin`) unless the
+    sites are co-located (all distances zero).
     """
 
     def __init__(
@@ -558,7 +567,7 @@ class SpectralSynthesizer:
         The inverse rfft of each row is one real trajectory.  The draw order
         is fixed, so a given generator state always yields the same bundle.
         """
-        white = draw_white(rng, 1, self._n_sources, self._amplitude)
+        (white,) = draw_white_blocks(rng, 1, self._n_sources, self._amplitude, 1)
         if self._factor is not None:
             if self._factor.ndim == 3:
                 return mix_per_bin(white, self._factor)[0]

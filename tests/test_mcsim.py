@@ -76,6 +76,31 @@ def test_mcconfig_validation():
         McConfig(dt=0.01, n_steps=256, fit_window=(2.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_steps", 1024.0),
+        ("n_steps", True),
+        ("n_trajectories", 1000.5),
+        ("n_trajectories", np.float64(1000.0)),
+        ("n_trajectories", True),
+        ("master_seed", 1.5),
+        ("master_seed", True),
+        ("master_seed", "7"),
+    ],
+)
+def test_mcconfig_rejects_non_integer_counts(field, value):
+    kwargs = {"dt": 0.01, "n_steps": 256, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        McConfig(**kwargs)
+
+
+def test_mcconfig_accepts_numpy_integers():
+    cfg = McConfig(dt=0.01, n_steps=np.int64(256), n_trajectories=np.int32(200),
+                   master_seed=np.uint64(2**63))
+    assert cfg.duration == 255 * 0.01
+
+
 def test_mcconfig_holds_only_scenario_settings():
     # the estimator's layout (chunks, blocks, report points) is not a setting
     names = [field.name for field in fields(McConfig)]
@@ -607,8 +632,9 @@ def test_bus_full_matches_reference_pipeline(n_qubits, topology, n_steps):
 
 
 def test_uniform_bus_transforms_one_source_and_runs_no_integration(monkeypatch):
-    # a uniform bus has one noise source: each chunk inverse-FFTs one
-    # (nt, 1, bins) series and sums the rate between report points
+    # a uniform bus has one noise source: each chunk inverse-FFTs its rows'
+    # (rows, 1, bins) series, a row block at a time, and sums the rate
+    # between report points
     shapes, trapezoid_calls = [], []
     irfft = np.fft.irfft
 
@@ -624,8 +650,68 @@ def test_uniform_bus_transforms_one_source_and_runs_no_integration(monkeypatch):
     drive, pair = scan_family(4)
     cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=1500, master_seed=7)
     simulate_bus_full(drive, pair, SCAN_BATH, NoiseTopology.uniform(), cfg, jobs=2)
-    assert sorted(shapes) == [(476, 1, 257), (512, 1, 257), (512, 1, 257)]
+    assert all(len(s) == 3 and s[1:] == (1, 257) for s in shapes), shapes
+    assert sum(s[0] for s in shapes) == 1500
     assert trapezoid_calls == []
+
+
+@pytest.mark.parametrize(
+    "topology, series",
+    [(NoiseTopology.uniform(), 1), (NoiseTopology.spatial([0.0, 0.3, 0.6, 0.9]), 2)],
+    ids=["uniform", "separated"],
+)
+def test_bus_row_blocks_change_no_byte(monkeypatch, topology, series):
+    # a chunk draws its real parts, then each row block's imaginary parts, and
+    # every later step is row-local: 1-row, 7-row and whole-chunk blocks give
+    # the bytes of the default block height
+    drive, pair = scan_family(4)
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=600, master_seed=7)
+    default = simulate_bus_full(drive, pair, SCAN_BATH, topology, cfg)
+    heights, irfft = [], np.fft.irfft
+
+    def recording_irfft(a, *args, **kwargs):
+        heights.append(np.shape(a)[0])
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    for rows in (1, 7, 512):
+        # the budget counts samples of x, which has `series` series per row
+        monkeypatch.setattr(mcsim, "_BLOCK_SAMPLES", rows * series * cfg.n_steps)
+        heights.clear()
+        trace = simulate_bus_full(drive, pair, SCAN_BATH, topology, cfg)
+        assert max(heights) == rows and sum(heights) == cfg.n_trajectories
+        for name in ("abs_coherence", "arg_coherence", "stderr", "block_sums"):
+            assert getattr(trace, name).tobytes() == getattr(default, name).tobytes(), name
+
+
+def test_bus_scan_stream_is_pinned():
+    # rates recorded when each chunk was still transformed whole: any change to
+    # the bus engine's draw layout or arithmetic moves them
+    exponent, fitted = mc_bus_scaling((2, 4), n_trajectories=600, master_seed=5)
+    assert [repr(gamma) for _, gamma in fitted] == ["0.13689781914105392", "0.6336099710572175"]
+    assert repr(exponent) == "2.210495575306101"
+
+
+def test_bus_engine_memory_is_bounded_per_row_block():
+    # the scan's L = 2 point: one 512-row chunk of 8192 steps held its white
+    # amplitudes, series and rate whole (~70 MB); in row blocks only the chunk's
+    # real parts (17 MB) are held whole
+    drive, pair = scan_family(2)
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=8192, n_trajectories=512, master_seed=7)
+    tracemalloc.start()
+    try:
+        simulate_bus_full(drive, pair, SCAN_BATH, NoiseTopology.uniform(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("lengths", [(), (4,), (4, 4)])
+def test_bus_scaling_needs_two_distinct_lengths(lengths):
+    # one point has no log-log slope
+    with pytest.raises(ValueError, match="two distinct"):
+        mc_bus_scaling(lengths, n_trajectories=100)
 
 
 def exact_bus_coherence(drive, pair, bath, topology, cfg, steps):

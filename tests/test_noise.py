@@ -11,6 +11,7 @@ from gatenoise.noise import (
     TopologyKind,
     classical_psd,
     cross_spectral_density,
+    draw_white_blocks,
     estimate_psd,
     functional_factor,
     propagation_kernel_f,
@@ -207,6 +208,46 @@ def test_synthesized_auto_psd_matches_target():
     # per-bin fluctuations are 1/sqrt(400) = 5%; the band mean must be unbiased
     assert ratio.mean() == pytest.approx(1.0, abs=0.02)
     assert np.max(np.abs(ratio - 1.0)) < 0.25
+
+
+def test_white_blocks_draw_real_parts_then_imaginary_parts():
+    # the layout of the bus engine's chunk: all real parts (row, source, bin),
+    # then the imaginary parts, whatever the block height
+    amplitude = np.linspace(1.0, 2.0, 9)
+    nt, n_sources = 10, 2
+    normals = np.random.default_rng(4).standard_normal(2 * nt * n_sources * 9)
+    re, im = normals.reshape(2, nt, n_sources, 9)
+    half = amplitude / np.sqrt(2.0)
+    for rows in (1, 3, 10, 64):
+        blocks = list(draw_white_blocks(np.random.default_rng(4), nt, n_sources, amplitude, rows))
+        assert [b.shape[0] for b in blocks] == [min(rows, nt - s) for s in range(0, nt, rows)]
+        white = np.concatenate(blocks)
+        np.testing.assert_array_equal(white.real[..., 1:-1], (re * half)[..., 1:-1])
+        np.testing.assert_array_equal(white.imag[..., 1:-1], (im * half)[..., 1:-1])
+        np.testing.assert_array_equal(white[..., [0, -1]], re[..., [0, -1]] * amplitude[[0, -1]])
+
+
+@pytest.mark.parametrize(
+    "topology, n_sites",
+    [(NoiseTopology.uniform(), 1), (NoiseTopology.independent(), 2)],
+    ids=["one_source", "two_sources"],
+)
+def test_bus_engine_draws_match_target_psd(topology, n_sites):
+    # the bus engine's own path, at criterion 9's grid and tolerance: a chunk's
+    # row blocks at the functional factor's amplitude, inverse-FFT'd and mixed
+    # by its (P, R) factor into the site noises
+    bath = bath_1d(cutoff=8.0)
+    dt, n_steps, nt = 0.5 / 8.0, 512, 2048
+    amplitude, factor = functional_factor(bath, topology, np.eye(n_sites), dt, n_steps)
+    rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(9, 0)))
+    blocks = draw_white_blocks(rng, nt, factor.shape[1], amplitude, 100)
+    x = np.concatenate([np.fft.irfft(white, n=n_steps) for white in blocks])
+    sites = np.einsum("pr,nrt->npt", factor, x)
+    for p in range(n_sites):
+        est = estimate_psd(sites[:, p], dt)
+        target = classical_psd(bath, est.omega)
+        band = (est.omega >= bath.cutoff / 10.0) & (est.omega <= bath.cutoff)
+        assert np.max(np.abs(est.psd[band] / target[band] - 1.0)) < 0.10
 
 
 def test_spatial_zero_distance_cross_psd_equals_auto():
