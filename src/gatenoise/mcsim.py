@@ -10,6 +10,15 @@ cutoff >= 20 * analytic rate and are rejected otherwise.  A scenario's noise
 sources, analytic rate and default topology come from its architecture's
 record (:data:`gatenoise.rates.ARCHITECTURES`).
 
+One function simulates, fits and judges: :func:`validate_against_analytic`.
+A :class:`ValidationScenario` names its engine (the linear coupling of
+:func:`simulate_dephasing` or the quadratic bus coupler of
+:func:`simulate_bus_full`), its grid, seed and reference rate; the function
+checks that the grid covers three decay times, runs the engine, fits the
+trace (:func:`fit_rate`) and returns the verdict with the trace.  The CLI's
+``mc`` writes that trace and fit and its ``validate`` the verdicts, and
+:func:`mc_bus_scaling` runs one quadratic scenario per register length.
+
 Noise is drawn only for what the phase reads.  The engine projects the site
 cross-spectrum onto the one (linear coupling) or two (quadratic bus coupler)
 linear functionals of the site noises it integrates and factors the
@@ -142,6 +151,18 @@ class FitWindowError(ValueError):
     """No usable trace points in the requested fit window."""
 
 
+def _check_integer(name: str, value: object) -> None:
+    """A Python or numpy integer, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(master_seed: object) -> None:
+    _check_integer("master_seed", master_seed)
+    if not 0 <= int(master_seed) < 2**64:
+        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte-Carlo run settings.
@@ -160,10 +181,9 @@ class McConfig:
     fit_window: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self) -> None:
-        for name in ("n_steps", "n_trajectories", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("n_steps", "n_trajectories"):
+            _check_integer(name, getattr(self, name))
+        _check_seed(self.master_seed)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.n_steps < 2 or self.n_steps & (self.n_steps - 1):
@@ -172,8 +192,6 @@ class McConfig:
             raise ValueError(
                 f"need at least 100 trajectories, got {self.n_trajectories}"
             )
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         lo, hi = self.fit_window
         if not (math.isfinite(hi) and 0 <= lo < hi):
             raise ValueError(f"invalid fit window {self.fit_window}")
@@ -310,8 +328,12 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
     trajectories at the report points, drawn from the chunk's generator;
     ``None`` means no noise reaches the phase, which is then exactly zero and
     opens no stream.  Each chunk is reduced to its moments as soon as it is
-    drawn, so memory does not grow with the number of trajectories.
+    drawn, so memory does not grow with the number of trajectories.  ``jobs``
+    is the number of engine threads, an integer >= 1.
     """
+    _check_integer("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     n = cfg.n_trajectories
     report_idx = _report_indices(cfg.n_steps)
     bounds = np.linspace(0, n, _N_BLOCKS + 1).astype(int)
@@ -576,7 +598,14 @@ def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate
 
 @dataclass(frozen=True)
 class ValidationScenario:
-    """One named Monte-Carlo scenario with its analytic reference rate."""
+    """One named Monte-Carlo scenario with its analytic reference rate.
+
+    ``quadratic`` names the engine: False runs the linear coupling of the
+    architecture's record (:func:`simulate_dephasing`), True the full
+    quadratic shared-line coupler of a bus's drive (:func:`simulate_bus_full`),
+    whose ``gamma_analytic`` is then the coupler's linear-response rate, 1/16
+    of the bus rate law.
+    """
 
     name: str
     arch: ArchitectureModel
@@ -585,10 +614,21 @@ class ValidationScenario:
     topology: NoiseTopology
     cfg: McConfig
     gamma_analytic: float
+    quadratic: bool = False
+
+    def __post_init__(self) -> None:
+        if self.quadratic and self.arch.record.default_drive is None:  # no gate drive
+            raise ValueError(f"the quadratic coupler is a bus engine, not {self.arch.kind.value}")
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The verdict on one scenario, with the trace it was fitted to.
+
+    ``trace`` is the scenario's coherence trace; it is not one of the
+    verdict's columns (:meth:`to_dict`).
+    """
+
     scenario: str
     gamma_analytic: float
     gamma_hat: float
@@ -599,6 +639,7 @@ class ValidationReport:
     r_squared: float
     n_trajectories: int
     master_seed: int
+    trace: CoherenceTrace = dataclasses.field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -657,8 +698,10 @@ def make_validation_scenario(
     more than three decay times; the topology is the first one the
     architecture's record accepts, and a bus without a ``drive`` takes the
     record's default drive.  Decoherence-free pairs have no intrinsic
-    scale, so they require an explicit ``reference_rate``.
+    scale, so they require an explicit ``reference_rate``.  ``master_seed``
+    is an integer in [0, 2^64), as in :class:`McConfig`.
     """
+    _check_seed(master_seed)
     kind = ArchKind(kind)
     n = pair.n_qubits
     if drive is None and ARCHITECTURES[kind].default_drive is not None:
@@ -701,15 +744,21 @@ def make_validation_scenario(
 def validate_against_analytic(scenario: ValidationScenario, jobs: int = 1) -> ValidationReport:
     """Run one scenario and compare the fitted rate to its analytic value.
 
-    PASS requires a relative error within 5% and a z-score within 3 (for
-    decoherence-free scenarios, just the z-score criterion).
+    The one Monte-Carlo path that simulates, fits and judges: the scenario's
+    engine (:attr:`ValidationScenario.quadratic`) runs on a grid that must
+    cover three decay times, and :func:`fit_rate` fits its trace in the
+    scenario's window.  PASS requires a relative error within 5% and a
+    z-score within 3 (for decoherence-free scenarios, just the z-score
+    criterion).
     """
     gamma = scenario.gamma_analytic
     cfg = scenario.cfg
     _check_duration(cfg, gamma)
-    trace = simulate_dephasing(
-        scenario.arch, scenario.pair, scenario.bath, scenario.topology, cfg, jobs
+    engine, subject = (
+        (simulate_bus_full, scenario.arch.drive) if scenario.quadratic
+        else (simulate_dephasing, scenario.arch)
     )
+    trace = engine(subject, scenario.pair, scenario.bath, scenario.topology, cfg, jobs)
     est = fit_rate(trace, cfg.absolute_fit_window(gamma))
     deviation = est.gamma_hat - gamma
     if est.stderr_gamma > 0:
@@ -733,6 +782,7 @@ def validate_against_analytic(scenario: ValidationScenario, jobs: int = 1) -> Va
         r_squared=float(est.r_squared),
         n_trajectories=cfg.n_trajectories,
         master_seed=cfg.master_seed,
+        trace=trace,
     )
 
 
@@ -816,27 +866,33 @@ def mc_bus_scaling(
     driven qubit, pointer difference growing linearly in L) and returns the
     log-log slope together with the per-L fitted rates; the slope checks the
     quadratic superdecoherence law of the driven bus, so at least two distinct
-    lengths are needed.
+    lengths, none repeated, are needed.  Each length is one quadratic
+    :class:`ValidationScenario` run through :func:`validate_against_analytic`,
+    on a uniform bath, a grid set by the coupler's rate (1/16 of the bus rate
+    law) and ``master_seed`` itself (no scenario-name mixing); its verdict is
+    computed but not gated.
     """
-    if len(set(n_qubits_values)) < 2:
+    lengths = tuple(n_qubits_values)
+    for n in lengths:
+        _check_integer("register length", n)
+    if len(set(lengths)) < max(2, len(lengths)):
         raise ValueError(
-            "need at least two distinct register lengths to fit an exponent, "
-            f"got {tuple(n_qubits_values)}"
+            "need at least two distinct register lengths, none repeated, to fit an "
+            f"exponent, got {lengths}"
         )
+    bath = OhmicBath(coupling=coupling, cutoff=cutoff, temperature=temperature)
     fitted: list[tuple[int, float]] = []
-    for n in n_qubits_values:
+    for n in lengths:
         drive = GateDrive.two_qubit_gate(n, 0, 1, amplitude)
         pair = worst_case_pair(ArchKind.BUS, n, drive)
-        bath = OhmicBath(coupling=coupling, cutoff=cutoff, temperature=temperature)
         gamma_eff = rate_bus(bath, pair, drive).gamma / 16.0
         dt, n_steps = _grid_for_rate(gamma_eff, cutoff, (0.5, 2.0))
-        cfg = McConfig(
-            dt=dt, n_steps=n_steps, n_trajectories=n_trajectories,
-            master_seed=master_seed,
+        cfg = McConfig(dt, n_steps, n_trajectories=n_trajectories, master_seed=master_seed)
+        scenario = ValidationScenario(
+            f"bus_scan_L{n}", ArchitectureModel(ArchKind.BUS, n, drive), pair, bath,
+            NoiseTopology.uniform(), cfg, gamma_eff, quadratic=True,
         )
-        trace = simulate_bus_full(drive, pair, bath, NoiseTopology.uniform(), cfg, jobs)
-        est = fit_rate(trace, cfg.absolute_fit_window(gamma_eff))
-        fitted.append((int(n), est.gamma_hat))
+        fitted.append((int(n), validate_against_analytic(scenario, jobs).gamma_hat))
     log_l = np.log([n for n, _ in fitted])
     log_g = np.log([g for _, g in fitted])
     exponent = float(np.polyfit(log_l, log_g, 1)[0])

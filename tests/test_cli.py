@@ -376,6 +376,28 @@ def test_mc_trace_output_columns(tmp_path):
     assert float(rows[0]["abs_C"]) == 1.0
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [MC_SCENARIO, {"architecture": "bus", "L": 3, "pair": "worst_case",
+                   "drive": [1.0, 1.0, 0.0], "n_trajectories": 500}],
+    ids=["fsa_uniform", "bus"],
+)
+def test_mc_reports_the_fit_of_the_validate_verdict(tmp_path, scenario):
+    # one path simulates and fits both: mc's header carries the validate row's fit
+    seed = ["--seed", "11", "--format", "json"]
+    mc_out, validate_out = tmp_path / "mc.json", tmp_path / "validate.json"
+    mc_config = write_config(tmp_path, {"scenario": scenario}, "mc.json")
+    validate_config = write_config(tmp_path, {"scenarios": [scenario]}, "validate.json")
+    assert main(["mc", "--config", mc_config, "--output", str(mc_out), *seed]) == 0
+    assert main(["validate", "--config", validate_config, "--output", str(validate_out),
+                 *seed]) in (0, 1)
+    meta = json.loads(mc_out.read_text())["meta"]
+    row = json.loads(validate_out.read_text())["rows"][0]
+    assert (meta["gamma_hat"], meta["stderr_gamma"], meta["r_squared"]) == (
+        row["gamma_hat"], row["stderr"], row["r_squared"])
+    assert (meta["scenario"], meta["gamma_analytic"]) == (row["scenario"], row["gamma_analytic"])
+
+
 def test_validate_single_scenario_pass(tmp_path):
     config = write_config(
         tmp_path,
@@ -551,7 +573,7 @@ def test_unsupported_architecture_exits_2_before_any_work(
 ):
     calls = []
     for name in ("worst_case_pair", "scaling_scan", "make_validation_scenario",
-                 "default_validation_suite", "simulate_dephasing", "validate_against_analytic"):
+                 "default_validation_suite", "validate_against_analytic"):
         monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
     path = write_config(tmp_path, config)
     err = assert_one_line_exit(2, [command, "--config", path], tmp_path / "out.csv", capsys)
@@ -671,7 +693,6 @@ def test_json_writer_matches_an_indented_dump(tmp_path):
 def test_each_slot_kind_has_one_rule(tmp_path, capsys, monkeypatch, command, config, flags,
                                      code):
     # bad values exit before any Monte-Carlo work; legal ones would run it
-    monkeypatch.setattr(cli, "simulate_dephasing", None)
     monkeypatch.setattr(cli, "validate_against_analytic", None)
     out = tmp_path / "out.csv"
     argv = [command, "--config", write_config(tmp_path, config), "--output", str(out), *flags]
@@ -780,7 +801,6 @@ def test_config_fuzz_never_crashes_or_writes_non_finite(slot, value):
     else:
         node[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
-            mock.patch.object(cli, "simulate_dephasing", reached), \
             mock.patch.object(cli, "validate_against_analytic", reached), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("error", RuntimeWarning)

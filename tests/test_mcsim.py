@@ -16,6 +16,7 @@ from gatenoise.mcsim import (
     CoherenceTrace,
     FitWindowError,
     McConfig,
+    ValidationScenario,
     WhiteNoiseLimitError,
     default_validation_suite,
     fit_rate,
@@ -224,6 +225,49 @@ def test_validation_duration_guard():
     short = replace(scn, cfg=replace(scn.cfg, n_steps=128))
     with pytest.raises(ValueError, match="too short"):
         validate_against_analytic(short)
+
+
+# seeds that once ran as another seed's stream (1.5, True, 2.7 as 1, 1, 2) or
+# that McConfig refuses (2^64, -1)
+BAD_SEEDS = [1.5, True, 2.7, np.float64(3.0), "7", -1, 2**64]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=map(repr, BAD_SEEDS))
+def test_scenarios_refuse_a_bad_master_seed(seed):
+    with pytest.raises(ValueError, match="master_seed"):
+        small_uniform_scenario(n_trajectories=200, seed=seed)
+    with pytest.raises(ValueError, match="master_seed"):
+        default_validation_suite(master_seed=seed, n_trajectories=200)
+
+
+def test_scenario_seeds_keep_their_streams():
+    # recorded before seeds were checked: a valid seed's stream does not move,
+    # and a numpy integer is the same seed
+    recorded = {0: 3008787044697342761, 3: 16673632798222659692,
+                2**64 - 1: 1951501827223708997}
+    for seed, scenario_seed in recorded.items():
+        for value in (seed, np.uint64(seed)):
+            assert small_uniform_scenario(200, seed=value).cfg.master_seed == scenario_seed
+    assert default_validation_suite(np.int64(3), 200) == default_validation_suite(3, 200)
+
+
+BAD_JOBS = [2.5, True, 0, -1, np.float64(2.0), "2"]
+
+
+@pytest.mark.parametrize("jobs", BAD_JOBS, ids=map(repr, BAD_JOBS))
+def test_engines_refuse_a_bad_jobs_count(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        validate_against_analytic(small_uniform_scenario(n_trajectories=200), jobs=jobs)
+    drive, pair = scan_family(2)
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=256, n_trajectories=100)
+    with pytest.raises(ValueError, match="jobs"):
+        simulate_bus_full(drive, pair, SCAN_BATH, NoiseTopology.uniform(), cfg, jobs)
+
+
+def test_engines_take_a_numpy_integer_jobs_count():
+    scn = small_uniform_scenario(n_trajectories=1500)
+    assert (validate_against_analytic(scn, jobs=np.int64(2)).to_dict()
+            == validate_against_analytic(scn, jobs=1).to_dict())
 
 
 def test_unsupported_architecture():
@@ -707,11 +751,53 @@ def test_bus_engine_memory_is_bounded_per_row_block():
     assert peak < 32 * 2**20, peak / 2**20
 
 
-@pytest.mark.parametrize("lengths", [(), (4,), (4, 4)])
+@pytest.mark.parametrize("lengths", [(), (4,), (4, 4), (2, 2, 4, 8), (2, 4.0), (2, True)])
 def test_bus_scaling_needs_two_distinct_lengths(lengths):
-    # one point has no log-log slope
-    with pytest.raises(ValueError, match="two distinct"):
+    # one point has no log-log slope, a repeated one counts twice in it, and a
+    # length is a whole number of qubits
+    integral = all(type(n) is int for n in lengths)
+    message = "two distinct" if integral else "register length must be an integer"
+    with pytest.raises(ValueError, match=message):
         mc_bus_scaling(lengths, n_trajectories=100)
+
+
+def quadratic_scan_scenario(n_qubits, cfg):
+    """``mc_bus_scaling``'s quadratic scenario at length n_qubits, on grid ``cfg``."""
+    drive, pair = scan_family(n_qubits)
+    gamma_eff = rate_bus(SCAN_BATH, pair, drive).gamma / 16.0
+    return ValidationScenario(
+        f"bus_scan_L{n_qubits}", ArchitectureModel(ArchKind.BUS, n_qubits, drive), pair,
+        SCAN_BATH, NoiseTopology.uniform(), cfg, gamma_eff, quadratic=True,
+    )
+
+
+def test_quadratic_scenario_runs_the_bus_engine_and_carries_its_trace():
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=8192, n_trajectories=600, master_seed=5)
+    scenario = quadratic_scan_scenario(2, cfg)
+    report = validate_against_analytic(scenario)
+    drive, pair = scan_family(2)
+    trace = simulate_bus_full(drive, pair, SCAN_BATH, NoiseTopology.uniform(), cfg)
+    for name in ("abs_coherence", "arg_coherence", "stderr", "block_sums"):
+        assert getattr(report.trace, name).tobytes() == getattr(trace, name).tobytes(), name
+    estimate = fit_rate(trace, cfg.absolute_fit_window(scenario.gamma_analytic))
+    assert report.gamma_hat == estimate.gamma_hat
+    assert repr(report.gamma_hat) == "0.13689781914105392"  # the pinned scan's L = 2 rate
+    # the trace is not one of the verdict's columns
+    assert "trace" not in report.to_dict() and "trace" not in repr(report)
+
+
+def test_quadratic_scenario_needs_a_bus():
+    linear = small_uniform_scenario(n_trajectories=200)
+    with pytest.raises(ValueError, match="quadratic coupler is a bus engine, not fsa_uniform"):
+        replace(linear, quadratic=True)
+
+
+def test_quadratic_scenario_refuses_a_grid_shorter_than_three_decay_times(monkeypatch):
+    # the duration guard covers both engines, before either runs
+    monkeypatch.setattr(mcsim, "simulate_bus_full", None)
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=100)
+    with pytest.raises(ValueError, match="too short"):
+        validate_against_analytic(quadratic_scan_scenario(2, cfg))
 
 
 def exact_bus_coherence(drive, pair, bath, topology, cfg, steps):
