@@ -67,9 +67,13 @@ engine threads.  Results are bit-identical for a given configuration at any
 
 Error bars: the estimator's layout is fixed.  Trajectories run in chunks of
 512, are split by index into 50 blocks and are reported at 257 points of the
-grid (every point of a shorter grid).  Each chunk is reduced, as soon as it
-is drawn, to its sum of exp(i phase), the centred second moments of its real
-and imaginary parts and its partial sums over the blocks; the chunks are
+grid (every point of a shorter grid).  Under a linear coupling one
+``matmul`` writes xi @ B straight into the chunk's phase array.  Each chunk
+is reduced, as soon as it is drawn, to its sum of exp(i phase), the centred
+second moments of its real and imaginary parts and its partial sums over the
+blocks.  The reduction works on the chunk in place (sums first, then
+centring and one scratch array for the products) in the summation order a
+centred copy would have, so no chunk is copied.  The chunks are
 merged in chunk order with the pairwise update of Chan, Golub & LeVeque
 (1983), so memory does not grow with the number of trajectories.  Per-point
 standard errors of |coherence| follow from the moments by the delta method
@@ -305,17 +309,23 @@ def _chunk_moments(
     Returns the row count, the sum of z, the centred second moments of
     (Re z, Im z) stacked as (rr, ii, ri), the index of the first block of
     ``bounds`` the chunk overlaps and the chunk's partial sum for each block
-    it overlaps (blocks may straddle chunks).
+    it overlaps (blocks may straddle chunks).  ``z`` is consumed: it is
+    centred in place after its sums are taken, and the products go through
+    one real scratch array, so the chunk is never copied.
     """
     nt = z.shape[0]
     total = z.sum(axis=0)
-    centred = z - total / nt
-    re, im = centred.real, centred.imag
-    moments = np.stack([(re * re).sum(axis=0), (im * im).sum(axis=0), (re * im).sum(axis=0)])
     first = int(np.searchsorted(bounds, start, side="right")) - 1
     last = int(np.searchsorted(bounds, start + nt, side="left"))
     cuts = np.maximum(bounds[first:last], start) - start
-    return nt, total, moments, first, np.add.reduceat(z, cuts, axis=0)
+    partial = np.add.reduceat(z, cuts, axis=0)  # complex: real sums round differently
+    z -= total / nt
+    re, im = z.real, z.imag
+    scratch = np.empty(re.shape)
+    moments = np.empty((3, z.shape[1]))
+    for row, (a, b) in zip(moments, [(re, re), (im, im), (re, im)]):
+        np.multiply(a, b, out=scratch).sum(axis=0, out=row)
+    return nt, total, moments, first, partial
 
 
 PhaseSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -454,8 +464,9 @@ def simulate_dephasing(
     factor = trapezoid_phase_factor(power, cfg.dt, report_idx)
 
     def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
-        phase = np.zeros((nt, report_idx.size))
-        phase[:, 1:] = rng.standard_normal((nt, factor.shape[0])) @ factor
+        phase = np.empty((nt, report_idx.size))
+        phase[:, 0] = 0.0
+        np.matmul(rng.standard_normal((nt, factor.shape[0])), factor, out=phase[:, 1:])
         return phase
 
     return _run_engine(sample_phase if factor.size else None, cfg, jobs)

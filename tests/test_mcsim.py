@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -341,6 +342,77 @@ def test_chunk_stream_is_pinned():
     assert np.array_equal(trace.block_sums[42], straddling)
 
 
+LINEAR_PINS = {
+    "fsa_uniform_L3_M3_Mp1": (
+        "16.42552985294055", "0.8730871309887688",
+        "139f7969b07245a6343f031250594ca5275f4c83b50c215feac06645bebccac5",
+    ),
+    "fsa_independent_L6_Nd3": (
+        "0.5434455445311468", "0.02881271698640552",
+        "438d196e7b2b93d4e2c80782d94e8cbd385bb96921578ce11b4d68b2749aa03a",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(LINEAR_PINS))
+def test_linear_stream_is_pinned(name, jobs):
+    # recorded when each chunk still copied [0, xi @ B] into a zeroed phase
+    # array and centred a copy of z: any change to the linear engine's draw
+    # layout or arithmetic moves them
+    scenario = {s.name: s for s in default_validation_suite(n_trajectories=2000)}[name]
+    report = validate_against_analytic(scenario, jobs)
+    trace = report.trace
+    digest = hashlib.sha256(b"".join(
+        getattr(trace, field).tobytes()
+        for field in ("abs_coherence", "arg_coherence", "stderr", "block_sums")
+    )).hexdigest()
+    assert (repr(report.gamma_hat), repr(report.stderr_gamma), digest) == LINEAR_PINS[name]
+
+
+def complex_centred_moments(z, start, bounds):
+    """The chunk statistics from a centred complex copy of z, which is left as it is."""
+    nt = z.shape[0]
+    total = z.sum(axis=0)
+    centred = z - total / nt
+    re, im = centred.real, centred.imag
+    moments = np.stack([(re * re).sum(axis=0), (im * im).sum(axis=0), (re * im).sum(axis=0)])
+    first = int(np.searchsorted(bounds, start, side="right")) - 1
+    last = int(np.searchsorted(bounds, start + nt, side="left"))
+    cuts = np.maximum(bounds[first:last], start) - start
+    return nt, total, moments, first, np.add.reduceat(z, cuts, axis=0)
+
+
+def engine_z(nt, seed):
+    """exp(i phase) in the engine's layout, for a random walk phase over 257 points."""
+    phase = np.zeros((nt, 257))
+    phase[:, 1:] = np.cumsum(np.random.default_rng(seed).normal(0.0, 0.1, (nt, 256)), axis=1)
+    z = np.empty_like(phase, dtype=complex)
+    np.cos(phase, out=z.real)
+    np.sin(phase, out=z.imag)
+    return z
+
+
+@pytest.mark.parametrize(
+    "n, start, z",
+    [
+        (25_600, 1536, engine_z(512, 1)),  # 512-row blocks on the chunk's edges
+        (600, 0, engine_z(512, 2)),  # block 42 (rows 504..515) straddles the edge
+        (600, 512, engine_z(88, 3)),  # short last chunk
+        (1025, 1024, engine_z(1, 4)),  # one-row last chunk
+        (600, 0, np.ones((512, 257), dtype=complex)),  # no noise reaches the phase
+    ],
+    ids=["full", "straddling", "last_88", "last_1", "noise_free"],
+)
+def test_chunk_moments_match_the_complex_centred_formula(n, start, z):
+    bounds = np.linspace(0, n, 51).astype(int)
+    got = mcsim._chunk_moments(z.copy(), start, bounds)
+    expected = complex_centred_moments(z.copy(), start, bounds)
+    assert (got[0], got[3]) == (expected[0], expected[3])  # row count, first block
+    for name, i in [("total", 1), ("moments", 2), ("block_sums", 4)]:
+        assert got[i].dtype == expected[i].dtype and np.array_equal(got[i], expected[i]), name
+
+
 def direct_z_rows(scn):
     """exp(i phase) at the report points of every trajectory of a central-noise
     scenario, drawn chunk by chunk in the documented layout."""
@@ -493,6 +565,23 @@ def test_engine_memory_does_not_grow_with_trajectories():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 2 * 2**20
+
+
+@pytest.mark.parametrize("jobs, bound_mib", [(1, 5.5), (2, 9.5)])
+def test_linear_engine_holds_no_copy_of_a_chunk(jobs, bound_mib):
+    # a 512 x 257 chunk holds its phase, its complex z and one real scratch
+    # array per engine thread; zero-filling and copying the phase and
+    # centring a complex copy of z peaked at 6.8 MiB (jobs 1) and 12.8 MiB (jobs 2)
+    scn = {s.name: s for s in default_validation_suite(n_trajectories=2048)}[
+        "fsa_uniform_L3_M3_Mp1"
+    ]
+    tracemalloc.start()
+    try:
+        simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg, jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("engine", ["dephasing", "bus_full"])
