@@ -22,13 +22,15 @@ trace (:func:`fit_rate`) and returns the verdict with the trace.  The CLI's
 Noise is drawn only for what the phase reads.  The engine projects the site
 cross-spectrum onto the one (linear coupling) or two (quadratic bus coupler)
 linear functionals of the site noises it integrates and factors the
-covariance of those functionals (:func:`gatenoise.noise.functional_factor`):
-once, with a per-bin amplitude, where the sites are co-located (all
-distances zero), share one source or have independent ones, and per bin for
-separated sites.  A linear combination of circular complex Gaussian
-amplitudes is again one, so this is exact in distribution for every
-topology.  Under a linear coupling the phase is a linear functional of
-Gaussian noise and so Gaussian itself: its covariance at the report points
+covariance of those functionals (:func:`gatenoise.noise.functional_factor`)
+over the distance groups of the site kernel (the distinct site distances
+and the masks of the site pairs at each): once, with a per-bin amplitude,
+where every group is at distance 0 (uniform and independent topologies,
+co-located sites), and per bin, one block of bins at a time, for separated
+sites.  A linear combination of circular complex Gaussian amplitudes is
+again one, so this is exact in distribution for every topology.  Under a
+linear coupling the phase is a linear functional of Gaussian noise and so
+Gaussian itself: its covariance at the report points
 follows in closed form from the functional's power spectrum and is factored
 once per run (:func:`gatenoise.noise.trapezoid_phase_factor`), and each
 trajectory draws its report-point phases directly, with no time series,
@@ -36,10 +38,10 @@ inverse FFT or integration.  The quadratic bus coupler (:func:`simulate_bus_full
 Gaussian in the noise: it draws R <= 2 white sources per bin
 (:func:`gatenoise.noise.draw_white_blocks`) and builds its phase rate in
 time, one row block of a chunk at a time.
-Where the factor is one matrix G (uniform, independent and co-located
-spatial topologies, all distances zero) the two functionals (a, b) are G x,
-so only the R scaled sources x are inverse-FFT'd and the rate is the
-quadratic form x^T Q x + q^T x; separated sites mix (a, b) per bin
+Where the factor is one matrix G (every distance group at distance 0:
+uniform, independent and co-located spatial topologies) the two functionals
+(a, b) are G x, so only the R scaled sources x are inverse-FFT'd and the
+rate is the quadratic form x^T Q x + q^T x; separated sites mix (a, b) per bin
 (:func:`gatenoise.noise.mix_per_bin`) and inverse-FFT both.  Either way the
 phase at the report points is the trapezoid rule assembled from sums of the
 rate over the segments between report points, not integrated over the whole
@@ -255,12 +257,15 @@ _N_BLOCKS = 50
 # Report points of a trace (all of a shorter grid); the linear engine factors
 # the covariance of the phase at these points.
 _N_REPORT = 257
+# The bus scan's bath and gate drive amplitude (``mc_bus_scaling``).
+_SCAN_BATH = OhmicBath(coupling=4e-4, cutoff=128.0, temperature=1.0)
+_SCAN_AMPLITUDE = 20.0
 
 
 def _report_indices(n_steps: int) -> np.ndarray:
-    return np.unique(
-        np.round(np.linspace(0, n_steps - 1, min(_N_REPORT, n_steps))).astype(int)
-    )
+    # strictly increasing on every power-of-two grid: exact integers up to 257
+    # steps, rounded points about two steps apart above
+    return np.round(np.linspace(0, n_steps - 1, min(_N_REPORT, n_steps))).astype(int)
 
 
 def _quadratic_rate(x: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
@@ -502,9 +507,9 @@ def simulate_bus_full(
     block height (``_BLOCK_SAMPLES`` samples of the transformed series)
     bounds the memory and moves no byte of the result.
 
-    Where the factor is one (2, R) matrix G (uniform, independent and
-    co-located spatial topologies, all distances zero), (a, b) = G x: only
-    the R series x are inverse-FFT'd and the rate is x^T Q x + q^T x with
+    Where the factor is one (2, R) matrix G (every distance group at
+    distance 0: uniform, independent and co-located spatial topologies),
+    (a, b) = G x: only the R series x are inverse-FFT'd and the rate is x^T Q x + q^T x with
     Q = (g' g'^T - g g^T) / 8 and q = (c' g' - c g) / 4 (g, g' the rows of
     G).  Separated sites mix (a, b) per bin and inverse-FFT both (G = I).
     The trapezoid phase at report index n_j is
@@ -863,10 +868,6 @@ def default_validation_suite(
 def mc_bus_scaling(
     n_qubits_values: Sequence[int] = (2, 4, 8),
     *,
-    amplitude: float = 20.0,
-    coupling: float = 4e-4,
-    temperature: float = 1.0,
-    cutoff: float = 128.0,
     n_trajectories: int = 4000,
     master_seed: int = DEFAULT_MASTER_SEED,
     jobs: int = 1,
@@ -879,9 +880,10 @@ def mc_bus_scaling(
     quadratic superdecoherence law of the driven bus, so at least two distinct
     lengths, none repeated, are needed.  Each length is one quadratic
     :class:`ValidationScenario` run through :func:`validate_against_analytic`,
-    on a uniform bath, a grid set by the coupler's rate (1/16 of the bus rate
-    law) and ``master_seed`` itself (no scenario-name mixing); its verdict is
-    computed but not gated.
+    on the module's uniform scan bath and gate amplitude (``_SCAN_BATH``,
+    ``_SCAN_AMPLITUDE``), a grid set by the coupler's rate (1/16 of the bus
+    rate law) and ``master_seed`` itself (no scenario-name mixing); its
+    verdict is computed but not gated.
     """
     lengths = tuple(n_qubits_values)
     for n in lengths:
@@ -891,16 +893,15 @@ def mc_bus_scaling(
             "need at least two distinct register lengths, none repeated, to fit an "
             f"exponent, got {lengths}"
         )
-    bath = OhmicBath(coupling=coupling, cutoff=cutoff, temperature=temperature)
     fitted: list[tuple[int, float]] = []
     for n in lengths:
-        drive = GateDrive.two_qubit_gate(n, 0, 1, amplitude)
+        drive = GateDrive.two_qubit_gate(n, 0, 1, _SCAN_AMPLITUDE)
         pair = worst_case_pair(ArchKind.BUS, n, drive)
-        gamma_eff = rate_bus(bath, pair, drive).gamma / 16.0
-        dt, n_steps = _grid_for_rate(gamma_eff, cutoff, (0.5, 2.0))
+        gamma_eff = rate_bus(_SCAN_BATH, pair, drive).gamma / 16.0
+        dt, n_steps = _grid_for_rate(gamma_eff, _SCAN_BATH.cutoff, (0.5, 2.0))
         cfg = McConfig(dt, n_steps, n_trajectories=n_trajectories, master_seed=master_seed)
         scenario = ValidationScenario(
-            f"bus_scan_L{n}", ArchitectureModel(ArchKind.BUS, n, drive), pair, bath,
+            f"bus_scan_L{n}", ArchitectureModel(ArchKind.BUS, n, drive), pair, _SCAN_BATH,
             NoiseTopology.uniform(), cfg, gamma_eff, quadratic=True,
         )
         fitted.append((int(n), validate_against_analytic(scenario, jobs).gamma_hat))

@@ -15,10 +15,13 @@ per frequency bin (:func:`draw_white_blocks`, in row blocks of a fixed draw
 layout), scaled per bin and mixed by one factor (:func:`functional_factor`)
 so the discrete process has exactly the target (cross-)spectrum on the
 grid, then inverse-FFT'd to the time domain.
-The factor is one (P, R) matrix where the sites are co-located (all
-distances zero), share one source or have independent ones; separated
-sites, whose cross-spectrum varies with frequency, are mixed per bin
-(:func:`mix_per_bin`).
+Every topology's site kernel has one form, distance groups: the distinct
+site distances d_g and each site pair's group, so the kernel in bin k is
+f(w_k d_g / v) at the pairs of group g (:func:`_site_kernel`).  A uniform
+topology and co-located sites are one group at distance 0 holding every
+pair, an independent topology one holding the diagonal; there the factor is
+one (P, R) matrix.  Separated sites, whose cross-spectrum varies with
+frequency, get a per-bin factor and are mixed per bin (:func:`mix_per_bin`).
 Natural units throughout: hbar = k_B = 1.
 """
 from __future__ import annotations
@@ -60,8 +63,12 @@ __all__ = [
 
 # Relative tolerance for negative eigenvalues of a covariance matrix (the
 # per-frequency spatial correlations, the integrated phase); anything below
-# -EIG_CLAMP_TOL * lambda_max is a bug.
+# -EIG_CLAMP_TOL times the size of the terms it sums is a bug.
 EIG_CLAMP_TOL = 1e-10
+# Kernel values of separated sites held at a time: the per-bin covariance is
+# built max(1, _KERNEL_VALUES // L^2) bins at a time.  It bounds the memory,
+# not the result; it is not a setting.
+_KERNEL_VALUES = 1 << 18
 
 
 class Geometry(enum.Enum):
@@ -277,29 +284,28 @@ def _spectral_grid(bath: OhmicBath, dt: float, n_steps: int) -> tuple[np.ndarray
     return omega, n_steps * classical_psd(bath, omega) / dt
 
 
-def _site_kernel(
-    bath: OhmicBath, topology: NoiseTopology, n_sites: int, omega: np.ndarray
-) -> np.ndarray:
-    """Site correlation matrix K: one (L, L) matrix where it is the same in every bin.
+def _site_kernel(topology: NoiseTopology, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distance groups of the site kernel K_k[j, l] = f(w_k d[g[j, l]] / v).
 
-    All ones for a uniform topology and for co-located spatial sites (every
-    distance zero, f(0) = 1), the identity for an independent one; separated
-    spatial sites get the per-bin stack f(w_k r_jk / v), shape (n_bins, L, L).
+    Returns the distinct site distances d, ascending (G,), and the (L, L)
+    group index g of each site pair, -1 for a pair with independent noises
+    (K = 0).  A uniform topology and co-located spatial sites are one group
+    at distance 0 holding every pair (K all ones, f(0) = 1), an independent
+    topology one holding the diagonal (K the identity).
     """
     if topology.kind is TopologyKind.INDEPENDENT:
-        return np.eye(n_sites)
+        return np.zeros(1), np.eye(n_sites, dtype=int) - 1
+    r = np.zeros((n_sites, n_sites))
     if topology.kind is TopologyKind.SPATIAL:
         if len(topology.positions) != n_sites:
-            raise ValueError(
-                f"spatial topology has {len(topology.positions)} positions "
-                f"for {n_sites} sites"
-            )
-        if _distance_matrix(topology.positions).any():  # NaN distances count as nonzero
-            kernels = spatial_correlation_matrix(bath, topology.positions, omega[:, None, None])
-            if not np.isfinite(kernels).all():
-                raise ValueError("non-finite noise covariance: check the site positions")
-            return kernels
-    return np.ones((n_sites, n_sites))
+            n = len(topology.positions)
+            raise ValueError(f"spatial topology has {n} positions for {n_sites} sites")
+        r = _distance_matrix(topology.positions)
+        if not np.isfinite(r).all():
+            raise ValueError("non-finite noise covariance: check the site positions")
+    d = np.sort(r, axis=None)
+    distances = d[np.diff(d, prepend=-1.0) > 0.0]
+    return distances, np.searchsorted(distances, r)
 
 
 @functools.cache
@@ -373,18 +379,22 @@ def _one_blas_thread() -> Iterator[None]:
                     put(count)
 
 
-def _psd_eigh(
-    cov: np.ndarray, what: str, omega: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _psd_eigh(cov: np.ndarray, what: str, omega=None, scale=None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of symmetric PSD matrices, round-off negatives set to 0.
 
-    ``cov`` is one matrix or a stack of them (one per bin of ``omega``).  The
+    ``cov`` is one matrix or a stack of them (one per bin of ``omega``).
+    Round-off is measured against ``scale``, the size of the terms each
+    matrix sums (one per bin of a stack), by default against the matrix's
+    own largest eigenvalue; where the terms cancel, a matrix holds only
+    round-off and its own largest eigenvalue may be negative.  The
     factorisation runs on one BLAS thread, so its bits do not depend on the
     process's BLAS thread count.
     """
     with _one_blas_thread():
         eigval, eigvec = np.linalg.eigh(cov)
-    floor = -EIG_CLAMP_TOL * np.maximum(eigval[..., -1:], 0.0)
+    if scale is None:
+        scale = np.maximum(eigval[..., -1], 0.0)
+    floor = -EIG_CLAMP_TOL * np.asarray(scale)[..., None]
     bad = np.flatnonzero((eigval < floor).any(axis=-1))
     if bad.size:
         k = bad[0]
@@ -407,16 +417,20 @@ def functional_factor(
 
     ``weights`` has shape (P, L): functional p is ``weights[p] @ noise`` over
     the L sites of ``topology``.  The covariance of the functionals' rfft
-    amplitudes in bin k is scale_k^2 W K_k W^T (see ``_site_kernel`` for K_k,
-    and ``_spectral_grid`` for scale_k^2).  How F depends on frequency is
-    carried by its shape:
+    amplitudes in bin k is scale_k^2 W K_k W^T, with K_k from the distance
+    groups of ``_site_kernel`` and scale_k^2 from ``_spectral_grid``.  How F
+    depends on frequency is carried by its shape:
 
-    - where K is the same in every bin (uniform and independent topologies,
-      co-located spatial sites: all distances zero), F has shape (P, R) with
-      F F^T = W K W^T and ``amplitude`` is scale_k;
+    - where every group is at distance 0 (uniform and independent
+      topologies, co-located spatial sites), K is the same in every bin, F
+      has shape (P, R) with F F^T = W K W^T and ``amplitude`` is scale_k;
     - for separated spatial sites, F has shape (n_bins, P, R) with
-      F_k F_k^T = scale_k^2 W K_k W^T and ``amplitude`` is 1.
+      F_k F_k^T = scale_k^2 W K_k W^T, K_k built a block of bins at a time,
+      and ``amplitude`` is 1.
 
+    As |f| <= 1, no entry of W K_k W^T exceeds max_p (sum_j |W_pj|)^2;
+    negative eigenvalues are round-off down to EIG_CLAMP_TOL times that (and
+    scale_k^2), so a bin where the functionals' power cancels passes.
     Eigenvalues at or below EIG_CLAMP_TOL * lambda_max (of their bin) count as
     zero, and only the R directions that carry noise in some bin are kept;
     R = 0 means the functionals are noise free.  With ``white`` from
@@ -431,14 +445,23 @@ def functional_factor(
             "non-finite noise covariance: check the bath and the weights for NaN or "
             "infinite values"
         )
-    kernel = _site_kernel(bath, topology, w.shape[1], omega)
-    if kernel.ndim == 2:
+    distances, groups = _site_kernel(topology, w.shape[1])
+    size = (np.abs(w).sum(axis=1) ** 2).max(initial=0.0)
+    if not distances.any():
         amplitude = np.sqrt(scale2)
-        eigval, eigvec = _psd_eigh(w @ kernel @ w.T, "spatial correlation matrix")
+        kernel = (groups >= 0).astype(float)  # all ones or the identity
+        eigval, eigvec = _psd_eigh(w @ kernel @ w.T, "spatial correlation matrix", scale=size)
     else:
         amplitude = np.ones(omega.size)
-        cov = scale2[:, None, None] * (w @ kernel @ w.T)
-        eigval, eigvec = _psd_eigh(cov, "spatial correlation matrix", omega)
+        cov = np.empty((omega.size, w.shape[0], w.shape[0]))
+        rows = max(1, _KERNEL_VALUES // groups.size)
+        for start in range(0, omega.size, rows):
+            k = slice(start, start + rows)
+            f = propagation_kernel_f(omega[k, None] * distances / bath.velocity, bath.geometry)
+            cov[k] = scale2[k, None, None] * (w @ f[:, groups] @ w.T)  # spatial: no -1 pairs
+        if not np.isfinite(cov).all():
+            raise ValueError("non-finite noise covariance: check the site positions")
+        eigval, eigvec = _psd_eigh(cov, "spatial correlation matrix", omega, scale2 * size)
     eigval[eigval <= EIG_CLAMP_TOL * eigval[..., -1:]] = 0.0
     keep = np.atleast_2d(eigval > 0.0).any(axis=0)
     return amplitude, (eigvec * np.sqrt(eigval)[..., None, :])[..., keep]
@@ -510,9 +533,9 @@ def mix_per_bin(white: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """rfft amplitudes (nt, P, n_bins) of P functionals, sum_r F[k, p, r] white[:, r, k].
 
     ``factors`` (n_bins, P, R) is the per-bin factor :func:`functional_factor`
-    gives for separated sites; where the sites are co-located (all distances
-    zero), share one source or have independent ones, the factor is one
-    (P, R) matrix instead and the mix needs no per-bin loop.
+    gives for separated sites; where every distance group is at distance 0
+    (uniform and independent topologies, co-located sites), the factor is
+    one (P, R) matrix instead and the mix needs no per-bin loop.
     """
     nt, n_sources, n_bins = white.shape
     spec = np.empty((nt, factors.shape[1], n_bins), dtype=complex)
@@ -529,11 +552,11 @@ class SpectralSynthesizer:
     ``draw`` yields one bundle per call from the supplied random generator;
     ``draw_spectrum`` exposes the frequency-domain amplitudes (the rfft of the
     bundle).  ``n_sites`` is the number of rows L of a bundle, one per site.
-    Uniform and independent topologies draw one or L white sources scaled
-    per bin (one row block of :func:`draw_white_blocks`); a spatial topology
-    mixes the sources by the factor of the L identity functionals
-    (:func:`functional_factor`), per bin (:func:`mix_per_bin`) unless the
-    sites are co-located (all distances zero).
+    Uniform and independent topologies draw one or L white sources at the
+    amplitude of one site's noise (the factor of one identity functional,
+    :func:`functional_factor`); a spatial topology mixes its sources by the
+    factor of the L identity functionals, per bin (:func:`mix_per_bin`)
+    unless the sites are co-located (all distances zero).
     """
 
     def __init__(
@@ -544,7 +567,7 @@ class SpectralSynthesizer:
         dt: float,
         n_steps: int,
     ) -> None:
-        self.omega, scale2 = _spectral_grid(bath, dt, n_steps)
+        self.omega, _ = _spectral_grid(bath, dt, n_steps)
         self.bath = bath
         self.topology = topology
         self.n_sites = int(n_sites)
@@ -553,13 +576,10 @@ class SpectralSynthesizer:
         self.dt = float(dt)
         self.n_steps = int(n_steps)
         self._uniform = topology.kind is TopologyKind.UNIFORM
-        if topology.kind is TopologyKind.SPATIAL:
-            eye = np.eye(self.n_sites)
-            self._amplitude, self._factor = functional_factor(bath, topology, eye, dt, n_steps)
-            self._n_sources = self._factor.shape[-1]
-        else:
-            self._amplitude, self._factor = np.sqrt(scale2), None
-            self._n_sources = 1 if self._uniform else self.n_sites
+        self._spatial = topology.kind is TopologyKind.SPATIAL
+        eye = np.eye(self.n_sites if self._spatial else 1)
+        self._amplitude, self._factor = functional_factor(bath, topology, eye, dt, n_steps)
+        self._n_sources = self._factor.shape[-1] if self._spatial or self._uniform else self.n_sites
 
     def draw_spectrum(self, rng: np.random.Generator) -> np.ndarray:
         """One bundle in the frequency domain: complex array (L, n_bins).
@@ -568,13 +588,13 @@ class SpectralSynthesizer:
         is fixed, so a given generator state always yields the same bundle.
         """
         (white,) = draw_white_blocks(rng, 1, self._n_sources, self._amplitude, 1)
-        if self._factor is not None:
-            if self._factor.ndim == 3:
-                return mix_per_bin(white, self._factor)[0]
-            return self._factor @ white[0]
         if self._uniform:
             return np.broadcast_to(white[0, 0], (self.n_sites, self.omega.size))
-        return white[0]
+        if not self._spatial:
+            return white[0]
+        if self._factor.ndim == 3:
+            return mix_per_bin(white, self._factor)[0]
+        return self._factor @ white[0]
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One bundle in the time domain: real array (L, n_steps), read-only."""

@@ -473,6 +473,35 @@ def test_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_report_indices_are_strictly_increasing_on_every_grid():
+    # the rounded points need no dedup: exact integers up to 257 steps and
+    # about two steps apart above, on every power-of-two grid
+    for n_steps in (2**p for p in range(1, 21)):
+        idx = mcsim._report_indices(n_steps)
+        assert idx.size == min(257, n_steps), n_steps
+        assert idx[0] == 0 and idx[-1] == n_steps - 1, n_steps
+        assert np.all(np.diff(idx) > 0), n_steps
+
+
+def test_linear_run_does_not_import_numpy_ma():
+    # np.unique's first call in a process imports numpy.ma
+    import gatenoise
+
+    src = Path(gatenoise.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from gatenoise.mcsim import default_validation_suite, simulate_dephasing\n"
+        "s = default_validation_suite(n_trajectories=200)[0]\n"
+        "simulate_dephasing(s.arch, s.pair, s.bath, s.topology, s.cfg)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "False"
+
+
 def test_delta_method_stderr_matches_leave_one_out_jackknife():
     scn = small_uniform_scenario(n_trajectories=2000, seed=5)
     trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg)
@@ -578,6 +607,53 @@ def test_linear_engine_holds_no_copy_of_a_chunk(jobs, bound_mib):
     tracemalloc.start()
     try:
         simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg, jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, peak / 2**20
+
+
+def bus_gate_run(n_qubits, positions, engine="dephasing", n_steps=None):
+    """The bus gate's worst-case pair on sites at ``positions``, 100 trajectories,
+    on its default scenario's grid (at ``n_steps`` steps of that dt if given)."""
+    drive = GateDrive.two_qubit_gate(n_qubits, 0, 1)
+    pair = worst_case_pair(ArchKind.BUS, n_qubits, drive)
+    scn = make_validation_scenario(
+        ArchKind.BUS, pair, drive=drive, n_trajectories=100, master_seed=3
+    )
+    cfg = scn.cfg if n_steps is None else replace(scn.cfg, n_steps=n_steps)
+    topology = NoiseTopology.spatial(positions(cfg) if callable(positions) else positions)
+    if engine == "dephasing":
+        return simulate_dephasing(scn.arch, pair, scn.bath, topology, cfg)
+    return simulate_bus_full(drive, pair, scn.bath, topology, cfg)
+
+
+@pytest.mark.parametrize(
+    "n_qubits, positions, n_steps",
+    [(16, np.arange(16) * 1.1e-3, 2**16)]
+    + [(3, lambda cfg, m=m: np.arange(3) * cfg.n_steps * cfg.dt / m, None)
+       for m in (3, 6, 12, 24)],
+    ids=["L16_1.1e-3"] + [f"L3_T/{m}" for m in (3, 6, 12, 24)],
+)
+def test_evenly_spaced_sites_give_a_trace(n_qubits, positions, n_steps):
+    # sites 1.1e-3 apart, or a fraction of the grid's period T apart: the
+    # functional's power cancels in some bins, which then hold only round-off;
+    # measured against their own largest eigenvalue (0) it read as a
+    # covariance that is not positive semidefinite
+    trace = bus_gate_run(n_qubits, positions, n_steps=n_steps)
+    assert trace.abs_coherence[0] == 1.0
+    assert np.all(np.isfinite(trace.abs_coherence)) and trace.abs_coherence.max() <= 1.0
+
+
+@pytest.mark.parametrize("engine, bound_mib", [("dephasing", 32), ("bus_full", 80)])
+def test_separated_sites_build_no_per_bin_site_kernel_stack(engine, bound_mib):
+    # 16 random sites at 2^16 steps: the (bins, 16, 16) kernel stack and its
+    # products peaked at 128.6 MiB in either engine; the bus engine still holds
+    # its chunk's real parts, (100, 2, bins) floats, 50 MiB
+    positions = np.random.default_rng(1).uniform(0.0, 0.05, 16)
+    tracemalloc.start()
+    try:
+        bus_gate_run(16, positions, engine, n_steps=2**16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

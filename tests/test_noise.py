@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from gatenoise import noise
 from gatenoise.noise import (
     Geometry,
     NoiseTopology,
     OhmicBath,
     SpectralSynthesizer,
+    _psd_eigh,
     _site_kernel,
     TopologyKind,
     classical_psd,
@@ -337,6 +339,13 @@ def _per_bin_factors(bath, topology, weights, dt=FACTOR_DT, n_steps=FACTOR_STEPS
         ("1d", NoiseTopology.spatial([0.0, 0.0, 0.0]), [[1.0, -1.0, 1.0], [0.5, 1.0, -2.0]], 1),
         ("3d", NoiseTopology.spatial([[0.1, 0.2, 0.3]] * 3),
          [[1.0, -1.0, 0.5], [0.3, 1.0, 2.0]], 1),
+        # evenly spaced: each distance is shared by several site pairs
+        ("1d", NoiseTopology.spatial([0.0, 0.0625, 0.125, 0.1875]),
+         [[1.0, -1.0, 1.0, -1.0], [0.5, 1.0, -2.0, 0.25]], 2),
+        # partly co-located: the distance-0 group holds a pair of distinct sites
+        ("1d", NoiseTopology.spatial([0.0, 0.0, 0.07]), [[1.0, -1.0, 1.0], [0.5, 1.0, -2.0]], 2),
+        ("3d", NoiseTopology.spatial([[0, 0, 0], [0.03, 0.04, 0], [0, 0, 0]]),
+         [[1.0, 0.5, -1.0], [-0.3, 1.0, 2.0]], 2),
     ],
 )
 def test_functional_factors_reproduce_covariance(geometry, topology, weights, rank):
@@ -466,12 +475,96 @@ def test_colocated_sites_are_factored_once():
     assert peak < 40e6
 
 
+def test_independent_synthesizer_builds_no_site_by_site_matrix():
+    # 4096 independent rows are 4096 white sources at one site's amplitude: an
+    # identity factor of the rows would take 128 MiB and its eigh far longer
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        synth = SpectralSynthesizer(bath_1d(), NoiseTopology.independent(), 4096, 0.05, 64)
+        spectrum = synth.draw_spectrum(np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectrum.shape == (4096, 33)
+    assert peak < 8 * 2**20, peak / 2**20
+
+
 def test_uniform_site_kernel_stack_is_one_broadcast_matrix():
-    # a full (bins, L, L) stack of ones would take 2 KB per bin at L = 16
-    omega = np.linspace(0.0, 10.0, 2**17 + 1)
-    kernel = _site_kernel(bath_1d(), NoiseTopology.uniform(), 16, omega)
-    assert kernel.shape == (16, 16)
-    assert (kernel == 1.0).all()
+    # a full (bins, L, L) stack of ones would take 2 KB per bin at L = 16: the
+    # uniform kernel is one distance group, at distance 0, whatever the grid
+    distances, groups = _site_kernel(NoiseTopology.uniform(), 16)
+    assert distances.tolist() == [0.0]
+    assert groups.shape == (16, 16)
+    assert (groups == 0).all()
+
+
+@pytest.mark.parametrize(
+    "topology, distances, pairs",
+    [
+        (NoiseTopology.independent(), [0.0], [4]),
+        (NoiseTopology.spatial([0.0] * 4), [0.0], [16]),
+        (NoiseTopology.spatial([0.0, 0.25, 0.5, 0.75]), [0.0, 0.25, 0.5, 0.75], [4, 6, 4, 2]),
+        (NoiseTopology.spatial([0.5, 0.0, 0.5, 0.0]), [0.0, 0.5], [8, 8]),
+    ],
+    ids=["independent", "colocated", "evenly_spaced", "partly_colocated"],
+)
+def test_site_kernel_groups_pairs_by_distance(topology, distances, pairs):
+    # each site pair indexes its distance, or is -1 where the noises are independent
+    got, groups = _site_kernel(topology, 4)
+    assert got.tolist() == distances
+    assert np.bincount(groups[groups >= 0]).tolist() == pairs
+    assert ((groups >= 0) | (groups == -1)).all() and (groups == groups.T).all()
+
+
+@pytest.mark.parametrize("kernel_values", [1, 100], ids=["one_bin", "six_bins"])
+def test_separated_covariance_is_built_in_blocks_of_bins(monkeypatch, kernel_values):
+    # 4 sites, 16 kernel values a bin: blocks of one bin and blocks of six,
+    # which do not divide the 129 bins, give the reference covariance
+    bath = OhmicBath(coupling=0.7, cutoff=8.0, temperature=1.3)
+    topology = NoiseTopology.spatial([0.0, 0.0625, 0.125, 0.3])
+    weights = np.array([[1.0, -1.0, 1.0, -1.0], [0.5, 1.0, -2.0, 0.25]])
+    monkeypatch.setattr(noise, "_KERNEL_VALUES", kernel_values)
+    factors = _per_bin_factors(bath, topology, weights)
+    cov = _functional_covariance(bath, topology, weights)
+    err = np.abs(factors @ factors.transpose(0, 2, 1) - cov).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.abs(cov).max(axis=(1, 2)))
+
+
+def _rotated(eigenvalues, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    q = np.array([[c, -s], [s, c]])
+    return q @ np.diag(eigenvalues) @ q.T
+
+
+PSD_OMEGA = np.array([0.0, 1.5, 3.0])
+
+
+@pytest.mark.parametrize("scale", [None, np.array([2.0, 1.0, 1.0])], ids=["own", "per_bin"])
+def test_psd_eigh_refuses_a_real_negative_eigenvalue_and_names_its_bin(scale):
+    stack = np.stack([_rotated([1.0, 2.0], 0.3), _rotated([-2e-6, 1.0], 0.7), np.eye(2)])
+    with pytest.raises(ValueError, match=r"eigenvalue -2\.000e-06 at omega = 1\.5\)"):
+        _psd_eigh(stack, "spatial correlation matrix", PSD_OMEGA, scale)
+
+
+def test_psd_eigh_checks_a_weak_bin_against_its_own_scale():
+    # next to bins of power 1, a real negative eigenvalue of a bin of power
+    # 1e-8 is well below 1e-10 of the stack's largest, but not of its own scale
+    stack = np.stack([_rotated([1.0, 2.0], 0.3), _rotated([-1e-12, 1e-8], 0.7), np.eye(2)])
+    with pytest.raises(ValueError, match=r"eigenvalue -1\.000e-12 at omega = 1\.5\)"):
+        _psd_eigh(stack, "spatial correlation matrix", PSD_OMEGA, np.array([2.0, 1e-8, 1.0]))
+
+
+def test_psd_eigh_measures_round_off_against_the_cancelling_terms():
+    # a bin where terms of size 1 cancel holds only round-off, and its own
+    # largest eigenvalue is 0: measured against the terms, -2e-14 is round-off
+    stack = np.stack([_rotated([1.0, 2.0], 0.3), np.diag([-2e-14, 0.0]), np.eye(2)])
+    eigval, eigvec = _psd_eigh(
+        stack, "spatial correlation matrix", PSD_OMEGA, np.array([2.0, 1.0, 1.0])
+    )
+    assert eigval[1].tolist() == [0.0, 0.0]
+    np.testing.assert_allclose(eigval[[0, 2]], [[1.0, 2.0], [1.0, 1.0]], rtol=1e-14)
 
 
 def test_functional_factors_match_synthesizer_statistics():
