@@ -529,13 +529,13 @@ def _cmd_couplings(values: Mapping, config: Mapping, args: argparse.Namespace) -
         positions = [j * spacing for j in range(count)]
     n = len(positions)
     mu_sc = coupling_matrix(bath, positions, CouplingKind.SPURIOUS)
-    mu_tr = coupling_matrix(bath, positions, CouplingKind.TRANSIENT)
     tr_1d, tr_3d = (
         coupling_matrix(
             dataclasses.replace(bath, geometry=geometry), positions, CouplingKind.TRANSIENT
         ).values
         for geometry in (Geometry.ONE_D, Geometry.THREE_D)
     )
+    mu_tr = tr_1d if bath.geometry is Geometry.ONE_D else tr_3d  # the bath's geometry
     j, k = np.triu_indices(n, 1)
     pos = np.asarray(positions)
     r = np.abs(pos[k] - pos[j])
@@ -545,7 +545,7 @@ def _cmd_couplings(values: Mapping, config: Mapping, args: argparse.Namespace) -
         "r_jk": r.tolist(),
         "x": (bath.cutoff * r / bath.velocity).tolist(),
         "mu_sc": mu_sc.values[j, k].tolist(),
-        "mu_tr": mu_tr.values[j, k].tolist(),
+        "mu_tr": mu_tr[j, k].tolist(),
         "mu_tr_1d": tr_1d[j, k].tolist(),
         "mu_tr_3d": tr_3d[j, k].tolist(),
         "tr_3d_dominates": (tr_3d[j, k] >= tr_1d[j, k]).tolist(),
@@ -555,7 +555,7 @@ def _cmd_couplings(values: Mapping, config: Mapping, args: argparse.Namespace) -
     meta["geometry"] = bath.geometry.value
     if args.format == "json":
         meta["mu_sc_matrix"] = [list(map(float, row)) for row in mu_sc.values]
-        meta["mu_tr_matrix"] = [list(map(float, row)) for row in mu_tr.values]
+        meta["mu_tr_matrix"] = [list(map(float, row)) for row in mu_tr]
     _write_output(args.output, args.format, meta, columns)
     return EXIT_OK
 

@@ -36,7 +36,7 @@ once per run (:func:`gatenoise.noise.trapezoid_phase_factor`), and each
 trajectory draws its report-point phases directly, with no time series,
 inverse FFT or integration.  The quadratic bus coupler (:func:`simulate_bus_full`) is not
 Gaussian in the noise: it draws R <= 2 white sources per bin
-(:func:`gatenoise.noise.draw_white_blocks`) and builds its phase rate in
+(:func:`gatenoise.noise.draw_white`) and builds its phase rate in
 time, one row block of a chunk at a time.
 Where the factor is one matrix G (every distance group at distance 0:
 uniform, independent and co-located spatial topologies) the two functionals
@@ -49,19 +49,21 @@ grid.
 
 Determinism contract: trajectories are processed in fixed chunks of 512;
 chunk c (trajectories 512 c to 512 c + 511) draws all of its noise from one
-stream keyed by (master_seed, c), in a fixed layout.  Linear coupling: one
+stream keyed by (master_seed, c), in a fixed layout in which each
+trajectory's normals are consecutive.  Linear coupling: one
 ``standard_normal((nt, k))`` for the k directions of the phase factor B, and
-the phase at the report points is [0, xi @ B].  Bus coupler: the real parts
-of the whole chunk (trajectory, source, bin), then the imaginary parts in
-the same order, drawn one row block at a time.  A row block holds about
-2^17 samples of the time series the engine transforms (``_BLOCK_SAMPLES``)
-and is transformed and integrated into the chunk's phase array before the
-next is drawn.  Consecutive draws give the normals of one draw and every
-step after the draw is row-local, so the row-block height changes neither
-the draws nor a byte of the result; it bounds the memory to the chunk's
-real parts plus one row block.  Within a chunk, the sums over trajectories
-are numpy reductions whose order is fixed by the chunk's shape and memory
-layout; chunks are merged in chunk order.  Every covariance factorisation
+the phase at the report points is [0, xi @ B].  Bus coupler: one
+``standard_normal((rows, 2, R, n_bins))`` per row block, so each trajectory
+draws the real parts of its (source, bin) amplitudes and then their
+imaginary parts.  A row block holds about 2^17 samples of the time series
+the engine transforms (``_BLOCK_SAMPLES``) and is transformed and
+integrated into the chunk's phase array before the next is drawn.
+Consecutive draws give the normals of one draw and every step after the
+draw is row-local, so the row-block height changes neither the draws nor a
+byte of the result; it bounds the memory to the chunk's phase array plus
+one row block.  Within a chunk, the sums over trajectories are numpy
+reductions whose order is fixed by the chunk's shape and memory layout;
+chunks are merged in chunk order.  Every covariance factorisation
 runs on one BLAS thread, and with ``jobs`` > 1 so does BLAS inside the
 engine threads.  Results are bit-identical for a given configuration at any
 ``jobs`` and, wherever the process's OpenBLAS is found
@@ -99,8 +101,10 @@ import numpy as np
 from .noise import (
     NoiseTopology,
     OhmicBath,
+    _check_integer,
+    _check_seed,
     _one_blas_thread,
-    draw_white_blocks,
+    draw_white,
     functional_factor,
     mix_per_bin,
     trajectory_seed_sequence,
@@ -155,18 +159,6 @@ class WhiteNoiseLimitError(ValueError):
 
 class FitWindowError(ValueError):
     """No usable trace points in the requested fit window."""
-
-
-def _check_integer(name: str, value: object) -> None:
-    """A Python or numpy integer, not a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_seed(master_seed: object) -> None:
-    _check_integer("master_seed", master_seed)
-    if not 0 <= int(master_seed) < 2**64:
-        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -500,12 +492,12 @@ def simulate_bus_full(
     c = m . phi, c' = m' . phi the phase rate, less its noise-free part, is
     (b^2 + 2 c' b - a^2 - 2 c a) / 8.  Each chunk draws R white sources x
     at the per-bin amplitude of :func:`gatenoise.noise.functional_factor`,
-    in the module's fixed layout: all real parts first, then the imaginary
-    parts one row block at a time (:func:`gatenoise.noise.draw_white_blocks`).
-    Each row block is transformed, its rate formed and integrated, and its
-    phase written into the chunk's phase array before the next is drawn; the
-    block height (``_BLOCK_SAMPLES`` samples of the transformed series)
-    bounds the memory and moves no byte of the result.
+    in the module's fixed layout, one row block at a time: each trajectory's
+    real parts, then its imaginary parts (:func:`gatenoise.noise.draw_white`).
+    Each row block is drawn and transformed, its rate formed and integrated
+    and its phase written into the chunk's phase array before the next is
+    drawn; the block height (``_BLOCK_SAMPLES`` samples of the transformed
+    series) bounds the memory and moves no byte of the result.
 
     Where the factor is one (2, R) matrix G (every distance group at
     distance 0: uniform, independent and co-located spatial topologies),
@@ -539,8 +531,8 @@ def simulate_bus_full(
         # x holds mix.shape[1] series per trajectory: R sources, or (a, b)
         rows = max(1, _BLOCK_SAMPLES // (mix.shape[1] * cfg.n_steps))
         phase = np.empty((nt, report_idx.size))
-        blocks = draw_white_blocks(rng, nt, n_sources, amplitude, rows)
-        for start, spec in zip(range(0, nt, rows), blocks):
+        for start in range(0, nt, rows):
+            spec = draw_white(rng, min(rows, nt - start), n_sources, amplitude)
             if per_bin:
                 spec = mix_per_bin(spec, factor)
             x = np.fft.irfft(spec, n=cfg.n_steps)

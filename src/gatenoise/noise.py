@@ -11,10 +11,10 @@ propagation speed of reservoir excitations; the cross spectrum is the on-site
 spectrum times a geometry kernel f(w r / v).
 
 Noise is synthesized spectrally, by one path: R independent white sources
-per frequency bin (:func:`draw_white_blocks`, in row blocks of a fixed draw
-layout), scaled per bin and mixed by one factor (:func:`functional_factor`)
-so the discrete process has exactly the target (cross-)spectrum on the
-grid, then inverse-FFT'd to the time domain.
+per frequency bin (:func:`draw_white`: each row's real parts, then its
+imaginary parts), scaled per bin and mixed by one factor
+(:func:`functional_factor`) so the discrete process has exactly the target
+(cross-)spectrum on the grid, then inverse-FFT'd to the time domain.
 Every topology's site kernel has one form, distance groups: the distinct
 site distances d_g and each site pair's group, so the kernel in bin k is
 f(w_k d_g / v) at the pairs of group g (:func:`_site_kernel`).  A uniform
@@ -51,7 +51,7 @@ __all__ = [
     "classical_psd",
     "spatial_correlation_matrix",
     "SpectralSynthesizer",
-    "draw_white_blocks",
+    "draw_white",
     "mix_per_bin",
     "functional_factor",
     "trapezoid_phase_factor",
@@ -433,10 +433,12 @@ def functional_factor(
     scale_k^2), so a bin where the functionals' power cancels passes.
     Eigenvalues at or below EIG_CLAMP_TOL * lambda_max (of their bin) count as
     zero, and only the R directions that carry noise in some bin are kept;
-    R = 0 means the functionals are noise free.  With ``white`` from
-    :func:`draw_white_blocks` at ``amplitude``, ``F @ white`` (or, per bin,
-    :func:`mix_per_bin`) has the target covariance in every bin, so the
-    functionals are drawn from R sources instead of L.
+    R = 0 means the functionals are noise free.  Each eigenvector, in every
+    bin, is signed so that its largest-magnitude entry (the first of equal
+    ones) is positive; near-equal eigenvalues may still rotate their pair.
+    With ``white`` from :func:`draw_white` at ``amplitude``, ``F @ white``
+    (or, per bin, :func:`mix_per_bin`) has the target covariance in every
+    bin, so the functionals are drawn from R sources instead of L.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     omega, scale2 = _spectral_grid(bath, dt, n_steps)
@@ -463,6 +465,9 @@ def functional_factor(
             raise ValueError("non-finite noise covariance: check the site positions")
         eigval, eigvec = _psd_eigh(cov, "spatial correlation matrix", omega, scale2 * size)
     eigval[eigval <= EIG_CLAMP_TOL * eigval[..., -1:]] = 0.0
+    # one sign per eigenvector, whatever LAPACK returns: its largest entry is positive
+    top = np.abs(eigvec).argmax(axis=-2)[..., None, :]
+    eigvec *= np.sign(np.take_along_axis(eigvec, top, axis=-2))
     keep = np.atleast_2d(eigval > 0.0).any(axis=0)
     return amplitude, (eigvec * np.sqrt(eigval)[..., None, :])[..., keep]
 
@@ -501,32 +506,27 @@ def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:
     return (eigvec[:, keep] * np.sqrt(eigval[keep])).T
 
 
-def draw_white_blocks(
-    rng: np.random.Generator, nt: int, n_sources: int, amplitude: np.ndarray, rows: int
-) -> Iterator[np.ndarray]:
-    """rfft amplitudes of nt rows of R independent white sources, scaled per bin,
-    in blocks of ``rows`` rows: complex arrays (<= rows, R, n_bins), in row order.
+def draw_white(
+    rng: np.random.Generator, nt: int, n_sources: int, amplitude: np.ndarray
+) -> np.ndarray:
+    """rfft amplitudes of nt rows of R independent white sources, scaled per bin:
+    complex array (nt, R, n_bins).
 
     Bin k holds amplitude_k times a unit complex Gaussian, real at the DC and
-    last bins.  The draw order is part of the determinism contract of the
-    Monte-Carlo engine: the real parts of all nt rows (trajectory, source,
-    bin) first, then the imaginary parts, one block after another.  A
-    generator's normals in consecutive draws are those of one draw, so the
-    imaginary parts are those of one (nt, R, n_bins) draw and the amplitudes
-    do not depend on ``rows``; only the real parts and one block are held at
-    a time.  The draws happen as the blocks are taken, so take them all
-    before drawing anything else from ``rng``.
+    last bins.  The draw layout is part of the determinism contract of the
+    Monte-Carlo engine: one ``standard_normal((nt, 2, R, n_bins))``, so each
+    row (trajectory) draws the real parts of its (source, bin) amplitudes and
+    then their imaginary parts.  A generator's normals in consecutive draws are
+    those of one draw, so consecutive calls give the rows of one call.
     """
-    re = rng.standard_normal((nt, n_sources, amplitude.size))
+    re, im = np.moveaxis(rng.standard_normal((nt, 2, n_sources, amplitude.size)), 1, 0)
     half = amplitude / np.sqrt(2.0)
-    for start in range(0, nt, rows):
-        block = re[start:start + rows]
-        white = np.empty(block.shape, dtype=complex)
-        np.multiply(block, half, out=white.real)
-        np.multiply(rng.standard_normal(block.shape), half, out=white.imag)
-        white[:, :, 0] = block[:, :, 0] * amplitude[0]
-        white[:, :, -1] = block[:, :, -1] * amplitude[-1]
-        yield white
+    white = np.empty(re.shape, dtype=complex)
+    np.multiply(re, half, out=white.real)
+    np.multiply(im, half, out=white.imag)
+    white[:, :, 0] = re[:, :, 0] * amplitude[0]
+    white[:, :, -1] = re[:, :, -1] * amplitude[-1]
+    return white
 
 
 def mix_per_bin(white: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -587,7 +587,7 @@ class SpectralSynthesizer:
         The inverse rfft of each row is one real trajectory.  The draw order
         is fixed, so a given generator state always yields the same bundle.
         """
-        (white,) = draw_white_blocks(rng, 1, self._n_sources, self._amplitude, 1)
+        white = draw_white(rng, 1, self._n_sources, self._amplitude)
         if self._uniform:
             return np.broadcast_to(white[0, 0], (self.n_sites, self.omega.size))
         if not self._spatial:
@@ -607,14 +607,28 @@ class SpectralSynthesizer:
         return samples
 
 
+def _check_integer(name: str, value: object) -> None:
+    """A Python or numpy integer, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(master_seed: object) -> None:
+    """An integer in [0, 2^64): a float, bool or string would run as another seed."""
+    _check_integer("master_seed", master_seed)
+    if not 0 <= int(master_seed) < 2**64:
+        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+
+
 def trajectory_seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence:
     """Stream key for one trajectory bundle: hash of (master seed, index).
 
     Keying streams by index makes ensembles reproducible bit-exactly no
-    matter how the work is scheduled across threads.
+    matter how the work is scheduled across threads.  ``master_seed`` is an
+    integer in [0, 2^64) and ``index`` an integer.
     """
-    if not 0 <= int(master_seed) < 2**64:
-        raise ValueError("master seed must fit in an unsigned 64-bit integer")
+    _check_seed(master_seed)
+    _check_integer("index", index)
     return np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
 
 
@@ -642,7 +656,7 @@ def synthesize_trajectories(
         Time grid; n_steps must be a power of two and dt * cutoff <= 0.5 so
         the exponential cutoff is resolved.
     seed:
-        Unsigned 64-bit seed; identical (seed, parameters) give identical
+        Integer in [0, 2^64); identical (seed, parameters) give identical
         bundles.
     """
     synth = SpectralSynthesizer(bath, topology, n_sites=n_trajectories, dt=dt, n_steps=n_steps)
@@ -690,8 +704,15 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
 
 
 def write_psd_csv(path, estimate: PsdEstimate, target: np.ndarray, header_lines: Sequence[str] = ()) -> None:
-    """Write a PSD comparison table: columns (omega, S_target, S_estimated, stderr)."""
+    """Write a PSD comparison table: columns (omega, S_target, S_estimated, stderr).
+
+    ``target`` has one value per frequency of ``estimate``.
+    """
     target = np.asarray(target, dtype=float)
+    if target.shape != estimate.psd.shape:
+        raise ValueError(
+            f"target has shape {target.shape}, the estimate {estimate.psd.shape}"
+        )
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")

@@ -321,6 +321,32 @@ def test_couplings_table_matches_pairwise_reference(tmp_path, geometry, position
     expected = reference_coupling_rows(bath, positions)
     assert json.dumps(json.loads(out.read_text())["rows"]) == json.dumps(expected)
 
+
+@pytest.mark.parametrize("geometry", ["1d", "3d"])
+def test_couplings_builds_the_transient_matrix_once_per_geometry(tmp_path, monkeypatch, geometry):
+    # the bath's own transient matrix is its geometry's column: the command
+    # builds three coupling matrices, not four, and writes the same table
+    calls, build = [], cli.coupling_matrix
+
+    def counting(bath, positions, kind):
+        calls.append((bath.geometry.value, kind))
+        return build(bath, positions, kind)
+
+    monkeypatch.setattr(cli, "coupling_matrix", counting)
+    bath_cfg = {"coupling": 0.05, "cutoff": 2.0, "geometry": geometry, "velocity": 0.7}
+    positions = [0.0, 1.3, -0.4, 2.2, 5.0]
+    config = write_config(tmp_path, {"bath": bath_cfg, "positions": positions})
+    out = tmp_path / "couplings.json"
+    assert main(["couplings", "--config", config, "--output", str(out), "--format", "json"]) == 0
+    assert sorted(calls, key=str) == sorted(
+        [(geometry, CouplingKind.SPURIOUS), ("1d", CouplingKind.TRANSIENT),
+         ("3d", CouplingKind.TRANSIENT)], key=str,
+    )
+    bath = OhmicBath(coupling=0.05, cutoff=2.0, geometry=Geometry(geometry), velocity=0.7)
+    mu_tr = build(bath, positions, CouplingKind.TRANSIENT).values
+    assert json.loads(out.read_text())["meta"]["mu_tr_matrix"] == mu_tr.tolist()
+
+
 def test_mc_seed_flag_changes_bytes_not_physics(tmp_path):
     config = write_config(
         tmp_path,

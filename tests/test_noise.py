@@ -13,7 +13,7 @@ from gatenoise.noise import (
     TopologyKind,
     classical_psd,
     cross_spectral_density,
-    draw_white_blocks,
+    draw_white,
     estimate_psd,
     functional_factor,
     propagation_kernel_f,
@@ -22,6 +22,7 @@ from gatenoise.noise import (
     synthesize_trajectories,
     trajectory_seed_sequence,
     trapezoid_phase_factor,
+    write_psd_csv,
 )
 
 
@@ -213,20 +214,42 @@ def test_synthesized_auto_psd_matches_target():
 
 
 def test_white_blocks_draw_real_parts_then_imaginary_parts():
-    # the layout of the bus engine's chunk: all real parts (row, source, bin),
-    # then the imaginary parts, whatever the block height
+    # the layout of the bus engine's chunk: each row draws its real parts
+    # (source, bin), then its imaginary parts, so row blocks of any height
+    # drawn one after another give the amplitudes of one draw
     amplitude = np.linspace(1.0, 2.0, 9)
     nt, n_sources = 10, 2
     normals = np.random.default_rng(4).standard_normal(2 * nt * n_sources * 9)
-    re, im = normals.reshape(2, nt, n_sources, 9)
+    re, im = np.moveaxis(normals.reshape(nt, 2, n_sources, 9), 1, 0)
     half = amplitude / np.sqrt(2.0)
+    whole = draw_white(np.random.default_rng(4), nt, n_sources, amplitude)
+    np.testing.assert_array_equal(whole.real[..., 1:-1], (re * half)[..., 1:-1])
+    np.testing.assert_array_equal(whole.imag[..., 1:-1], (im * half)[..., 1:-1])
+    np.testing.assert_array_equal(whole[..., [0, -1]], re[..., [0, -1]] * amplitude[[0, -1]])
     for rows in (1, 3, 10, 64):
-        blocks = list(draw_white_blocks(np.random.default_rng(4), nt, n_sources, amplitude, rows))
-        assert [b.shape[0] for b in blocks] == [min(rows, nt - s) for s in range(0, nt, rows)]
-        white = np.concatenate(blocks)
-        np.testing.assert_array_equal(white.real[..., 1:-1], (re * half)[..., 1:-1])
-        np.testing.assert_array_equal(white.imag[..., 1:-1], (im * half)[..., 1:-1])
-        np.testing.assert_array_equal(white[..., [0, -1]], re[..., [0, -1]] * amplitude[[0, -1]])
+        rng = np.random.default_rng(4)
+        blocks = [draw_white(rng, min(rows, nt - s), n_sources, amplitude)
+                  for s in range(0, nt, rows)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes(), rows
+    # one row: its real parts, then its imaginary parts, as two separate draws
+    rng = np.random.default_rng(4)
+    re1, im1 = rng.standard_normal((2, 1, n_sources, 9))
+    one = draw_white(np.random.default_rng(4), 1, n_sources, amplitude)
+    np.testing.assert_array_equal(one.real[..., 1:-1], (re1 * half)[..., 1:-1])
+    np.testing.assert_array_equal(one.imag[..., 1:-1], (im1 * half)[..., 1:-1])
+
+
+def test_write_psd_csv_needs_one_target_value_per_frequency(tmp_path):
+    # a shorter target once wrote only as many rows as it had values
+    est = estimate_psd(np.random.default_rng(0).standard_normal(512), 0.05)
+    path = tmp_path / "psd.csv"
+    for target in (np.ones(5), np.ones(est.psd.size + 1), np.ones((1, est.psd.size))):
+        with pytest.raises(ValueError, match="shape"):
+            write_psd_csv(path, est, target)
+    assert not path.exists()
+    write_psd_csv(path, est, classical_psd(bath_1d(), est.omega))
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + est.psd.size
 
 
 @pytest.mark.parametrize(
@@ -242,8 +265,10 @@ def test_bus_engine_draws_match_target_psd(topology, n_sites):
     dt, n_steps, nt = 0.5 / 8.0, 512, 2048
     amplitude, factor = functional_factor(bath, topology, np.eye(n_sites), dt, n_steps)
     rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(9, 0)))
-    blocks = draw_white_blocks(rng, nt, factor.shape[1], amplitude, 100)
-    x = np.concatenate([np.fft.irfft(white, n=n_steps) for white in blocks])
+    x = np.concatenate([
+        np.fft.irfft(draw_white(rng, min(100, nt - s), factor.shape[1], amplitude), n=n_steps)
+        for s in range(0, nt, 100)
+    ])
     sites = np.einsum("pr,nrt->npt", factor, x)
     for p in range(n_sites):
         est = estimate_psd(sites[:, p], dt)
@@ -365,6 +390,26 @@ def test_functional_factors_reproduce_covariance(geometry, topology, weights, ra
     rebuilt = factors @ factors.transpose(0, 2, 1)
     err = np.abs(rebuilt - cov).max(axis=(1, 2))
     assert np.all(err <= 1e-12 * np.abs(cov).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "topology, weights",
+    [
+        (NoiseTopology.uniform(), [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]),
+        (NoiseTopology.spatial([0.0, 0.0, 0.0]), [[1.0, -1.0, 1.0], [0.5, 1.0, -2.0]]),
+        (NoiseTopology.spatial([0.0, 0.05, 0.12]), [[1.0, -1.0, 1.0], [0.5, 1.0, -2.0]]),
+    ],
+    ids=["uniform", "colocated", "separated"],
+)
+def test_factor_columns_have_a_positive_largest_entry(topology, weights):
+    # each eigenvector is signed by its largest entry, in every bin, not by
+    # whatever sign LAPACK returns, so a last-digit change in a bin's
+    # covariance does not flip the direction a white source is drawn along
+    _, factor = functional_factor(bath_1d(cutoff=8.0), topology, weights, FACTOR_DT, FACTOR_STEPS)
+    columns = np.swapaxes(factor, -1, -2).reshape(-1, factor.shape[-2])  # (bins * R, P)
+    top = np.take_along_axis(columns, np.abs(columns).argmax(axis=1)[:, None], axis=1)[:, 0]
+    noisy = np.abs(columns).max(axis=1) > 0.0  # a bin without noise in a direction is 0
+    assert noisy.any() and (top[noisy] > 0.0).all()
 
 
 @pytest.mark.parametrize(
