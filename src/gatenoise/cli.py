@@ -47,7 +47,8 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from contextlib import nullcontext
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -397,21 +398,33 @@ class _Coded(NamedTuple):
     index: np.ndarray
 
 
-def _cells(column: Sequence[Any] | _Coded, convert: Callable[[Any], Any]) -> list:
-    if isinstance(column, _Coded):
-        converted = [convert(v) for v in column.values]
-        return [converted[i] for i in column.index.tolist()]
-    return list(map(convert, column))
+# Rows formatted and written at a time: the writer holds one block's cells and
+# text, not the whole table's.
+_BLOCK_ROWS = 2048
 
 
-def _json_cells(column: Sequence[Any] | _Coded) -> list[str]:
-    """The JSON text of each cell of a column of scalars, from one call of the C
+def _csv_cells(values: Sequence[Any]) -> list[str]:
+    return list(map(_format_cell, values))
+
+
+def _json_cells(values: Sequence[Any]) -> list[str]:
+    """The JSON text of each of a list of scalars, from one call of the C
     encoder: an encoded scalar holds no line break, so one splits the cells."""
-    if isinstance(column, _Coded):
-        texts = _json_cells(column.values)
-        return [texts[i] for i in column.index.tolist()]
-    text = json.dumps(list(column), separators=("\n", ":"))[1:-1]
+    text = json.dumps(list(values), separators=("\n", ":"))[1:-1]
     return text.split("\n") if text else []
+
+
+def _cell_blocks(
+    column: Sequence[Any] | _Coded, cells: Callable[[Sequence[Any]], list[str]]
+) -> Iterator[list[str]]:
+    """The text of a column's cells, ``_BLOCK_ROWS`` rows at a time."""
+    if isinstance(column, _Coded):
+        distinct = cells(column.values)
+        for start in range(0, len(column.index), _BLOCK_ROWS):
+            yield [distinct[i] for i in column.index[start:start + _BLOCK_ROWS].tolist()]
+    else:
+        for start in range(0, len(column), _BLOCK_ROWS):
+            yield cells(column[start:start + _BLOCK_ROWS])
 
 
 def _write_output(
@@ -421,28 +434,33 @@ def _write_output(
     table: Mapping[str, Sequence[Any] | _Coded],
 ) -> None:
     """Write a table of at least two columns, given column by column in order,
-    as CSV (``#`` header lines, then ``csv.writer``'s default dialect) or JSON."""
-    if fmt == "csv":
-        header = "".join(f"# {key}: {_canonical_json(value)}\n" for key, value in meta.items())
-        columns = [_cells(c, _format_cell) for c in table.values()]
-        lines = [",".join(map(_format_cell, table)), *map(",".join, zip(*columns))]
-        text = header + "\r\n".join(lines) + "\r\n"
-    else:
-        # The bytes of json.dumps({"meta": meta, "rows": [...]}, indent=2), with
-        # the flat rows put together from their cells' JSON text.
-        row_text = "    {\n" + ",\n".join(
-            "      " + json.dumps(name).replace("%", "%%") + ": %s" for name in table
-        ) + "\n    }"
-        rows = [row_text % row for row in zip(*map(_json_cells, table.values()))]
-        meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
-        rows_text = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        text = f'{{\n  "meta": {meta_text},\n  "rows": {rows_text}\n}}\n'
-    if destination is None:
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
+    as CSV (``#`` header lines, then ``csv.writer``'s default dialect) or JSON.
 
+    The rows are formatted and written ``_BLOCK_ROWS`` at a time, so the text
+    of the whole table is never held at once.
+    """
+    cells = _csv_cells if fmt == "csv" else _json_cells
+    blocks = zip(*(_cell_blocks(column, cells) for column in table.values()))
+    sink = nullcontext(sys.stdout) if destination is None else open(destination, "w", newline="")
+    with sink as fh:
+        if fmt == "csv":
+            fh.write("".join(f"# {key}: {_canonical_json(value)}\n" for key, value in meta.items()))
+            fh.write(",".join(map(_format_cell, table)) + "\r\n")
+            for block in blocks:
+                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+        else:
+            # The bytes of json.dumps({"meta": meta, "rows": [...]}, indent=2),
+            # with the flat rows put together from their cells' JSON text.
+            row_text = "    {\n" + ",\n".join(
+                "      " + json.dumps(name).replace("%", "%%") + ": %s" for name in table
+            ) + "\n    }"
+            meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
+            fh.write(f'{{\n  "meta": {meta_text},\n  "rows": [')
+            n_blocks = 0
+            for n_blocks, block in enumerate(blocks, 1):
+                rows = ",\n".join(row_text % row for row in zip(*block))
+                fh.write(("\n" if n_blocks == 1 else ",\n") + rows)
+            fh.write("\n  ]\n}\n" if n_blocks else "]\n}\n")
 
 
 def _base_meta(

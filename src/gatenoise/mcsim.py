@@ -151,6 +151,9 @@ DEFAULT_MASTER_SEED = 20260810
 # rate, otherwise the flat-spectrum assumption behind the rate formulas fails.
 WHITE_NOISE_CUTOFF_RATIO = 20.0
 _MIN_DECAY_SPANS = 3.0
+# Relative slack of a time compared with a fit-window edge or a required
+# duration: a report time that equals an edge up to round-off is inside it.
+_TIME_RTOL = 1e-9
 
 
 class WhiteNoiseLimitError(ValueError):
@@ -413,7 +416,7 @@ def _check_white_noise_limit(bath: OhmicBath, gamma: float) -> None:
 
 
 def _check_duration(cfg: McConfig, gamma: float) -> None:
-    if gamma > 0 and cfg.duration < _MIN_DECAY_SPANS / gamma * (1.0 - 1e-9):
+    if gamma > 0 and cfg.duration < _MIN_DECAY_SPANS / gamma * (1.0 - _TIME_RTOL):
         raise ValueError(
             f"run too short: duration {cfg.duration:g} covers fewer than "
             f"{_MIN_DECAY_SPANS:g} decay times of the analytic rate {gamma:g}"
@@ -546,18 +549,21 @@ def simulate_bus_full(
 def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate:
     """Weighted least-squares decay rate from ln |coherence| inside a window.
 
-    Points with |coherence| <= 5 * stderr are dropped; at least 10 usable
-    points are required.  The slope uses the per-point standard errors as
-    weights (uniform ones when every error is 0).  Its standard error is the
-    delete-one-block jackknife of that slope over the trace's block sums: the
-    trace is strongly correlated across time, which a least-squares error
-    formula would ignore.  A noise-free trace gets 0, as its leave-one-block-out
-    traces are exactly 1.
+    A report time within a relative 1e-9 of a window edge counts as inside,
+    so the last bit of an edge decides nothing.  Points with |coherence| <=
+    5 * stderr are dropped; at least 10 usable points are required.  The
+    slope uses the per-point standard errors as weights (uniform ones when
+    every error is 0).  Its standard error is the delete-one-block jackknife
+    of that slope over the trace's block sums: the trace is strongly
+    correlated across time, which a least-squares error formula would ignore.
+    A noise-free trace gets 0, as its leave-one-block-out traces are exactly
+    1.
     """
     t_lo, t_hi = window
     if not t_hi > t_lo:
         raise ValueError(f"invalid fit window {window}")
-    mask = (trace.times >= t_lo) & (trace.times <= t_hi)
+    lo, hi = t_lo - _TIME_RTOL * abs(t_lo), t_hi + _TIME_RTOL * abs(t_hi)
+    mask = (trace.times >= lo) & (trace.times <= hi)
     mask &= trace.abs_coherence > 5.0 * trace.stderr
     mask &= trace.abs_coherence > 0.0
     n_points = int(mask.sum())

@@ -125,6 +125,48 @@ def test_quadrature_matches_closed_forms_on_log_grid(geometry):
         assert tr_err <= 1e-8 * max(abs(transient_coupling(b, r)), 1e-12 * tr_scale) + 1e-12 * tr_scale
 
 
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_quadrature_matches_closed_forms_far_apart(geometry):
+    # x in (100, 1000]: the integrand oscillates over hundreds of panels and the
+    # 1d spurious coupling cancels to -1/x^2 of its scale
+    b = OhmicBath(coupling=0.7, cutoff=1.3, geometry=geometry, velocity=0.9)
+    for closed_fn, quad_fn in (
+        (spurious_coupling, spurious_coupling_quadrature),
+        (transient_coupling, transient_coupling_quadrature),
+    ):
+        scale = abs(closed_fn(b, 0.0))
+        for x in np.logspace(2, 3, 11)[1:]:
+            r = x * b.velocity / b.cutoff
+            closed = closed_fn(b, r)
+            rel = abs(quad_fn(b, r) - closed) / max(abs(closed), 1e-12 * scale)
+            assert rel <= 1e-8, (quad_fn.__name__, x, rel)
+
+
+def test_quadrature_that_never_converges_raises_with_its_estimate():
+    from gatenoise import couplings
+
+    # a jump at u = 1/3, never a panel edge: the 16- and 32-point sums on the
+    # panel that holds it differ at every refinement level
+    def step(u):
+        return np.where(u < 1.0 / 3.0, 1.0, 0.0)
+
+    with pytest.raises(couplings.QuadratureError, match="did not converge") as info:
+        couplings._oscillatory_integral(step, 0.0, abs_floor=1e-14)
+    assert info.value.estimate == pytest.approx(1.0 / 3.0, abs=0.1)
+    assert couplings._REL_TOL * abs(info.value.estimate) < info.value.error < 0.1
+    assert f"{info.value.error:.3e}" in str(info.value)
+
+
+@pytest.mark.parametrize("r", [-1.0, float("nan")])
+@pytest.mark.parametrize(
+    "fn", [spurious_coupling, transient_coupling, spurious_coupling_quadrature,
+           transient_coupling_quadrature],
+)
+def test_negative_or_nan_distance_is_refused(fn, r):
+    with pytest.raises(ValueError, match="distance must be >= 0"):
+        fn(bath(), r)
+
+
 def test_gauss_legendre_rules_are_built_once(monkeypatch):
     from gatenoise import couplings
 

@@ -153,6 +153,24 @@ def test_fit_rate_window_errors():
         fit_rate(trace, (2.0, 1.0))
 
 
+def test_window_edges_within_round_off_of_a_report_time_select_the_same_points():
+    # the default window edges 0.5/gamma and 2/gamma are whole numbers of steps
+    # (dt = 0.5/(ratio gamma)), so report times lie on them: an edge a few ulp
+    # above or below such a time keeps it in, and the fit does not move
+    gamma = 0.37
+    t = np.arange(257) * (0.5 / (20.0 * gamma))
+    trace = synthetic_trace(t, np.exp(-gamma * t))
+    exact = fit_rate(trace, (t[20], t[80]))
+    assert exact.n_points == 61
+    for ulps in (-3, -1, 1, 3):
+        lo = t[20] + ulps * np.spacing(t[20])
+        hi = t[80] + ulps * np.spacing(t[80])
+        for window in ((lo, t[80]), (t[20], hi), (lo, hi)):
+            estimate = fit_rate(trace, window)
+            assert estimate.n_points == exact.n_points, (ulps, window)
+            assert estimate.gamma_hat == exact.gamma_hat
+
+
 def test_trace_starts_at_unit_coherence():
     scn = small_uniform_scenario(n_trajectories=500)
     trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg)
@@ -881,9 +899,9 @@ def test_uniform_bus_transforms_one_source_and_runs_no_integration(monkeypatch):
     ids=["uniform", "separated"],
 )
 def test_bus_row_blocks_change_no_byte(monkeypatch, topology, series):
-    # a chunk draws its real parts, then each row block's imaginary parts, and
-    # every later step is row-local: 1-row, 7-row and whole-chunk blocks give
-    # the bytes of the default block height
+    # each row draws its real parts, then its imaginary parts, and every later
+    # step is row-local: 1-row, 7-row and whole-chunk blocks give the bytes of
+    # the default block height
     drive, pair = scan_family(4)
     cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=600, master_seed=7)
     default = simulate_bus_full(drive, pair, SCAN_BATH, topology, cfg)
