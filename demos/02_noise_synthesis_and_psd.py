@@ -23,7 +23,7 @@ dt, n_steps = 0.5 / bath.cutoff, 512
 
 # one bundle: three qubits fed by a single central source share one trajectory
 bundle = synthesize_trajectories(bath, NoiseTopology.uniform(), 3, dt, n_steps, seed=1)
-print("uniform topology: rows identical?", np.array_equal(bundle.samples[0], bundle.samples[2]))
+print("uniform topology: rows identical?", np.array_equal(bundle[0], bundle[2]))
 
 # ensemble of independent trajectories -> averaged periodogram vs target
 synth = SpectralSynthesizer(bath, NoiseTopology.independent(), 1, dt, n_steps)

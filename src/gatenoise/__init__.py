@@ -37,7 +37,6 @@ from .noise import (
     OhmicBath,
     TopologyKind,
     NoiseTopology,
-    TrajectoryBundle,
     PsdEstimate,
     spectral_density,
     propagation_kernel_f,

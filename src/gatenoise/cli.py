@@ -302,7 +302,6 @@ _COUPLINGS = _Table(
 )
 _MC = _Table(scenario=(_SCENARIO, _REQUIRED), seed=(_seed, DEFAULT_MASTER_SEED))
 _VALIDATE = _Table(
-    suite=(_choice(["default"]), "default"),
     scenarios=(_items(_SCENARIO), None),
     n_trajectories=(_integer(100, _MAX_TRAJECTORIES), None),
     seed=(_seed, DEFAULT_MASTER_SEED),
@@ -626,7 +625,7 @@ def _cmd_mc(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
 
 def _cmd_validate(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
     seed, n_override = values["seed"], values["n_trajectories"]
-    if values["scenarios"] is None:  # the one bundled suite, "default"
+    if values["scenarios"] is None:  # the bundled suite
         scenarios = default_validation_suite(master_seed=seed, n_trajectories=n_override)
     else:
         scenarios = [

@@ -52,12 +52,18 @@ __all__ = [
 _CUTOFF_UNITS_SPAN = 45.0
 _GAUSS_ORDERS = (16, 32)
 # Convergence target of the quadratures: the two orders agree to this
-# relative difference (or to an absolute 1e-14).
+# relative difference or to this absolute one.
 _REL_TOL = 1e-10
+_ABS_TOL = 1e-14
+# Largest oscillation scale x = cutoff r / v a quadrature takes.  The first
+# level evaluates about 45 |1 - ix| / 8.97 panels at once, and above x ~ 3e3
+# the absolute tolerance keeps the 1d quadratures from meeting 1e-8 of their
+# closed forms; the far-apart tests verify x <= 1e3.
+_MAX_OSCILLATION_SCALE = 2000.0
 # Base panel width times k = |1 - ix| (x the oscillation scale), about 8.97:
 # there the 16-point rule's error bound summed over the panels, c_16 (H k)^32
 # with c_n = (n!)^4 / ((2n + 1) ((2n)!)^3), is 1e-24, 1e-10 of the absolute
-# floor.
+# tolerance.
 _PANEL_REACH = (1e-24 * 33 * math.factorial(32) ** 3 / math.factorial(16) ** 4) ** (1 / 32)
 
 
@@ -85,7 +91,6 @@ class CouplingMatrix:
 
     kind: CouplingKind
     values: np.ndarray
-    positions: tuple
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -185,7 +190,6 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _oscillatory_integral(
     integrand: Callable[[np.ndarray], np.ndarray],
     oscillation_scale: float,
-    abs_floor: float,
 ) -> float:
     """Integrate a damped, mildly oscillatory integrand on [0, span].
 
@@ -197,8 +201,14 @@ def _oscillatory_integral(
     ``_PANEL_REACH / k`` hold the 16-point rule's error far below the
     convergence target.  Both orders come from one integrand call on those
     panels; their difference is the error estimate, and the panel count
-    doubles until it converges.
+    doubles until it converges.  An oscillation scale above
+    ``_MAX_OSCILLATION_SCALE`` (or infinite) raises ValueError before any
+    evaluation.
     """
+    if not oscillation_scale <= _MAX_OSCILLATION_SCALE:
+        raise ValueError(f"quadrature needs cutoff r / v <= {_MAX_OSCILLATION_SCALE:g}, got "
+                         f"{oscillation_scale!r}: use the closed forms spurious_coupling and "
+                         "transient_coupling")
     span = _CUTOFF_UNITS_SPAN
     (low_nodes, low_weights), (high_nodes, high_weights) = map(_gauss_legendre, _GAUSS_ORDERS)
     nodes = np.concatenate([low_nodes, high_nodes])
@@ -213,7 +223,7 @@ def _oscillatory_integral(
         low = half * float(node_sums[: low_nodes.size] @ low_weights)
         result = half * float(node_sums[low_nodes.size:] @ high_weights)
         error = abs(result - low)
-        if error <= max(abs_floor, _REL_TOL * abs(result)):
+        if error <= max(_ABS_TOL, _REL_TOL * abs(result)):
             return result
     raise QuadratureError("oscillatory quadrature did not converge", result, error)
 
@@ -231,7 +241,7 @@ def spurious_coupling_quadrature(bath: OhmicBath, r: float) -> float:
     def integrand(u: np.ndarray) -> np.ndarray:
         return u * np.exp(-u) * propagation_kernel_f(x * u, geometry)
 
-    return scale * _oscillatory_integral(integrand, x, abs_floor=1e-14)
+    return scale * _oscillatory_integral(integrand, x)
 
 
 def transient_coupling_quadrature(bath: OhmicBath, r: float) -> float:
@@ -243,7 +253,7 @@ def transient_coupling_quadrature(bath: OhmicBath, r: float) -> float:
     def integrand(u: np.ndarray) -> np.ndarray:
         return np.exp(-u) * propagation_kernel_f(x * u, geometry)
 
-    return scale * _oscillatory_integral(integrand, x, abs_floor=1e-14)
+    return scale * _oscillatory_integral(integrand, x)
 
 
 def coupling_matrix(bath: OhmicBath, positions: Sequence, kind: CouplingKind) -> CouplingMatrix:
@@ -261,8 +271,7 @@ def coupling_matrix(bath: OhmicBath, positions: Sequence, kind: CouplingKind) ->
         values = _coupling_scale(bath, kind) * kernel(x, bath.geometry)
     if not (np.isfinite(x).all() and np.isfinite(values).all()):
         raise ValueError(f"{kind.value} coupling overflows: check the positions and the bath")
-    pos = tuple(tuple(p) if np.ndim(p) else float(p) for p in positions)
-    return CouplingMatrix(kind=kind, values=values, positions=pos)
+    return CouplingMatrix(kind=kind, values=values)
 
 
 def transient_energy_shift(

@@ -232,7 +232,6 @@ class CoherenceTrace:
 class RateEstimate:
     gamma_hat: float
     stderr_gamma: float
-    fit_window: tuple[float, float]
     r_squared: float
     n_points: int
 
@@ -564,8 +563,7 @@ def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate
         raise ValueError(f"invalid fit window {window}")
     lo, hi = t_lo - _TIME_RTOL * abs(t_lo), t_hi + _TIME_RTOL * abs(t_hi)
     mask = (trace.times >= lo) & (trace.times <= hi)
-    mask &= trace.abs_coherence > 5.0 * trace.stderr
-    mask &= trace.abs_coherence > 0.0
+    mask &= trace.abs_coherence > 5.0 * trace.stderr  # stderr >= 0: |coherence| > 0
     n_points = int(mask.sum())
     if n_points < 10:
         raise FitWindowError(
@@ -604,7 +602,6 @@ def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate
     return RateEstimate(
         gamma_hat=float(-slope),
         stderr_gamma=float(stderr_gamma),
-        fit_window=(t_lo, t_hi),
         r_squared=float(r_squared),
         n_points=n_points,
     )
@@ -670,25 +667,19 @@ class ValidationReport:
         }
 
 
-def _decay_times_on_grid(fit_window: tuple[float, float]) -> float:
-    """Grid length in decay times: past three decay times and the fit window."""
-    return max(_MIN_DECAY_SPANS + 0.2, fit_window[1] * 1.15)
+def grid_points(cutoff_ratio: float, fit_window: tuple[float, float]) -> float:
+    """Points a scenario's grid needs before ``n_steps`` rounds them up to a
+    power of two (at least 16): steps of half an inverse cutoff, with the cutoff
+    at ``cutoff_ratio`` times the rate, past three decay times and the fit window."""
+    return 2.0 * cutoff_ratio * max(_MIN_DECAY_SPANS + 0.2, fit_window[1] * 1.15) + 1.0
 
 
 def _grid_for_rate(
     gamma: float, cutoff: float, fit_window: tuple[float, float]
 ) -> tuple[float, int]:
-    dt = 0.5 / cutoff
-    span = _decay_times_on_grid(fit_window) / gamma
-    n_steps = 1 << max(4, math.ceil(math.log2(span / dt + 1)))
-    return dt, n_steps
-
-
-def grid_points(cutoff_ratio: float, fit_window: tuple[float, float]) -> float:
-    """Points a scenario's grid needs before ``n_steps`` rounds them up to a
-    power of two (at least 16): steps of half an inverse cutoff, with the cutoff
-    at ``cutoff_ratio`` times the rate, over the grid length in decay times."""
-    return 2.0 * cutoff_ratio * _decay_times_on_grid(fit_window) + 1.0
+    """(dt, n_steps): half an inverse cutoff, and ``grid_points`` at the ratio
+    cutoff / gamma rounded up."""
+    return 0.5 / cutoff, 1 << max(4, math.ceil(math.log2(grid_points(cutoff / gamma, fit_window))))
 
 
 def make_validation_scenario(

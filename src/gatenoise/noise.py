@@ -43,7 +43,6 @@ __all__ = [
     "OhmicBath",
     "TopologyKind",
     "NoiseTopology",
-    "TrajectoryBundle",
     "PsdEstimate",
     "spectral_density",
     "propagation_kernel_f",
@@ -162,20 +161,6 @@ class NoiseTopology:
     @classmethod
     def spatial(cls, positions: Sequence) -> "NoiseTopology":
         return cls(TopologyKind.SPATIAL, tuple(positions))
-
-
-@dataclass(frozen=True)
-class TrajectoryBundle:
-    """One realization of L correlated discrete-time noise trajectories.
-
-    ``samples`` has shape (L, n_steps); row j is the noise seen by qubit j at
-    times 0, dt, ..., (n_steps - 1) dt.  Immutable after creation.
-    """
-
-    dt: float
-    n_steps: int
-    samples: np.ndarray
-    seed: int
 
 
 def _check_frequencies(omega) -> np.ndarray:
@@ -567,13 +552,9 @@ class SpectralSynthesizer:
         dt: float,
         n_steps: int,
     ) -> None:
-        self.omega, _ = _spectral_grid(bath, dt, n_steps)
-        self.bath = bath
-        self.topology = topology
         self.n_sites = int(n_sites)
         if self.n_sites < 1:
             raise ValueError("need at least one site")
-        self.dt = float(dt)
         self.n_steps = int(n_steps)
         self._uniform = topology.kind is TopologyKind.UNIFORM
         self._spatial = topology.kind is TopologyKind.SPATIAL
@@ -589,7 +570,7 @@ class SpectralSynthesizer:
         """
         white = draw_white(rng, 1, self._n_sources, self._amplitude)
         if self._uniform:
-            return np.broadcast_to(white[0, 0], (self.n_sites, self.omega.size))
+            return np.broadcast_to(white[0, 0], (self.n_sites, self._amplitude.size))
         if not self._spatial:
             return white[0]
         if self._factor.ndim == 3:
@@ -639,13 +620,15 @@ def synthesize_trajectories(
     dt: float,
     n_steps: int,
     seed: int,
-) -> TrajectoryBundle:
+) -> np.ndarray:
     """Synthesize one bundle of stationary zero-mean Gaussian noise trajectories.
 
-    The auto-spectrum of every trajectory matches ``classical_psd`` exactly on
-    the discrete frequency grid, and for spatial topologies the cross-spectrum
-    between sites j, k is the auto-spectrum times f(w r_jk / v).  A uniform
-    topology returns L views of one shared trajectory.
+    Returns a read-only array (L, n_steps): row j is the noise seen by qubit j
+    at times 0, dt, ..., (n_steps - 1) dt.  The auto-spectrum of every
+    trajectory matches ``classical_psd`` exactly on the discrete frequency
+    grid, and for spatial topologies the cross-spectrum between sites j, k is
+    the auto-spectrum times f(w r_jk / v).  A uniform topology returns L views
+    of one shared trajectory.
 
     Parameters
     ----------
@@ -661,7 +644,7 @@ def synthesize_trajectories(
     """
     synth = SpectralSynthesizer(bath, topology, n_sites=n_trajectories, dt=dt, n_steps=n_steps)
     rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(seed, 0)))
-    return TrajectoryBundle(dt=dt, n_steps=n_steps, samples=synth.draw(rng), seed=int(seed))
+    return synth.draw(rng)
 
 
 @dataclass(frozen=True)

@@ -350,7 +350,8 @@ def _gate_sources(pair: CoherencePair, drive: GateDrive | None) -> np.ndarray:
 
 
 def _site_sources(pair: CoherencePair, drive: GateDrive) -> np.ndarray:
-    # per-site weights sum to Q - Q': the low-frequency rate is topology independent
+    # per-site weights sum to Q - Q': where the sites share their noise at w = 0
+    # (uniform and spatial topologies) the low-frequency rate is the bus law
     m_l, m_r = (np.asarray(label.bits, dtype=float) for label in (pair.left, pair.right))
     phi = np.asarray(drive.phi, dtype=float)
     return float(phi @ m_l) * m_l - float(phi @ m_r) * m_r
@@ -383,7 +384,7 @@ ARCHITECTURES: Mapping[ArchKind, ArchitectureRecord] = MappingProxyType({
         rate=rate_bus,
         pointer=pointer_bus,
         sources=_site_sources,
-        topologies=(TopologyKind.UNIFORM, TopologyKind.INDEPENDENT, TopologyKind.SPATIAL),
+        topologies=(TopologyKind.UNIFORM, TopologyKind.SPATIAL),
     ),
     ArchKind.HYPERCUBE: ArchitectureRecord(
         gate_count=lambda n: (n // 2) * int(math.log2(n)),

@@ -322,7 +322,7 @@ def test_criterion_09_noise_synthesis_fidelity():
     bundle = synthesize_trajectories(
         bath, NoiseTopology.spatial([0.0, 0.0]), 2, dt, n_steps, seed=SEED
     )
-    spectra = np.fft.rfft(bundle.samples, axis=-1)
+    spectra = np.fft.rfft(bundle, axis=-1)
     cross = (dt / n_steps) * np.real(spectra[0] * np.conj(spectra[1]))
     auto = (dt / n_steps) * np.abs(spectra[0]) ** 2
     gap = np.abs(cross - auto)

@@ -527,6 +527,12 @@ def test_units_block_converts_and_reports(tmp_path):
     )
 
 
+# sha256 of the default `validate --format json` output.  Like LINEAR_PINS in
+# test_mcsim.py, it holds for one LAPACK's eigenvector signs: the linear
+# engine's phase factor comes from `eigh` with the signs LAPACK returns.
+DEFAULT_VALIDATE_SHA256 = "a6f32776d443f48bd0148e840c04efae90c3f0c9035194b22df8c4a5514df3f1"
+
+
 def test_validate_default_suite_all_pass(tmp_path):
     # `validate` without a config runs the bundled suite; it must exit 0
     out = tmp_path / "suite.json"
@@ -534,6 +540,7 @@ def test_validate_default_suite_all_pass(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["meta"]["all_pass"] is True
     assert len(payload["rows"]) == 14
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_VALIDATE_SHA256
 
 
 def test_commands_require_config_except_validate():
@@ -817,8 +824,7 @@ FUZZ_BASES = {
                          "cutoff_ratio": 128.0, "reference_rate": 1.0,
                          "n_trajectories": 500, "fit_window": [0.5, 2.0]},
             "seed": 5}],
-    "validate": [{"suite": "default", "scenarios": [MC_SCENARIO], "n_trajectories": 1000,
-                  "seed": 3}],
+    "validate": [{"scenarios": [MC_SCENARIO], "n_trajectories": 1000, "seed": 3}],
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,30 @@ def test_quadrature_matches_closed_forms_far_apart(geometry):
             assert rel <= 1e-8, (quad_fn.__name__, x, rel)
 
 
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_quadrature_refuses_far_apart_sites_before_evaluating(geometry):
+    # above x = 2000 the first level would evaluate about x / 4 panels in one
+    # call (gigabytes at x = 1e6), and from x ~ 3e3 the 1d quadratures miss
+    # 1e-8 of their closed forms; x = 2000 itself is still taken and met
+    b = OhmicBath(coupling=0.7, cutoff=1.3, geometry=geometry, velocity=0.9)
+    for closed_fn, quad_fn in (
+        (spurious_coupling, spurious_coupling_quadrature),
+        (transient_coupling, transient_coupling_quadrature),
+    ):
+        r = 2000.0 * b.velocity / b.cutoff
+        closed = closed_fn(b, r)
+        assert abs(quad_fn(b, r) - closed) <= 1e-8 * abs(closed)
+        for r in (1e6 * b.velocity / b.cutoff, math.inf):  # r = inf: x = inf
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="closed forms"):
+                    quad_fn(b, r)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (quad_fn.__name__, r, peak)
+
+
 def test_quadrature_that_never_converges_raises_with_its_estimate():
     from gatenoise import couplings
 
@@ -151,7 +176,7 @@ def test_quadrature_that_never_converges_raises_with_its_estimate():
         return np.where(u < 1.0 / 3.0, 1.0, 0.0)
 
     with pytest.raises(couplings.QuadratureError, match="did not converge") as info:
-        couplings._oscillatory_integral(step, 0.0, abs_floor=1e-14)
+        couplings._oscillatory_integral(step, 0.0)
     assert info.value.estimate == pytest.approx(1.0 / 3.0, abs=0.1)
     assert couplings._REL_TOL * abs(info.value.estimate) < info.value.error < 0.1
     assert f"{info.value.error:.3e}" in str(info.value)
@@ -218,10 +243,10 @@ def test_coupling_matrix_coincident_and_chain():
 
 def test_coupling_matrix_validation():
     with pytest.raises(ValueError):
-        CouplingMatrix(CouplingKind.SPURIOUS, np.ones((2, 3)), (0.0, 1.0))
+        CouplingMatrix(CouplingKind.SPURIOUS, np.ones((2, 3)))
     asym = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError):
-        CouplingMatrix(CouplingKind.SPURIOUS, asym, (0.0, 1.0))
+        CouplingMatrix(CouplingKind.SPURIOUS, asym)
 
 
 def _transient_matrix(n, rng=None, cutoff=1.0):

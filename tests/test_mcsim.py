@@ -228,6 +228,11 @@ def test_topology_consistency_enforced():
     arch_i = ArchitectureModel(ArchKind.FSA_INDEPENDENT, 3)
     with pytest.raises(ValueError):
         simulate_dephasing(arch_i, scn.pair, scn.bath, NoiseTopology.uniform(), scn.cfg)
+    # independent site noises give the linear engine (S(0) / 2) sum_j w_j^2, not
+    # the bus law's (S(0) / 2) (sum_j w_j)^2 of a shared line
+    bus = make_validation_scenario(ArchKind.BUS, worst_case_pair(ArchKind.BUS, 4))
+    with pytest.raises(ValueError, match="uniform or spatial topology"):
+        simulate_dephasing(bus.arch, bus.pair, bus.bath, NoiseTopology.independent(), bus.cfg)
 
 
 def test_white_noise_guard_rejects_low_cutoff():

@@ -137,9 +137,9 @@ def test_uniform_topology_shares_one_trajectory():
     bundle = synthesize_trajectories(
         bath_1d(cutoff=8.0), NoiseTopology.uniform(), 3, dt=0.05, n_steps=256, seed=9
     )
-    assert bundle.samples.shape == (3, 256)
-    assert np.array_equal(bundle.samples[0], bundle.samples[1])
-    assert np.array_equal(bundle.samples[0], bundle.samples[2])
+    assert bundle.shape == (3, 256)
+    assert np.array_equal(bundle[0], bundle[1])
+    assert np.array_equal(bundle[0], bundle[2])
 
 
 def test_synthesis_deterministic_and_seed_sensitive():
@@ -148,8 +148,8 @@ def test_synthesis_deterministic_and_seed_sensitive():
     a = synthesize_trajectories(bath, topo, 2, dt=0.05, n_steps=512, seed=123)
     b = synthesize_trajectories(bath, topo, 2, dt=0.05, n_steps=512, seed=123)
     c = synthesize_trajectories(bath, topo, 2, dt=0.05, n_steps=512, seed=124)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_independent_trajectories_uncorrelated():
@@ -283,7 +283,7 @@ def test_spatial_zero_distance_cross_psd_equals_auto():
     bundle = synthesize_trajectories(bath, topo, 2, dt=0.05, n_steps=512, seed=21)
     # coincident sites are perfectly correlated: the rows coincide, so the
     # cross-periodogram equals the auto-periodogram identically
-    assert np.allclose(bundle.samples[0], bundle.samples[1], rtol=0, atol=1e-12)
+    assert np.allclose(bundle[0], bundle[1], rtol=0, atol=1e-12)
 
 
 def test_spatial_cross_psd_matches_kernel():
@@ -653,7 +653,13 @@ def _pipeline_phase_covariance(factors, dt, n_steps, report_idx):
     return phase.T @ phase
 
 
-@pytest.mark.parametrize("n_steps", [256, 1024])
+# dt * cutoff = 0.01 oversamples the spectrum: the phase covariance is then
+# numerically rank deficient and eigh keeps fewer directions than report points
+@pytest.mark.parametrize(
+    "n_steps, dt_cutoff",
+    [(256, 0.5), (1024, 0.5), (256, 0.01), (1024, 0.01)],
+    ids=["256", "1024", "256-dt_cutoff_0.01", "1024-dt_cutoff_0.01"],
+)
 @pytest.mark.parametrize(
     "geometry, topology",
     [
@@ -663,18 +669,22 @@ def _pipeline_phase_covariance(factors, dt, n_steps, report_idx):
         ("3d", NoiseTopology.spatial([[0, 0, 0], [0.01, 0, 0], [0, 0.03, 0], [0.02, 0.02, 0.05]])),
     ],
 )
-def test_trapezoid_phase_factor_reproduces_pipeline_covariance(geometry, topology, n_steps):
+def test_trapezoid_phase_factor_reproduces_pipeline_covariance(
+    geometry, topology, n_steps, dt_cutoff
+):
     # bus weights (phi . m) m - (phi . m') m' of a driven gate at L = 4
     bath = OhmicBath(coupling=1.0, cutoff=100.0, temperature=1.0, geometry=geometry)
     phi = np.array([1.0, 1.0, 0.0, 0.0])
     m_l, m_r = np.ones(4), np.array([-1.0, 1.0, 1.0, 1.0])
     weights = [(phi @ m_l) * m_l - (phi @ m_r) * m_r]
-    dt = 0.5 / bath.cutoff
+    dt = dt_cutoff / bath.cutoff
     factors = _per_bin_factors(bath, topology, weights, dt, n_steps)
     report_idx = np.unique(np.round(np.linspace(0, n_steps - 1, 257)).astype(int))
     factor = trapezoid_phase_factor((factors[:, 0] ** 2).sum(axis=1), dt, report_idx)
     expected = _pipeline_phase_covariance(factors, dt, n_steps, report_idx)
     assert factor.shape[1] == report_idx.size - 1
+    if dt_cutoff < 0.5:
+        assert factor.shape[0] < report_idx.size - 1
     err = np.abs(factor.T @ factor - expected).max()
     assert err <= 1e-10 * np.abs(expected).max()
 
