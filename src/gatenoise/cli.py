@@ -1,17 +1,20 @@
 """Config-driven command line frontend.
 
-Subcommands: ``rates``, ``scan``, ``couplings``, ``mc``, ``validate``.
-Configuration is a JSON document read against one slot table per command
-(``_COMMANDS``): each key maps to a reader and a default, a nested object is
-a nested table, and one loop (``_read``) reads every slot in table order.
+Subcommands: ``rates``, ``scan``, ``couplings``, ``mc``, ``validate``, each
+listed once in ``_COMMANDS`` with its handler, slot table and help text, from
+which the parser is built.  Configuration is a JSON document read against
+the command's table: each key maps to a reader and a default, a nested object
+is a nested table, and one loop (``_read``) reads every slot in table order.
 Unknown keys are rejected, and JSON ``null`` means absent everywhere.
 ``--config`` is required by every command whose table has a required slot,
 which is all but ``validate``.  ``--output`` and ``--format`` apply to every
-command; only the Monte-Carlo commands ``mc`` and ``validate`` take
-``--seed`` (overriding the config's seed) and ``--jobs``, and the others
-refuse them (argparse, exit 2).  Every output file embeds the fully resolved
-configuration and seed in its header, so a run can be reproduced
-byte-for-byte from its own output.
+command; only the Monte-Carlo commands ``mc`` and ``validate``, whose tables
+have a ``seed`` slot, take ``--seed`` (overriding the config's seed) and
+``--jobs``, and the others refuse them (argparse, exit 2).  Every output file
+records in its header the configuration as given and, for ``mc`` and
+``validate``, the seed (also set in the recorded configuration).  A key the
+configuration omits takes the default of the ``tool`` version the header
+names, so that version reproduces the run byte-for-byte from its own output.
 
 Exit codes: 0 success / all validations passed, 1 validation failure, 2
 configuration error (unreadable JSON, unknown key, missing required key, a
@@ -641,12 +644,14 @@ def _cmd_validate(values: Mapping, config: Mapping, args: argparse.Namespace) ->
     return EXIT_OK if meta["all_pass"] else EXIT_VALIDATION_FAILED
 
 
+# command -> (handler, config table, help text); the commands whose table has
+# a "seed" slot are the Monte-Carlo ones, which take --seed and --jobs
 _COMMANDS = {
-    "rates": (_cmd_rates, _RATES),
-    "scan": (_cmd_scan, _SCAN),
-    "couplings": (_cmd_couplings, _COUPLINGS),
-    "mc": (_cmd_mc, _MC),
-    "validate": (_cmd_validate, _VALIDATE),
+    "rates": (_cmd_rates, _RATES, "tabulate analytic dephasing rates for coherence pairs"),
+    "scan": (_cmd_scan, _SCAN, "worst-case rate scaling vs register length"),
+    "couplings": (_cmd_couplings, _COUPLINGS, "noise-induced inter-qubit coupling map"),
+    "mc": (_cmd_mc, _MC, "Monte-Carlo coherence trace for one scenario"),
+    "validate": (_cmd_validate, _VALIDATE, "run Monte-Carlo validation against the analytic rates"),
 }
 
 
@@ -657,18 +662,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "and Monte-Carlo validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("rates", "tabulate analytic dephasing rates for coherence pairs"),
-        ("scan", "worst-case rate scaling vs register length"),
-        ("couplings", "noise-induced inter-qubit coupling map"),
-        ("mc", "Monte-Carlo coherence trace for one scenario"),
-        ("validate", "run Monte-Carlo validation against the analytic rates"),
-    ]:
+    for name, (_, table, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file")
         cmd.add_argument("--output", type=str, default=None, help="output file (default: stdout)")
         cmd.add_argument("--format", choices=["csv", "json"], default="csv")
-        if name in ("mc", "validate"):  # the Monte-Carlo commands
+        if "seed" in table:
             cmd.add_argument("--seed", type=int, default=None, help="master seed override")
             cmd.add_argument(
                 "--jobs", type=int, default=1,
@@ -680,7 +679,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, table = _COMMANDS[args.command]
+    handler, table, _ = _COMMANDS[args.command]
     try:
         config: Any = {}
         if args.config is not None:

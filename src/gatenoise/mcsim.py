@@ -101,6 +101,7 @@ import numpy as np
 from .noise import (
     NoiseTopology,
     OhmicBath,
+    _check_grid,
     _check_integer,
     _check_seed,
     _one_blas_thread,
@@ -121,7 +122,6 @@ from .rates import (
 from .register import (
     CoherencePair,
     GateDrive,
-    RegisterLabel,
     label_with_total_spin,
 )
 
@@ -185,10 +185,7 @@ class McConfig:
         for name in ("n_steps", "n_trajectories"):
             _check_integer(name, getattr(self, name))
         _check_seed(self.master_seed)
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if self.n_steps < 2 or self.n_steps & (self.n_steps - 1):
-            raise ValueError(f"n_steps must be a power of two, got {self.n_steps}")
+        _check_grid(self.dt, self.n_steps)
         if self.n_trajectories < 100:
             raise ValueError(
                 f"need at least 100 trajectories, got {self.n_trajectories}"
@@ -422,6 +419,20 @@ def _check_duration(cfg: McConfig, gamma: float) -> None:
         )
 
 
+def _check_topology(arch: ArchitectureModel, topology: NoiseTopology) -> None:
+    """Refuse an architecture with no noise sources, or a topology its record
+    does not list: the noises it would sum are not those of its rate law."""
+    record = arch.record
+    if record.sources is None:
+        raise ValueError(
+            f"Monte-Carlo dephasing supports switched-array and bus scenarios, "
+            f"not {arch.kind.value}"
+        )
+    if topology.kind not in record.topologies:
+        accepted = " or ".join(t.value for t in record.topologies)
+        raise ValueError(f"{arch.kind.value} noise sources require the {accepted} topology")
+
+
 def simulate_dephasing(
     arch: ArchitectureModel,
     pair: CoherencePair,
@@ -445,15 +456,8 @@ def simulate_dephasing(
         raise ValueError(
             f"pair length {pair.n_qubits} does not match architecture L = {arch.n_qubits}"
         )
+    _check_topology(arch, topology)
     record = arch.record
-    if record.sources is None:
-        raise ValueError(
-            f"Monte-Carlo dephasing supports switched-array and bus scenarios, "
-            f"not {arch.kind.value}"
-        )
-    if topology.kind not in record.topologies:
-        accepted = " or ".join(t.value for t in record.topologies)
-        raise ValueError(f"{arch.kind.value} noise sources require the {accepted} topology")
     weights = record.sources(pair, arch.drive)
     gamma = record.rate(bath, pair, arch.drive).gamma
     amplitude, mix = functional_factor(bath, topology, weights, cfg.dt, cfg.n_steps)
@@ -509,7 +513,8 @@ def simulate_bus_full(
     The trapezoid phase at report index n_j is
     dt (sum_{i < n_j} rate_i + (rate_{n_j} - rate_0) / 2), the inner sums
     being running totals of the rate over the segments between consecutive
-    report points.
+    report points.  It reads no architecture record and so takes any
+    topology; a quadratic :class:`ValidationScenario` holds it to the bus's.
     """
     if pair.n_qubits != len(drive):
         raise ValueError(
@@ -615,7 +620,8 @@ class ValidationScenario:
     architecture's record (:func:`simulate_dephasing`), True the full
     quadratic shared-line coupler of a bus's drive (:func:`simulate_bus_full`),
     whose ``gamma_analytic`` is then the coupler's linear-response rate, 1/16
-    of the bus rate law.
+    of the bus rate law.  Either way the topology must be one the
+    architecture's record lists, the rule :func:`simulate_dephasing` applies.
     """
 
     name: str
@@ -630,6 +636,7 @@ class ValidationScenario:
     def __post_init__(self) -> None:
         if self.quadratic and self.arch.record.default_drive is None:  # no gate drive
             raise ValueError(f"the quadratic coupler is a bus engine, not {self.arch.kind.value}")
+        _check_topology(self.arch, self.topology)
 
 
 @dataclass(frozen=True)
@@ -791,19 +798,6 @@ def validate_against_analytic(scenario: ValidationScenario, jobs: int = 1) -> Va
     )
 
 
-def _pair_from_spins(n_qubits: int, m_left: int, m_right: int) -> CoherencePair:
-    return CoherencePair(
-        label_with_total_spin(n_qubits, m_left),
-        label_with_total_spin(n_qubits, m_right),
-    )
-
-
-def _pair_with_flips(n_qubits: int, n_flipped: int) -> CoherencePair:
-    left = label_with_total_spin(n_qubits, n_qubits)
-    bits = tuple(-1 if j < n_flipped else 1 for j in range(n_qubits))
-    return CoherencePair(left, RegisterLabel(bits))
-
-
 def default_validation_suite(
     master_seed: int = DEFAULT_MASTER_SEED,
     n_trajectories: int | None = None,
@@ -812,46 +806,33 @@ def default_validation_suite(
 
     Six central-noise switched-array pairs across L <= 4 (quartic rate law),
     a Hamming-distance sweep at L = 6 (parabolic rate law, including the
-    decoherence-free endpoints), and one driven bus gate at L = 4 (quadratic
-    pointer law).
+    decoherence-free endpoints, whose grid is set by the sweep's peak rate),
+    and one driven bus gate at L = 4 on the record's default drive (quadratic
+    pointer law).  One row per scenario: its name, architecture, pair,
+    default trajectory count and reference rate.
     """
-    scenarios: list[ValidationScenario] = []
-    for n, m, mp in [(2, 2, 0), (3, 3, 1), (3, 3, -1), (4, 4, 2), (4, 4, 0), (4, 2, 0)]:
-        scenarios.append(
-            make_validation_scenario(
-                ArchKind.FSA_UNIFORM,
-                _pair_from_spins(n, m, mp),
-                n_trajectories=20_000 if n_trajectories is None else n_trajectories,
-                master_seed=master_seed,
-                name=f"fsa_uniform_L{n}_M{m}_Mp{mp}",
-            )
-        )
+    spin = label_with_total_spin
     peak = rate_fsa_independent(
-        OhmicBath(coupling=1.0, cutoff=1.0, temperature=1.0), _pair_with_flips(6, 3)
+        OhmicBath(coupling=1.0, cutoff=1.0, temperature=1.0),
+        worst_case_pair(ArchKind.FSA_INDEPENDENT, 6),
     ).gamma
-    for nd in range(7):
-        scenarios.append(
-            make_validation_scenario(
-                ArchKind.FSA_INDEPENDENT,
-                _pair_with_flips(6, nd),
-                n_trajectories=10_000 if n_trajectories is None else n_trajectories,
-                master_seed=master_seed,
-                reference_rate=peak,
-                name=f"fsa_independent_L6_Nd{nd}",
-            )
-        )
-    drive = GateDrive.two_qubit_gate(4, 0, 1)
-    scenarios.append(
+    rows = [
+        *((f"fsa_uniform_L{n}_M{m}_Mp{mp}", ArchKind.FSA_UNIFORM,
+           CoherencePair(spin(n, m), spin(n, mp)), 20_000, None)
+          for n, m, mp in [(2, 2, 0), (3, 3, 1), (3, 3, -1), (4, 4, 2), (4, 4, 0), (4, 2, 0)]),
+        # all up against the first nd qubits flipped
+        *((f"fsa_independent_L6_Nd{nd}", ArchKind.FSA_INDEPENDENT,
+           CoherencePair(spin(6, -6), spin(6, 2 * nd - 6)).flipped(), 10_000, peak)
+          for nd in range(7)),
+        ("bus_L4_active_gate", ArchKind.BUS, worst_case_pair(ArchKind.BUS, 4), 20_000, None),
+    ]
+    return [
         make_validation_scenario(
-            ArchKind.BUS,
-            worst_case_pair(ArchKind.BUS, 4, drive),
-            drive=drive,
-            n_trajectories=20_000 if n_trajectories is None else n_trajectories,
-            master_seed=master_seed,
-            name="bus_L4_active_gate",
+            kind, pair, n_trajectories=count if n_trajectories is None else n_trajectories,
+            master_seed=master_seed, reference_rate=reference_rate, name=name,
         )
-    )
-    return scenarios
+        for name, kind, pair, count, reference_rate in rows
+    ]
 
 
 def mc_bus_scaling(

@@ -165,8 +165,8 @@ class NoiseTopology:
 
 def _check_frequencies(omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("frequencies must be >= 0")
+    if not np.all((w >= 0) & (w < np.inf)):  # NaN fails both
+        raise ValueError("frequencies must be finite and >= 0")
     return w
 
 
@@ -175,7 +175,10 @@ def _scalar_like(value: np.ndarray, reference) -> float | np.ndarray:
 
 
 def spectral_density(bath: OhmicBath, omega) -> float | np.ndarray:
-    """Ohmic spectral density J(w) = coupling * w * exp(-w / cutoff)."""
+    """Ohmic spectral density J(w) = coupling * w * exp(-w / cutoff).
+
+    Here and in the other spectra, every frequency must be finite and >= 0.
+    """
     w = _check_frequencies(omega)
     return _scalar_like(bath.coupling * w * np.exp(-w / bath.cutoff), omega)
 
@@ -199,9 +202,9 @@ def cross_spectral_density(bath: OhmicBath, omega, r: float) -> float | np.ndarr
     """Cross-spectral density between sites a distance r apart.
 
     Reduces to the on-site spectral density at r = 0 and, for any r, in the
-    low-frequency limit.
+    low-frequency limit.  A NaN distance is refused, as a negative one is.
     """
-    if r < 0:
+    if not r >= 0:  # NaN included
         raise ValueError(f"distance must be >= 0, got {r}")
     w = _check_frequencies(omega)
     kernel = propagation_kernel_f(w * r / bath.velocity, bath.geometry)
@@ -246,25 +249,26 @@ def spatial_correlation_matrix(bath: OhmicBath, positions: Sequence, omega) -> n
     return propagation_kernel_f(omega * r / bath.velocity, bath.geometry)
 
 
-def _validate_grid(bath: OhmicBath, dt: float, n_steps: int) -> None:
-    if not (np.isfinite(dt) and dt > 0):
+def _check_grid(dt: float, n_steps: int) -> None:
+    """The time grid rule: a finite step dt > 0 and a power-of-two step count."""
+    if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if n_steps < 2 or n_steps & (n_steps - 1):
         raise ValueError(f"n_steps must be a power of two >= 2, got {n_steps}")
-    if dt * bath.cutoff > 0.5 + 1e-12:
-        raise ValueError(
-            f"grid too coarse: dt * cutoff = {dt * bath.cutoff:.3g} > 0.5; "
-            "decrease dt to resolve the spectral cutoff"
-        )
 
 
 def _spectral_grid(bath: OhmicBath, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Bin frequencies of the rfft grid and the per-bin amplitude variance.
 
     E|Z_k|^2 = n_steps * S(w_k) / dt reproduces the target spectrum through
-    the inverse DFT.
+    the inverse DFT.  The grid must resolve the cutoff: dt * cutoff <= 0.5.
     """
-    _validate_grid(bath, dt, n_steps)
+    _check_grid(dt, n_steps)
+    if dt * bath.cutoff > 0.5 + 1e-12:
+        raise ValueError(
+            f"grid too coarse: dt * cutoff = {dt * bath.cutoff:.3g} > 0.5; "
+            "decrease dt to resolve the spectral cutoff"
+        )
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_steps, d=dt)
     return omega, n_steps * classical_psd(bath, omega) / dt
 
@@ -666,7 +670,8 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
     """Averaged periodogram of one or more equal-length trajectories.
 
     Accepts a single trajectory (1-D) or a stack with time along the last
-    axis; all leading axes are flattened into the averaging ensemble.
+    axis; all leading axes are flattened into the averaging ensemble.  The
+    step ``dt`` must be finite and > 0 and every sample finite.
     """
     x = np.asarray(trajectories, dtype=float)
     if x.ndim == 0:
@@ -674,6 +679,10 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
     n = x.shape[-1]
     if n < 256:
         raise ValueError(f"trajectory too short for a PSD estimate: {n} < 256 samples")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not np.isfinite(x).all():
+        raise ValueError("trajectories must be finite")
     flat = x.reshape(-1, n)
     periodograms = (dt / n) * np.abs(np.fft.rfft(flat, axis=-1)) ** 2
     psd = periodograms.mean(axis=0)

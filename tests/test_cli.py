@@ -847,7 +847,7 @@ def nested_slots(reader, value, path):
 
 FUZZ_SLOTS = [
     (command, i, path)
-    for command, (_, table) in cli._COMMANDS.items()
+    for command, (_, table, _) in cli._COMMANDS.items()
     for i, base in enumerate(FUZZ_BASES[command])
     for path in table_slots(table, base)
 ]

@@ -233,6 +233,11 @@ def test_topology_consistency_enforced():
     bus = make_validation_scenario(ArchKind.BUS, worst_case_pair(ArchKind.BUS, 4))
     with pytest.raises(ValueError, match="uniform or spatial topology"):
         simulate_dephasing(bus.arch, bus.pair, bus.bath, NoiseTopology.independent(), bus.cfg)
+    # and so is the quadratic coupler's verdict: the bus scan's L = 4 scenario on
+    # independent site noises fitted 0.164 against the coupler's 0.640 (FAIL)
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=8192, n_trajectories=2000)
+    with pytest.raises(ValueError, match="uniform or spatial topology"):
+        replace(quadratic_scan_scenario(4, cfg), topology=NoiseTopology.independent())
 
 
 def test_white_noise_guard_rejects_low_cutoff():
@@ -1084,6 +1089,25 @@ def test_default_suite_structure():
     # the Hamming sweep includes both decoherence-free endpoints
     zero_rate = [s for s in suite if s.gamma_analytic == 0.0]
     assert len(zero_rate) == 2
+    # a moved or dropped row fails here by name, not only through the
+    # default suite's output hash
+    assert names == [
+        "fsa_uniform_L2_M2_Mp0", "fsa_uniform_L3_M3_Mp1", "fsa_uniform_L3_M3_Mp-1",
+        "fsa_uniform_L4_M4_Mp2", "fsa_uniform_L4_M4_Mp0", "fsa_uniform_L4_M2_Mp0",
+        *(f"fsa_independent_L6_Nd{nd}" for nd in range(7)),
+        "bus_L4_active_gate",
+    ]
+    counts = [s.cfg.n_trajectories for s in default_validation_suite()]
+    assert counts == [20_000] * 6 + [10_000] * 7 + [20_000]
+    # the decoherence-free pairs take their grid from their reference_rate, the
+    # sweep's peak rate: that of its Nd = 3 pair, the worst case
+    sweep = suite[6:13]
+    peak = sweep[3]
+    assert peak.pair == worst_case_pair(ArchKind.FSA_INDEPENDENT, 6)
+    assert peak.gamma_analytic == max(s.gamma_analytic for s in sweep)
+    for s in zero_rate:
+        assert s.bath == peak.bath and s.bath.cutoff == 128.0 * peak.gamma_analytic
+        assert (s.cfg.dt, s.cfg.n_steps) == (peak.cfg.dt, peak.cfg.n_steps)
 
 
 def test_scenario_requires_reference_for_zero_rate():

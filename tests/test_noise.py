@@ -60,6 +60,12 @@ def test_spectral_density_examples():
     assert j[-1] < 1e-11
     with pytest.raises(ValueError):
         spectral_density(bath, -0.5)
+    # a non-finite frequency is refused, not turned into nan (or 0.0 for
+    # classical_psd at inf)
+    for spectrum in (spectral_density, classical_psd):
+        for omega in (np.inf, np.nan, [1.0, np.nan]):
+            with pytest.raises(ValueError):
+                spectrum(bath, omega)
 
 
 def test_propagation_kernel_examples():
@@ -82,6 +88,9 @@ def test_cross_spectral_density():
     assert cross_spectral_density(bath, np.pi / 2, 1.0) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         cross_spectral_density(bath, 1.0, -1.0)
+    for omega, r in [(1.0, np.nan), (np.nan, 1.0), (np.inf, 1.0)]:
+        with pytest.raises(ValueError):
+            cross_spectral_density(bath, omega, r)
 
 
 def test_classical_psd_zero_frequency_anchor():
@@ -182,6 +191,14 @@ def test_estimate_psd_zero_and_guards():
     assert np.all(est.psd == 0.0)
     with pytest.raises(ValueError):
         estimate_psd(np.zeros(100), dt=0.1)
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            estimate_psd(np.zeros(512), dt)
+    for sample in (np.nan, np.inf):
+        x = np.zeros((2, 512))
+        x[1, 7] = sample
+        with pytest.raises(ValueError, match="finite"):
+            estimate_psd(x, 0.1)
 
 
 def test_estimate_psd_white_level():
