@@ -2,10 +2,12 @@
 
 Subcommands: ``rates``, ``scan``, ``couplings``, ``mc``, ``validate``, each
 listed once in ``_COMMANDS`` with its handler, slot table and help text, from
-which the parser is built.  Configuration is a JSON document read against
-the command's table: each key maps to a reader and a default, a nested object
-is a nested table, and one loop (``_read``) reads every slot in table order.
-Unknown keys are rejected, and JSON ``null`` means absent everywhere.
+which the parser is built.  A handler computes its own header keys and its
+table, and ``main`` writes them after the header every output shares.
+Configuration is a JSON document read against the command's table: each key
+maps to a reader and a default, a nested object is a nested table, and one
+loop (``_read``) reads every slot in table order.  Unknown keys are
+rejected, and JSON ``null`` means absent everywhere.
 ``--config`` is required by every command whose table has a required slot,
 which is all but ``validate``.  ``--output`` and ``--format`` apply to every
 command; only the Monte-Carlo commands ``mc`` and ``validate``, whose tables
@@ -481,7 +483,7 @@ def _base_meta(
     return meta
 
 
-def _cmd_rates(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
+def _cmd_rates(values: Mapping, args: argparse.Namespace) -> tuple[dict, dict]:
     kind, n_qubits = values["architecture"], values["L"]
     record = _supporting(kind, "rate", "rate tables")
     bath = _bath(values)
@@ -507,12 +509,10 @@ def _cmd_rates(values: Mapping, config: Mapping, args: argparse.Namespace) -> in
         "Qp": _Coded(pointers, right),
         "gamma": table.gamma.tolist(),
     }
-    meta = _base_meta("rates", config, units=values["units"])
-    _write_output(args.output, args.format, meta, columns)
-    return EXIT_OK
+    return {}, columns
 
 
-def _cmd_scan(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
+def _cmd_scan(values: Mapping, args: argparse.Namespace) -> tuple[dict, dict]:
     kind, noise = values["architecture"], values["noise"]
     if noise not in ARCHITECTURES[kind].laws:
         raise ConfigError(f"no scaling law in scope for {kind.value} with {noise.value} noise")
@@ -535,11 +535,10 @@ def _cmd_scan(values: Mapping, config: Mapping, args: argparse.Namespace) -> int
         "relative_rate": [point.relative_rate for point in points],
         "local_exponent": exponents,
     }
-    _write_output(args.output, args.format, _base_meta("scan", config), columns)
-    return EXIT_OK
+    return {}, columns
 
 
-def _cmd_couplings(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
+def _cmd_couplings(values: Mapping, args: argparse.Namespace) -> tuple[dict, dict]:
     bath = _bath(values)
     positions = values["positions"]
     if isinstance(positions, dict):  # {count, spacing}
@@ -570,14 +569,11 @@ def _cmd_couplings(values: Mapping, config: Mapping, args: argparse.Namespace) -
         "mu_tr_3d": tr_3d[j, k].tolist(),
         "tr_3d_dominates": (tr_3d[j, k] >= tr_1d[j, k]).tolist(),
     }
-    meta = _base_meta("couplings", config, units=values["units"])
-    meta["drive_enhancement"] = drive_enhancement(n, bath)
-    meta["geometry"] = bath.geometry.value
+    meta = {"drive_enhancement": drive_enhancement(n, bath), "geometry": bath.geometry.value}
     if args.format == "json":
         meta["mu_sc_matrix"] = [list(map(float, row)) for row in mu_sc.values]
         meta["mu_tr_matrix"] = [list(map(float, row)) for row in mu_tr]
-    _write_output(args.output, args.format, meta, columns)
-    return EXIT_OK
+    return meta, columns
 
 
 def _scenario(values: Mapping, seed: int, n_trajectories: int, where: str):
@@ -605,14 +601,12 @@ def _scenario(values: Mapping, seed: int, n_trajectories: int, where: str):
     )
 
 
-def _cmd_mc(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
-    seed = values["seed"]
-    scenario = _scenario(values["scenario"], seed, 10_000, "scenario")
+def _cmd_mc(values: Mapping, args: argparse.Namespace) -> tuple[dict, dict]:
+    scenario = _scenario(values["scenario"], values["seed"], 10_000, "scenario")
     # the trace and fit of a verdict; ``mc`` reports them whatever the verdict
     report = validate_against_analytic(scenario, jobs=args.jobs)
     trace = report.trace
-    meta = _base_meta("mc", config, seed=seed)
-    meta.update(
+    meta = dict(
         scenario=scenario.name, gamma_analytic=scenario.gamma_analytic,
         gamma_hat=report.gamma_hat, stderr_gamma=report.stderr_gamma, r_squared=report.r_squared,
     )
@@ -622,11 +616,10 @@ def _cmd_mc(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
         "arg_C": trace.arg_coherence.tolist(),
         "stderr": trace.stderr.tolist(),
     }
-    _write_output(args.output, args.format, meta, columns)
-    return EXIT_OK
+    return meta, columns
 
 
-def _cmd_validate(values: Mapping, config: Mapping, args: argparse.Namespace) -> int:
+def _cmd_validate(values: Mapping, args: argparse.Namespace) -> tuple[dict, dict]:
     seed, n_override = values["seed"], values["n_trajectories"]
     if values["scenarios"] is None:  # the bundled suite
         scenarios = default_validation_suite(master_seed=seed, n_trajectories=n_override)
@@ -636,12 +629,9 @@ def _cmd_validate(values: Mapping, config: Mapping, args: argparse.Namespace) ->
             for i, entry in enumerate(values["scenarios"])
         ]
     rows = [validate_against_analytic(s, jobs=args.jobs).to_dict() for s in scenarios]
-    meta = _base_meta("validate", config, seed=seed)
-    meta["all_pass"] = all(row["pass"] for row in rows)
     # the columns of ValidationReport.to_dict, in its order (there is at least one row)
     table = {column: [row[column] for row in rows] for column in rows[0]}
-    _write_output(args.output, args.format, meta, table)
-    return EXIT_OK if meta["all_pass"] else EXIT_VALIDATION_FAILED
+    return {"all_pass": all(row["pass"] for row in rows)}, table
 
 
 # command -> (handler, config table, help text); the commands whose table has
@@ -697,7 +687,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             values["seed"] = _seed(args.seed, "--seed")
         if hasattr(args, "jobs"):
             args.jobs = _jobs(args.jobs, "--jobs")
-        return handler(values, config, args)
+        meta, table = handler(values, args)
+        meta = {**_base_meta(args.command, config, values.get("seed"), values.get("units")), **meta}
+        _write_output(args.output, args.format, meta, table)
+        return EXIT_VALIDATION_FAILED if meta.get("all_pass") is False else EXIT_OK
     except ConfigError as exc:
         print(f"gatenoise: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -284,17 +284,18 @@ def _trapezoid_at(
     rate: np.ndarray, report_idx: np.ndarray, dt: float, phase: np.ndarray
 ) -> None:
     """Write into ``phase`` (nt, m) the trapezoid integral of ``rate`` (nt, n_steps)
-    from 0 to each report index.
+    from 0 to each report index after the first.
 
-    The sums of the rate over [idx_m, idx_{m+1}), up to the last report
-    index, accumulate to sum_{i < idx_{m+1}} rate_i; the end terms
-    (rate_idx - rate_0) / 2 complete the trapezoid rule.
+    Column 0, the integral up to report index 0, is never written: it is the
+    zero the phase arrives with.  The sums of the rate over
+    [idx_m, idx_{m+1}), up to the last report index, accumulate to
+    sum_{i < idx_{m+1}} rate_i; the end terms (rate_idx - rate_0) / 2
+    complete the trapezoid rule.
     """
-    phase[:, 0] = 0.0
     segments = np.add.reduceat(rate[:, :report_idx[-1]], report_idx[:-1], axis=1)
-    np.cumsum(segments, axis=1, out=phase[:, 1:])
-    phase[:, 1:] += 0.5 * (rate[:, report_idx[1:]] - rate[:, :1])
-    phase *= dt
+    integral = np.cumsum(segments, axis=1, out=phase[:, 1:])
+    integral += 0.5 * (rate[:, report_idx[1:]] - rate[:, :1])
+    integral *= dt
 
 
 def _chunk_moments(
@@ -324,18 +325,22 @@ def _chunk_moments(
     return nt, total, moments, first, partial
 
 
-PhaseSampler = Callable[[np.random.Generator, int], np.ndarray]
+# sample_phase(rng, phase): writes a chunk's phase (nt, points), which arrives
+# zeroed, from column 1 on; column 0, the phase at t = 0, is never written.
+PhaseSampler = Callable[[np.random.Generator, np.ndarray], None]
 
 
 def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> CoherenceTrace:
     """Ensemble mean of exp(i phase) over ``cfg.n_trajectories`` trajectories.
 
-    ``sample_phase(rng, nt)`` returns the phase (nt, points) of nt
-    trajectories at the report points, drawn from the chunk's generator;
-    ``None`` means no noise reaches the phase, which is then exactly zero and
-    opens no stream.  Each chunk is reduced to its moments as soon as it is
-    drawn, so memory does not grow with the number of trajectories.  ``jobs``
-    is the number of engine threads, an integer >= 1.
+    Each chunk's phase (nt, points), of nt trajectories at the report
+    points, is allocated here, zeroed; ``sample_phase(rng, phase)`` writes
+    columns 1 onwards from the chunk's generator and leaves column 0, the
+    phase at t = 0, zero.  ``None`` means no noise reaches the phase, which
+    then stays exactly zero (exp(i 0) = 1 + 0j) and opens no stream.  Each
+    chunk is reduced to its moments as soon as it is drawn, so memory does
+    not grow with the number of trajectories.  ``jobs`` is the number of
+    engine threads, an integer >= 1.
     """
     _check_integer("jobs", jobs)
     if jobs < 1:
@@ -346,17 +351,13 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
 
     def work(chunk: int) -> tuple:
         start = chunk * _CHUNK
-        nt = min(start + _CHUNK, n) - start
-        if sample_phase is None:
-            z = np.ones((nt, report_idx.size), dtype=complex)
-        else:
-            rng = np.random.Generator(
-                np.random.PCG64(trajectory_seed_sequence(cfg.master_seed, chunk))
-            )
-            phase = sample_phase(rng, nt)
-            z = np.empty_like(phase, dtype=complex)  # keeps the layout, and so the sum order
-            np.cos(phase, out=z.real)
-            np.sin(phase, out=z.imag)
+        phase = np.zeros((min(start + _CHUNK, n) - start, report_idx.size))
+        if sample_phase is not None:
+            seed = trajectory_seed_sequence(cfg.master_seed, chunk)
+            sample_phase(np.random.Generator(np.random.PCG64(seed)), phase)
+        z = np.empty_like(phase, dtype=complex)  # keeps the layout, and so the sum order
+        np.cos(phase, out=z.real)
+        np.sin(phase, out=z.imag)
         return _chunk_moments(z, start, bounds)
 
     # Merge in chunk order (Chan, Golub & LeVeque 1983 pairwise update); both
@@ -466,11 +467,8 @@ def simulate_dephasing(
     power = amplitude**2 * (mix[..., 0, :] ** 2).sum(axis=-1)
     factor = trapezoid_phase_factor(power, cfg.dt, report_idx)
 
-    def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
-        phase = np.empty((nt, report_idx.size))
-        phase[:, 0] = 0.0
-        np.matmul(rng.standard_normal((nt, factor.shape[0])), factor, out=phase[:, 1:])
-        return phase
+    def sample_phase(rng: np.random.Generator, phase: np.ndarray) -> None:
+        np.matmul(rng.standard_normal((len(phase), factor.shape[0])), factor, out=phase[:, 1:])
 
     return _run_engine(sample_phase if factor.size else None, cfg, jobs)
 
@@ -534,18 +532,16 @@ def simulate_bus_full(
     lin = (const_right * mix[1] - const_left * mix[0]) / 4.0
     report_idx = _report_indices(cfg.n_steps)
 
-    def sample_phase(rng: np.random.Generator, nt: int) -> np.ndarray:
+    def sample_phase(rng: np.random.Generator, phase: np.ndarray) -> None:
         # x holds mix.shape[1] series per trajectory: R sources, or (a, b)
         rows = max(1, _BLOCK_SAMPLES // (mix.shape[1] * cfg.n_steps))
-        phase = np.empty((nt, report_idx.size))
-        for start in range(0, nt, rows):
-            spec = draw_white(rng, min(rows, nt - start), n_sources, amplitude)
+        for start in range(0, len(phase), rows):
+            block = phase[start:start + rows]
+            spec = draw_white(rng, len(block), n_sources, amplitude)
             if per_bin:
                 spec = mix_per_bin(spec, factor)
             x = np.fft.irfft(spec, n=cfg.n_steps)
-            rate = _quadratic_rate(x, quad, lin)
-            _trapezoid_at(rate, report_idx, cfg.dt, phase[start:start + rate.shape[0]])
-        return phase
+            _trapezoid_at(_quadratic_rate(x, quad, lin), report_idx, cfg.dt, block)
 
     return _run_engine(sample_phase if n_sources else None, cfg, jobs)
 

@@ -202,10 +202,10 @@ def cross_spectral_density(bath: OhmicBath, omega, r: float) -> float | np.ndarr
     """Cross-spectral density between sites a distance r apart.
 
     Reduces to the on-site spectral density at r = 0 and, for any r, in the
-    low-frequency limit.  A NaN distance is refused, as a negative one is.
+    low-frequency limit.  A distance that is not finite and >= 0 is refused.
     """
-    if not r >= 0:  # NaN included
-        raise ValueError(f"distance must be >= 0, got {r}")
+    if not 0 <= r < math.inf:  # NaN included
+        raise ValueError(f"distance must be finite and >= 0, got {r}")
     w = _check_frequencies(omega)
     kernel = propagation_kernel_f(w * r / bath.velocity, bath.geometry)
     return _scalar_like(kernel * bath.coupling * w * np.exp(-w / bath.cutoff), omega)
@@ -239,14 +239,23 @@ def _distance_matrix(positions: Sequence) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=-1))
 
 
+def _site_distances(positions: Sequence) -> np.ndarray:
+    """The distance matrix of the sites; a non-finite distance is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        r = _distance_matrix(positions)
+    if not np.isfinite(r).all():
+        raise ValueError("non-finite noise covariance: check the site positions")
+    return r
+
+
 def spatial_correlation_matrix(bath: OhmicBath, positions: Sequence, omega) -> np.ndarray:
     """Per-frequency matrix of kernels f(w r_jk / v); symmetric PSD, unit diagonal.
 
     ``omega`` is one frequency, or an array of shape (n, 1, 1) for a stack of
     n matrices.
     """
-    r = _distance_matrix(positions)
-    return propagation_kernel_f(omega * r / bath.velocity, bath.geometry)
+    w = _check_frequencies(omega)
+    return propagation_kernel_f(w * _site_distances(positions) / bath.velocity, bath.geometry)
 
 
 def _check_grid(dt: float, n_steps: int) -> None:
@@ -289,9 +298,7 @@ def _site_kernel(topology: NoiseTopology, n_sites: int) -> tuple[np.ndarray, np.
         if len(topology.positions) != n_sites:
             n = len(topology.positions)
             raise ValueError(f"spatial topology has {n} positions for {n_sites} sites")
-        r = _distance_matrix(topology.positions)
-        if not np.isfinite(r).all():
-            raise ValueError("non-finite noise covariance: check the site positions")
+        r = _site_distances(topology.positions)
     d = np.sort(r, axis=None)
     distances = d[np.diff(d, prepend=-1.0) > 0.0]
     return distances, np.searchsorted(distances, r)

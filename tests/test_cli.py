@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -446,6 +447,27 @@ def test_validate_single_scenario_pass(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["meta"]["all_pass"] is True
     assert payload["rows"][0]["pass"] is True
+
+
+def test_failing_verdict_exits_1_from_validate_only(tmp_path, monkeypatch):
+    # every verdict fails: validate still writes its table and exits 1, while
+    # mc, which reports the trace whatever the verdict, exits 0
+    real = cli.validate_against_analytic
+    monkeypatch.setattr(
+        cli, "validate_against_analytic",
+        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), passed=False),
+    )
+    validate_config = write_config(tmp_path, {"scenarios": [MC_SCENARIO]}, "validate.json")
+    out = tmp_path / "validate.csv"
+    assert main(["validate", "--config", validate_config, "--output", str(out)]) == 1
+    header, _, rows = read_csv(out)
+    assert "# all_pass: false" in header
+    assert [row["pass"] for row in rows] == ["false"]
+    mc_config = write_config(tmp_path, {"scenario": MC_SCENARIO}, "mc.json")
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--config", mc_config, "--output", str(out)]) == 0
+    _, columns, rows = read_csv(out)
+    assert columns == ["t", "abs_C", "arg_C", "stderr"] and len(rows) > 1
 
 
 def test_validate_white_noise_guard_exit_3(tmp_path, capsys):

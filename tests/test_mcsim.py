@@ -839,7 +839,8 @@ def reference_bus_trace(drive, pair, bath, topology, cfg):
         np.round(np.linspace(0, cfg.n_steps - 1, min(257, cfg.n_steps))).astype(int)
     )
 
-    def sample_phase(rng, nt):
+    def sample_phase(rng, phase):
+        nt = len(phase)
         # each row's real parts, then its imaginary parts
         re, im = np.moveaxis(rng.standard_normal((nt, 2, n_sources, n_bins)), 1, 0)
         white = (re + 1j * im) / np.sqrt(2.0)
@@ -848,8 +849,7 @@ def reference_bus_trace(drive, pair, bath, topology, cfg):
         spec = np.einsum("kpr,nrk->npk", factors, white)
         a, b = np.moveaxis(np.fft.irfft(spec, n=cfg.n_steps), 1, 0)
         rate = (b * (b + 2.0 * c_right) - a * (a + 2.0 * c_left)) / 8.0
-        phase = cumulative_trapezoid(rate, dx=cfg.dt, initial=0.0, axis=1)
-        return phase[:, report_idx]
+        phase[:] = cumulative_trapezoid(rate, dx=cfg.dt, initial=0.0, axis=1)[:, report_idx]
 
     return mcsim._run_engine(sample_phase, cfg, 1)
 

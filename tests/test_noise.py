@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -91,6 +93,36 @@ def test_cross_spectral_density():
     for omega, r in [(1.0, np.nan), (np.nan, 1.0), (np.inf, 1.0)]:
         with pytest.raises(ValueError):
             cross_spectral_density(bath, omega, r)
+
+
+_BATH_1D = OhmicBath(coupling=1.0, cutoff=1.0, temperature=1.0)
+_BATH_3D = OhmicBath(coupling=1.0, cutoff=1.0, temperature=1.0, geometry=Geometry.THREE_D)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (cross_spectral_density, (_BATH_1D, 0.0, np.inf), "distance"),
+        (cross_spectral_density, (_BATH_1D, 1.0, np.inf), "distance"),
+        (cross_spectral_density, (_BATH_3D, 0.0, np.inf), "distance"),
+        (cross_spectral_density, (_BATH_3D, 1.0, np.inf), "distance"),
+        (spatial_correlation_matrix, (_BATH_1D, [0.0, 1.0], np.nan), "frequencies"),
+        (spatial_correlation_matrix, (_BATH_1D, [0.0, 1.0], np.inf), "frequencies"),
+        (spatial_correlation_matrix, (_BATH_1D, [0.0, 1.0], -1.0), "frequencies"),
+        (spatial_correlation_matrix, (_BATH_1D, [0.0, np.inf], 1.0), "site positions"),
+        (spatial_correlation_matrix, (_BATH_3D, [(0.0, 0.0), (1e200, 0.0)], 1.0), "site positions"),
+        (_site_kernel, (NoiseTopology.spatial([0.0, np.inf]), 2), "site positions"),
+    ],
+    ids=["csd_1d_w0", "csd_1d_w1", "csd_3d_w0", "csd_3d_w1", "scm_w_nan", "scm_w_inf",
+         "scm_w_negative", "scm_site_inf", "scm_distance_overflows", "site_kernel_site_inf"],
+)
+def test_non_finite_distance_or_frequency_is_refused_without_a_warning(fn, args, message):
+    # an infinite distance, one beyond the float range, or a frequency that is
+    # not finite and >= 0 is a ValueError, never nan or a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
 
 
 def test_classical_psd_zero_frequency_anchor():

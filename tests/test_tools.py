@@ -38,3 +38,32 @@ def test_line_counter_leaves_out_docstrings_comments_and_blank_lines(tmp_path, c
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["6", "1", "7"]
     assert lines[-1].split()[1] == "total"
+
+
+# The listing of tools/output_digests.py.  The Monte-Carlo digests (mc_bus,
+# validate_two) hold for the engines' random streams and, like LINEAR_PINS in
+# test_mcsim.py, for one LAPACK's eigenvector signs; a logged stream change
+# re-pins them.  The others change only with the program's output.
+OUTPUT_DIGESTS = """\
+f2fabdd5c716878cc60eafcd375dd7272398107b05a7b391ea8ef50f52918611  rates_bus.csv exit 0
+4f8a03a0d699bb61def0640595dfcc1a4c8da312e4b945568cffd4c592f65232  rates_bus.json exit 0
+208f9b2e97489c6e5a4eae97020e0928bf5ceddeeb790e6c489c3b36c14fe998  rates_units.csv exit 0
+07fd3e5aac3bf7825deabbfa2c25de7d0387c93e1e70e4cfbb0f4bfa7605172a  rates_units.json exit 0
+f671ce5cd95428f6c2140396abc341b0898888470b6545b3fc83b5210bb09d4a  scan.csv exit 0
+5987e1d28eab0b585513b90416f6910046fc3dacc3ea16174ad0b401008e3f90  scan.json exit 0
+ac1e411cfd57359122f012854281f1ae46054385248a1d0d1961da14f8645066  couplings_grid.csv exit 0
+f28c9860b7ccf01573d2f0411f8d093fcbdeb13d60f72970962a5ecedf4bcdaa  couplings_grid.json exit 0
+daad56f726cef06e1293374aff68b6e0f9996271c7519de5d0ff5805efe6cdbc  couplings_list.csv exit 0
+89af1d9d5eea30f122b2c85f847c10f281cb4060caa29b46c6e903f36b597b1c  couplings_list.json exit 0
+bbcd788fc99bff49e79c19b63781c957ccc0a47e166686a928413a958971eda1  mc_bus.csv exit 0
+e7bf11a8a77576dd7fceb17eed8c08b2ffa8c0f6d123657a3e0803e393f7ad80  mc_bus.json exit 0
+1f80bb0ea527d93824e6fe6dfbf4c914b77a7ff9452a773b295ae524098b7f8d  mc_decoherence_free.csv exit 0
+b716fbd13f3394b45137ae0da6797dc99542da1f384b76ac15682569cbfdf5f8  mc_decoherence_free.json exit 0
+d1120ed3b94f2ecdf034b94bb9e745c2d0da7c314f8c6c756e4d46768d9f594a  validate_two.csv exit 1
+eb5df27971d370aa9be93b838adca911e7be5b0e41caf00614f470ca8eec7c39  validate_two.json exit 1
+"""
+
+
+def test_output_digests_are_pinned(capsys):
+    assert load("output_digests").main() == 0
+    assert capsys.readouterr().out == OUTPUT_DIGESTS
