@@ -12,11 +12,14 @@ import numpy as np
 from gatenoise import (
     NoiseTopology,
     OhmicBath,
+    SpectralSynthesizer,
     classical_psd,
     estimate_psd,
+    propagation_kernel_f,
     synthesize_trajectories,
+    trajectory_seed_sequence,
+    write_psd_csv,
 )
-from gatenoise.noise import SpectralSynthesizer, trajectory_seed_sequence, write_psd_csv
 
 bath = OhmicBath(coupling=1.0, cutoff=8.0, temperature=1.0)
 dt, n_steps = 0.5 / bath.cutoff, 512
@@ -51,8 +54,6 @@ for i in range(800):
     spec = np.fft.rfft(synth2.draw(rng), axis=-1)
     cross += (dt / n_steps) * np.real(spec[0] * np.conj(spec[1]))
 cross /= 800
-from gatenoise import propagation_kernel_f  # noqa: E402
-
 expected = propagation_kernel_f(est.omega * r / bath.velocity, bath.geometry) * target
 print(f"cross-spectrum between sites {r} apart (estimate vs kernel x target):")
 for frac in (0.25, 0.5, 1.0):

@@ -9,8 +9,7 @@ the quadratic coupler.
 """
 import numpy as np
 
-from gatenoise import ArchKind, NoiseKind, scaling_scan
-from gatenoise.mcsim import mc_bus_scaling
+from gatenoise import ArchKind, NoiseKind, mc_bus_scaling, scaling_scan
 
 CASES = [
     (ArchKind.FSA_UNIFORM, NoiseKind.CENTRAL, [2, 4, 8, 16], "L^4"),

@@ -18,72 +18,17 @@ in the register length.  This package provides:
 
 Natural units (hbar = k_B = 1) everywhere; unit conversion happens only at
 the CLI boundary.
+
+Every module's public names (its ``__all__``) are importable from the
+package itself.
 """
-from .register import (
-    RegisterLabel,
-    CoherencePair,
-    GateDrive,
-    total_spin,
-    hamming_distance,
-    pointer_fsa_uniform,
-    pointer_fsa_pair,
-    pointer_bus,
-    enumerate_labels,
-    iter_coherence_pairs,
-    label_with_total_spin,
-)
-from .noise import (
-    Geometry,
-    OhmicBath,
-    TopologyKind,
-    NoiseTopology,
-    PsdEstimate,
-    spectral_density,
-    propagation_kernel_f,
-    cross_spectral_density,
-    classical_psd,
-    synthesize_trajectories,
-    estimate_psd,
-)
-from .rates import (
-    ArchKind,
-    NoiseKind,
-    ArchitectureModel,
-    RateResult,
-    dephasing_rate,
-    rate_fsa_uniform,
-    rate_fsa_independent,
-    rate_fsa_independent_bruteforce,
-    rate_bus,
-    gate_count,
-    scaling_scan,
-    worst_case_pair,
-)
-from .couplings import (
-    CouplingKind,
-    CouplingMatrix,
-    kernel_g,
-    kernel_h,
-    spurious_coupling,
-    spurious_coupling_quadrature,
-    transient_coupling,
-    transient_coupling_quadrature,
-    coupling_matrix,
-    transient_energy_shift,
-    drive_enhancement,
-)
-from .mcsim import (
-    McConfig,
-    CoherenceTrace,
-    RateEstimate,
-    ValidationScenario,
-    ValidationReport,
-    simulate_dephasing,
-    simulate_bus_full,
-    fit_rate,
-    validate_against_analytic,
-    make_validation_scenario,
-    default_validation_suite,
-)
+from .register import *
+from .noise import *
+from .rates import *
+from .couplings import *
+from .mcsim import *
+from . import couplings, mcsim, noise, rates, register  # loaded above
+
+__all__ = [*register.__all__, *noise.__all__, *rates.__all__, *couplings.__all__, *mcsim.__all__]
 
 __version__ = "0.1.0"

@@ -327,6 +327,8 @@ def _chunk_moments(
 
 # sample_phase(rng, phase): writes a chunk's phase (nt, points), which arrives
 # zeroed, from column 1 on; column 0, the phase at t = 0, is never written.
+# An engine whose phase no noise reaches passes None instead, and
+# ``_run_engine`` returns the exact noise-free trace without drawing.
 PhaseSampler = Callable[[np.random.Generator, np.ndarray], None]
 
 
@@ -336,11 +338,13 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
     Each chunk's phase (nt, points), of nt trajectories at the report
     points, is allocated here, zeroed; ``sample_phase(rng, phase)`` writes
     columns 1 onwards from the chunk's generator and leaves column 0, the
-    phase at t = 0, zero.  ``None`` means no noise reaches the phase, which
-    then stays exactly zero (exp(i 0) = 1 + 0j) and opens no stream.  Each
-    chunk is reduced to its moments as soon as it is drawn, so memory does
-    not grow with the number of trajectories.  ``jobs`` is the number of
-    engine threads, an integer >= 1.
+    phase at t = 0, zero.  Each chunk is reduced to its moments as soon as
+    it is drawn, so memory does not grow with the number of trajectories.
+    ``None`` means no noise reaches the phase, which then stays exactly zero
+    (exp(i 0) = 1 + 0j): the trace is known without a chunk (|C| = 1, arg 0,
+    stderr 0, block sums equal to the block counts) and is returned with no
+    stream opened, the same bytes a sampler that writes zeros gives.
+    ``jobs`` is the number of engine threads, an integer >= 1.
     """
     _check_integer("jobs", jobs)
     if jobs < 1:
@@ -348,13 +352,20 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
     n = cfg.n_trajectories
     report_idx = _report_indices(cfg.n_steps)
     bounds = np.linspace(0, n, _N_BLOCKS + 1).astype(int)
+    counts = np.diff(bounds)
+    if sample_phase is None:
+        ones = np.ones(report_idx.size)
+        return CoherenceTrace(
+            times=report_idx * cfg.dt, abs_coherence=ones, arg_coherence=np.zeros_like(ones),
+            stderr=np.zeros_like(ones), n_samples=n,
+            block_sums=np.outer(counts, ones).astype(complex), block_counts=counts,
+        )
 
     def work(chunk: int) -> tuple:
         start = chunk * _CHUNK
         phase = np.zeros((min(start + _CHUNK, n) - start, report_idx.size))
-        if sample_phase is not None:
-            seed = trajectory_seed_sequence(cfg.master_seed, chunk)
-            sample_phase(np.random.Generator(np.random.PCG64(seed)), phase)
+        seed = trajectory_seed_sequence(cfg.master_seed, chunk)
+        sample_phase(np.random.Generator(np.random.PCG64(seed)), phase)
         z = np.empty_like(phase, dtype=complex)  # keeps the layout, and so the sum order
         np.cos(phase, out=z.real)
         np.sin(phase, out=z.imag)
@@ -399,7 +410,7 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
         stderr=np.sqrt(np.maximum(var, 0.0) / n),  # rounding can dip below 0
         n_samples=n,
         block_sums=block_sums,
-        block_counts=np.diff(bounds),
+        block_counts=counts,
     )
 
 

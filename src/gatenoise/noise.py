@@ -198,16 +198,29 @@ def propagation_kernel_f(x, geometry: Geometry) -> float | np.ndarray:
     return _scalar_like(out, x)
 
 
+def _site_pair_kernel(bath: OhmicBath, w: np.ndarray, r) -> np.ndarray:
+    """f(w r / v) in the bath's geometry, for checked frequencies and distances.
+
+    A phase w r / v beyond the float range is refused: f has no value there.
+    """
+    with np.errstate(over="ignore"):  # refused below
+        x = w * r / bath.velocity
+    if not np.isfinite(x).all():
+        raise ValueError("phase w r / v overflows the float range: check the site distances")
+    return propagation_kernel_f(x, bath.geometry)
+
+
 def cross_spectral_density(bath: OhmicBath, omega, r: float) -> float | np.ndarray:
     """Cross-spectral density between sites a distance r apart.
 
     Reduces to the on-site spectral density at r = 0 and, for any r, in the
-    low-frequency limit.  A distance that is not finite and >= 0 is refused.
+    low-frequency limit.  A distance that is not finite and >= 0, or a phase
+    w r / v beyond the float range, is refused.
     """
     if not 0 <= r < math.inf:  # NaN included
         raise ValueError(f"distance must be finite and >= 0, got {r}")
     w = _check_frequencies(omega)
-    kernel = propagation_kernel_f(w * r / bath.velocity, bath.geometry)
+    kernel = _site_pair_kernel(bath, w, r)
     return _scalar_like(kernel * bath.coupling * w * np.exp(-w / bath.cutoff), omega)
 
 
@@ -252,10 +265,10 @@ def spatial_correlation_matrix(bath: OhmicBath, positions: Sequence, omega) -> n
     """Per-frequency matrix of kernels f(w r_jk / v); symmetric PSD, unit diagonal.
 
     ``omega`` is one frequency, or an array of shape (n, 1, 1) for a stack of
-    n matrices.
+    n matrices.  A phase w r / v beyond the float range is refused.
     """
     w = _check_frequencies(omega)
-    return propagation_kernel_f(w * _site_distances(positions) / bath.velocity, bath.geometry)
+    return _site_pair_kernel(bath, w, _site_distances(positions))
 
 
 def _check_grid(dt: float, n_steps: int) -> None:
@@ -455,7 +468,7 @@ def functional_factor(
         rows = max(1, _KERNEL_VALUES // groups.size)
         for start in range(0, omega.size, rows):
             k = slice(start, start + rows)
-            f = propagation_kernel_f(omega[k, None] * distances / bath.velocity, bath.geometry)
+            f = _site_pair_kernel(bath, omega[k, None], distances)
             cov[k] = scale2[k, None, None] * (w @ f[:, groups] @ w.T)  # spatial: no -1 pairs
         if not np.isfinite(cov).all():
             raise ValueError("non-finite noise covariance: check the site positions")
@@ -678,7 +691,8 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
 
     Accepts a single trajectory (1-D) or a stack with time along the last
     axis; all leading axes are flattened into the averaging ensemble.  The
-    step ``dt`` must be finite and > 0 and every sample finite.
+    step ``dt`` must be finite and > 0, every sample finite, and the
+    estimate and its error within the float range.
     """
     x = np.asarray(trajectories, dtype=float)
     if x.ndim == 0:
@@ -691,13 +705,16 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
     if not np.isfinite(x).all():
         raise ValueError("trajectories must be finite")
     flat = x.reshape(-1, n)
-    periodograms = (dt / n) * np.abs(np.fft.rfft(flat, axis=-1)) ** 2
-    psd = periodograms.mean(axis=0)
     m = flat.shape[0]
-    if m > 1:
-        stderr = periodograms.std(axis=0, ddof=1) / np.sqrt(m)
-    else:
-        stderr = psd.copy()  # single periodogram bins are ~100% uncertain
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        periodograms = (dt / n) * np.abs(np.fft.rfft(flat, axis=-1)) ** 2
+        psd = periodograms.mean(axis=0)
+        if m > 1:
+            stderr = periodograms.std(axis=0, ddof=1) / np.sqrt(m)
+        else:
+            stderr = psd.copy()  # single periodogram bins are ~100% uncertain
+    if not (np.isfinite(psd).all() and np.isfinite(stderr).all()):
+        raise ValueError("power spectrum estimate overflows the float range")
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=dt)
     return PsdEstimate(omega=omega, psd=psd, stderr=stderr, n_average=m)
 

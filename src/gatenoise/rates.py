@@ -167,11 +167,17 @@ class ScanPoint:
 
 
 def dephasing_rate(s0: float, q: float, qp: float) -> float:
-    """Generic rate kernel: gamma = S(0) (Q - Q')^2 / 2, hbar = 1."""
-    if s0 < 0:
-        raise ValueError(f"noise power must be >= 0, got {s0}")
+    """Generic rate kernel: gamma = S(0) (Q - Q')^2 / 2, hbar = 1.
+
+    The noise power must be finite and >= 0, and a rate that is not finite
+    (from a pointer that is not finite or is beyond the float range) raises
+    ValueError.  The pointers may be arrays; numpy then warns of an overflow
+    unless the caller silences it (as :func:`rate_table` does).
+    """
+    if not 0 <= s0 < math.inf:  # NaN included
+        raise ValueError(f"noise power must be finite and >= 0, got {s0}")
     dq = q - qp
-    return 0.5 * s0 * dq * dq
+    return _finite(0.5 * s0 * dq * dq, "dephasing rate")
 
 
 def _finite(value, what: str):
@@ -196,9 +202,12 @@ def _thermal_power(bath: OhmicBath) -> float:
 
 
 def _independent_rate(bath: OhmicBath, n_qubits: int, nd):
-    """(coupling T / 16) (L - N_d) N_d; ``nd`` may be an integer array."""
+    """(coupling T / 16) (L - N_d) N_d; ``nd`` may be an integer array.
+
+    A rate that is not finite raises ValueError, as :func:`dephasing_rate` does.
+    """
     _require_thermal(bath)
-    return bath.coupling * bath.temperature / 16.0 * (n_qubits - nd) * nd
+    return _finite(bath.coupling * bath.temperature / 16.0 * (n_qubits - nd) * nd, "dephasing rate")
 
 
 def _pointer_rate(
@@ -208,7 +217,7 @@ def _pointer_rate(
     s0 = _thermal_power(bath)
     q = _finite(pointer(pair.left), "pointer")
     qp = _finite(pointer(pair.right), "pointer")
-    gamma = _finite(dephasing_rate(s0, q, qp), "dephasing rate")
+    gamma = dephasing_rate(s0, q, qp)
     try:
         return RateResult(gamma=gamma, pointer_delta_sq=(q - qp) ** 2)
     except OverflowError:  # float ** raises where * gives inf
@@ -232,7 +241,7 @@ def rate_fsa_independent(bath: OhmicBath, pair: CoherencePair) -> RateResult:
     """
     n = pair.n_qubits
     nd = hamming_distance(pair)
-    gamma = _finite(_independent_rate(bath, n, nd), "dephasing rate")
+    gamma = _independent_rate(bath, n, nd)
     # Each gate with exactly one flipped endpoint shifts its pointer by 1.
     return RateResult(gamma=gamma, pointer_delta_sq=float((n - nd) * nd))
 
@@ -319,14 +328,14 @@ def rate_table(
     bits = bits.reshape(len(labels), arch.n_qubits)
     hamming = np.count_nonzero(bits[left] != bits[right], axis=1)
     pointers = None
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises inside
         if record.pointer is None:
             gamma = _independent_rate(bath, arch.n_qubits, hamming)
         else:
             pointers = [record.pointer(label, arch.drive) for label in labels]
             q = _finite(np.array(pointers, dtype=float), "pointer")
             gamma = dephasing_rate(_thermal_power(bath), q[left], q[right])
-    return RateTable(pointers, hamming, _finite(gamma, "dephasing rate"))
+    return RateTable(pointers, hamming, gamma)
 
 
 def _flipped_where(n_qubits: int, flip: Callable[[int], bool]) -> RegisterLabel:

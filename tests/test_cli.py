@@ -192,6 +192,25 @@ def test_invalid_json_exits_2(tmp_path):
     assert main(["rates", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("mc", {"scenario": {**MC_SCENARIO, "pair": {"left": "+x", "right": "+-"}}},
+         "invalid label character 'x'"),
+        ("rates", {"architecture": "fsa_uniform", "L": 9, "bath": BATH, "pairs": "all"},
+         "capped at L <= 8"),
+        ("rates", {"architecture": "fsa_uniform", "L": 2, "bath": {**BATH, "coupling": 10**399},
+                   "pairs": "all"}, "bath.coupling is beyond the float range"),
+        ("rates", None, "cannot read config"),
+    ],
+    ids=["label_character", "all_pairs_above_8", "integer_of_400_digits", "missing_file"],
+)
+def test_config_refusals_exit_2(tmp_path, capsys, command, config, message):
+    path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
+    err = assert_one_line_exit(2, [command, "--config", path], tmp_path / "out.csv", capsys)
+    assert message in err
+
+
 def test_rates_worst_case_delegates(tmp_path):
     config = write_config(
         tmp_path,

@@ -345,3 +345,18 @@ def test_drive_enhancement():
     assert drive_enhancement(8, b2) - 1.0 == pytest.approx(
         2.0 * (drive_enhancement(4, b2) - 1.0), rel=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: drive_enhancement(0, bath()), "register length must be >= 1"),
+        (lambda: drive_enhancement(10, bath(coupling=1e300, cutoff=1e300)), "overflows"),
+        (lambda: transient_energy_shift(GateDrive((1.0, 1.0)), RegisterLabel((1, 1, 1)),
+                                        _transient_matrix(3)), "length mismatch"),
+    ],
+    ids=["enhancement_no_qubits", "enhancement_overflows", "energy_shift_lengths"],
+)
+def test_coupling_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -209,6 +209,19 @@ def test_decoherence_free_pair_shows_no_decay(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n", [200, 600, 1025, 1234])
+def test_noise_free_trace_is_the_bytes_of_a_zero_phase_run(n, jobs):
+    # the trace built without a chunk equals the general path on a phase that
+    # stays zero, for one chunk, several, and blocks of unequal size
+    cfg = McConfig(dt=0.01, n_steps=512, n_trajectories=n, master_seed=8)
+    exact = mcsim._run_engine(None, cfg, jobs)
+    general = mcsim._run_engine(lambda rng, phase: None, cfg, jobs)
+    for field in fields(CoherenceTrace):
+        a, b = np.asarray(getattr(exact, field.name)), np.asarray(getattr(general, field.name))
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+
+
 def test_non_finite_bath_raises_instead_of_a_trace():
     # NaN noise must not pass for a noise-free pair with exact unit coherence
     pair = CoherencePair(label_with_total_spin(2, 2), label_with_total_spin(2, 0))
@@ -317,6 +330,30 @@ def test_unsupported_architecture():
     arch = ArchitectureModel(ArchKind.HYPERCUBE, 4)
     with pytest.raises(ValueError, match="supports"):
         simulate_dephasing(arch, pair, bath, NoiseTopology.independent(), cfg)
+
+
+_PAIR_2 = CoherencePair.from_strings("++", "+-")
+_BATH = OhmicBath(coupling=1.0, cutoff=100.0, temperature=1.0)
+_CFG = McConfig(dt=0.005, n_steps=256, n_trajectories=300)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: simulate_dephasing(ArchitectureModel(ArchKind.FSA_UNIFORM, 3), _PAIR_2, _BATH,
+                                    NoiseTopology.uniform(), _CFG),
+         "does not match architecture L = 3"),
+        (lambda: simulate_bus_full(GateDrive((1.0, 1.0, 0.0)), _PAIR_2, _BATH,
+                                   NoiseTopology.uniform(), _CFG),
+         "does not match drive length 3"),
+        (lambda: make_validation_scenario(ArchKind.HYPERCUBE, _PAIR_2),
+         "no analytic Monte-Carlo scenario for hypercube"),
+    ],
+    ids=["dephasing_pair_length", "bus_pair_length", "scenario_hypercube"],
+)
+def test_monte_carlo_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_small_validation_run_hits_analytic_rate():

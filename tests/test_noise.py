@@ -112,9 +112,16 @@ _BATH_3D = OhmicBath(coupling=1.0, cutoff=1.0, temperature=1.0, geometry=Geometr
         (spatial_correlation_matrix, (_BATH_1D, [0.0, np.inf], 1.0), "site positions"),
         (spatial_correlation_matrix, (_BATH_3D, [(0.0, 0.0), (1e200, 0.0)], 1.0), "site positions"),
         (_site_kernel, (NoiseTopology.spatial([0.0, np.inf]), 2), "site positions"),
+        (cross_spectral_density, (_BATH_1D, 1e10, 1e300), "w r / v overflows"),
+        (cross_spectral_density, (_BATH_3D, 1e10, 1e300), "w r / v overflows"),
+        (spatial_correlation_matrix, (_BATH_1D, [0.0, 1e300], 1e10), "w r / v overflows"),
+        (functional_factor, (_BATH_1D, NoiseTopology.spatial([0.0, 1e308]), np.eye(2), 0.5, 16),
+         "w r / v overflows"),
     ],
     ids=["csd_1d_w0", "csd_1d_w1", "csd_3d_w0", "csd_3d_w1", "scm_w_nan", "scm_w_inf",
-         "scm_w_negative", "scm_site_inf", "scm_distance_overflows", "site_kernel_site_inf"],
+         "scm_w_negative", "scm_site_inf", "scm_distance_overflows", "site_kernel_site_inf",
+         "csd_1d_phase_overflows", "csd_3d_phase_overflows", "scm_phase_overflows",
+         "functional_factor_phase_overflows"],
 )
 def test_non_finite_distance_or_frequency_is_refused_without_a_warning(fn, args, message):
     # an infinite distance, one beyond the float range, or a frequency that is
@@ -231,6 +238,11 @@ def test_estimate_psd_zero_and_guards():
         x[1, 7] = sample
         with pytest.raises(ValueError, match="finite"):
             estimate_psd(x, 0.1)
+    for shape in ((512,), (2, 512)):  # a sample of 1e300 squares beyond the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                estimate_psd(np.full(shape, 1e300), 0.1)
 
 
 def test_estimate_psd_white_level():
@@ -741,3 +753,17 @@ def test_trapezoid_phase_factor_reproduces_pipeline_covariance(
 def test_trapezoid_phase_factor_is_empty_without_noise():
     report_idx = np.arange(0, 64, 4)
     assert trapezoid_phase_factor(np.zeros(33), 0.01, report_idx).shape == (0, 15)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SpectralSynthesizer(bath_1d(), NoiseTopology.uniform(), 0, 0.1, 256),
+         "at least one site"),
+        (lambda: estimate_psd(1.0, 0.1), "got a scalar"),
+    ],
+    ids=["synthesizer_no_sites", "psd_of_a_scalar"],
+)
+def test_noise_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ def test_dephasing_rate_examples():
     assert dephasing_rate(2.0, 1.0, 4.0) == dephasing_rate(2.0, 4.0, 1.0)
     with pytest.raises(ValueError):
         dephasing_rate(-1.0, 0.0, 1.0)
+    # a noise power that is not finite, or a rate beyond the float range,
+    # is refused without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s0 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise power must be finite"):
+                dephasing_rate(s0, 0.0, 1.0)
+        for q in (1e300, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dephasing rate overflows"):
+                dephasing_rate(1.0, q, 0.0)
 
 
 def test_rate_fsa_uniform_examples():
@@ -146,6 +157,26 @@ def test_rate_bus_flip_invariances():
     assert rate_bus(BATH, pair.flipped(), drive).gamma == base
     neg = GateDrive(tuple(-p for p in drive.phi))
     assert rate_bus(BATH, pair.flipped(), neg).gamma == base
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the rate is finite, but (Q - Q')^2 is beyond the float range
+        (lambda: rate_bus(OhmicBath(coupling=1e-300, cutoff=1.0, temperature=1.0),
+                          CoherencePair.from_strings("++", "+-"), GateDrive((1e200, 1e200))),
+         "pointer separation overflows"),
+        (lambda: rate_fsa_independent_bruteforce(
+            OhmicBath(coupling=1e308, cutoff=1.0, temperature=10.0),
+            CoherencePair.from_strings("++", "+-")), "noise power must be finite"),
+    ],
+    ids=["bus_pointer_separation", "bruteforce_noise_power"],
+)
+def test_rate_refusals(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @given(label_pairs(max_qubits=5), st.floats(0.1, 4.0), st.floats(0.1, 4.0))

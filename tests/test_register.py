@@ -123,6 +123,11 @@ def test_gate_drive_rejects_non_finite(phi):
         GateDrive(phi)
 
 
+def test_gate_drive_needs_a_qubit():
+    with pytest.raises(ValueError, match="at least one qubit"):
+        GateDrive(())
+
+
 @given(labels)
 def test_global_flip_leaves_uniform_pointer_invariant(label):
     assert pointer_fsa_uniform(label) == pointer_fsa_uniform(label.flipped())

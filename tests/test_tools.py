@@ -59,6 +59,8 @@ bbcd788fc99bff49e79c19b63781c957ccc0a47e166686a928413a958971eda1  mc_bus.csv exi
 e7bf11a8a77576dd7fceb17eed8c08b2ffa8c0f6d123657a3e0803e393f7ad80  mc_bus.json exit 0
 1f80bb0ea527d93824e6fe6dfbf4c914b77a7ff9452a773b295ae524098b7f8d  mc_decoherence_free.csv exit 0
 b716fbd13f3394b45137ae0da6797dc99542da1f384b76ac15682569cbfdf5f8  mc_decoherence_free.json exit 0
+01bcd4c578cb0c22da87e757f1920052dc39884b543e7215ef2ad3fbb4695a66  mc_decoherence_free_chunks.csv exit 0
+fe4d18171b50d57f3bcce83df9d7210582ce1c7b8a28d4d11c4b9d0f63e6b5b3  mc_decoherence_free_chunks.json exit 0
 d1120ed3b94f2ecdf034b94bb9e745c2d0da7c314f8c6c756e4d46768d9f594a  validate_two.csv exit 1
 eb5df27971d370aa9be93b838adca911e7be5b0e41caf00614f470ca8eec7c39  validate_two.json exit 1
 """

@@ -2,16 +2,19 @@
 
 Usage: PYTHONPATH=src python tools/output_digests.py
 
-Runs 8 command configurations through ``gatenoise.cli.main`` in this
+Runs 9 command configurations through ``gatenoise.cli.main`` in this
 process, each in CSV and JSON, writing into a temporary directory, and
 prints one line ``<sha256>  <name>.<format> exit <code>`` per output.  The
 cases are ``rates`` on a driven bus and on fsa_uniform with a units block,
 ``scan``, ``couplings`` on a grid and on a list of positions, ``mc`` on a
-driven bus at ``--jobs 2`` and on a decoherence-free pair, and a
-two-scenario ``validate`` whose 500 trajectories are too few for either
-verdict to pass, so the listing holds the failing exit code as well.  Takes
-no options.  A change meant to keep every byte runs it once against each
-tree (``PYTHONPATH=<tree>/src``) and diffs the two listings.
+driven bus at ``--jobs 2``, on a decoherence-free pair in one chunk and on
+that pair at 1234 trajectories and ``--jobs 2`` (three chunks and blocks of
+24 and 25 trajectories, so the exact noise-free trace is pinned across
+chunk and block edges), and a two-scenario ``validate`` whose 500
+trajectories are too few for either verdict to pass, so the listing holds
+the failing exit code as well.  Takes no options.  A change meant to keep
+every byte runs it once against each tree (``PYTHONPATH=<tree>/src``) and
+diffs the two listings.
 """
 from __future__ import annotations
 
@@ -53,6 +56,10 @@ CASES = {
         "scenario": {"architecture": "fsa_uniform", "L": 2, "pair": {"left": "+-", "right": "-+"},
                      "reference_rate": 1.0, "n_trajectories": 200},
     }, []),
+    "mc_decoherence_free_chunks": ("mc", {
+        "scenario": {"architecture": "fsa_uniform", "L": 2, "pair": {"left": "+-", "right": "-+"},
+                     "reference_rate": 1.0, "n_trajectories": 1234},
+    }, ["--jobs", "2"]),
     "validate_two": ("validate", {
         "scenarios": [
             {"architecture": "fsa_uniform", "L": 2, "pair": {"left": "++", "right": "+-"}},
