@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .noise import Geometry, OhmicBath, propagation_kernel_f, _distance_matrix
+from .noise import Geometry, OhmicBath, propagation_kernel_f, _distance_matrix, _finite, _scalar_like
 from .register import GateDrive, RegisterLabel
 
 __all__ = [
@@ -110,7 +110,8 @@ def kernel_g(x, geometry: Geometry) -> float | np.ndarray:
     """Distance kernel of the permanent spurious coupling.
 
     g(0) = 1 in both geometries; the 1D kernel changes sign exactly once, at
-    x = 1, while the 3D kernel is strictly positive.
+    x = 1, while the 3D kernel is strictly positive.  Its limits at x = +-inf
+    are -0 (1D) and 0 (3D); NaN is refused (:func:`~gatenoise.noise._finite`).
     """
     xv = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf x^2 is handled
@@ -125,37 +126,37 @@ def kernel_g(x, geometry: Geometry) -> float | np.ndarray:
             out = np.where(far, -inv * inv, (1.0 - x2) / den)
         else:
             out = 1.0 / (1.0 + x2)
-    return float(out) if np.ndim(x) == 0 else out
+    return _finite(_scalar_like(out, x), "kernel g(x) has no value at x = NaN")
 
 
 def kernel_h(x, geometry: Geometry) -> float | np.ndarray:
     """Distance kernel of the transient four-qubit coupling.
 
     h(0) = 1 in both geometries (3D by its limit); the 3D kernel decays only
-    as (pi/2)/x, i.e. the coupling falls off as 1/r.
+    as (pi/2)/x, i.e. the coupling falls off as 1/r.  Its limit at x = +-inf
+    is 0 in both geometries, which the 1D kernel also gives wherever x^2
+    overflows; NaN is refused (:func:`~gatenoise.noise._finite`).
     """
     xv = np.asarray(x, dtype=float)
     if Geometry(geometry) is Geometry.ONE_D:
-        out = 1.0 / (1.0 + xv * xv)
+        with np.errstate(over="ignore"):  # 1 / (1 + inf) is the limit 0
+            out = 1.0 / (1.0 + xv * xv)
     else:
         safe = np.where(xv == 0.0, 1.0, xv)
         out = np.where(xv == 0.0, 1.0, np.arctan(safe) / safe)
-    return float(out) if np.ndim(x) == 0 else out
+    return _finite(_scalar_like(out, x), "kernel h(x) has no value at x = NaN")
 
 
 def _coupling_scale(bath: OhmicBath, kind: CouplingKind) -> float:
-    """Prefactor of a coupling, checked finite: cutoff^2 coupling / pi for the
-    spurious one, 2 coupling cutoff / pi for the transient one."""
+    """Prefactor of a coupling, checked finite (:func:`~gatenoise.noise._finite`):
+    cutoff^2 coupling / pi for the spurious one, 2 coupling cutoff / pi for
+    the transient one."""
     if kind is CouplingKind.SPURIOUS:
         scale = bath.cutoff * bath.cutoff * bath.coupling / math.pi
     else:
         scale = 2.0 * bath.coupling * bath.cutoff / math.pi
-    if not math.isfinite(scale):
-        raise ValueError(
-            f"{kind.value} coupling scale overflows for cutoff {bath.cutoff:g} and "
-            f"coupling {bath.coupling:g}"
-        )
-    return scale
+    return _finite(scale, "{} coupling scale overflows for cutoff {:g} and coupling {:g}",
+                   kind.value, bath.cutoff, bath.coupling)
 
 
 def _phase_scale(bath: OhmicBath, r: float) -> float:
@@ -262,16 +263,15 @@ def coupling_matrix(bath: OhmicBath, positions: Sequence, kind: CouplingKind) ->
     Entries are the closed forms evaluated at the pairwise distances, so the
     matrix is symmetric and translation invariant; the diagonal carries the
     zero-distance value.  A distance or a coupling beyond the float range
-    raises ValueError.
+    raises ValueError (:func:`~gatenoise.noise._finite`).
     """
     kind = CouplingKind(kind)
     kernel = kernel_g if kind is CouplingKind.SPURIOUS else kernel_h
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
         x = bath.cutoff * _distance_matrix(positions) / bath.velocity
-        values = _coupling_scale(bath, kind) * kernel(x, bath.geometry)
-    if not (np.isfinite(x).all() and np.isfinite(values).all()):
-        raise ValueError(f"{kind.value} coupling overflows: check the positions and the bath")
-    return CouplingMatrix(kind=kind, values=values)
+        scale = _coupling_scale(bath, kind)
+    x = _finite(x, "{} coupling overflows: check the positions and the bath", kind.value)
+    return CouplingMatrix(kind=kind, values=scale * kernel(x, bath.geometry))
 
 
 def transient_energy_shift(
@@ -301,11 +301,10 @@ def drive_enhancement(n_qubits: int, bath: OhmicBath) -> float:
 
     The same-site terms of the transient coupling act back on the driven pair,
     amplifying the effective control amplitudes linearly in the register
-    length.  Compensable by re-calibrating the drive.
+    length.  Compensable by re-calibrating the drive.  A factor beyond the
+    float range is refused (:func:`~gatenoise.noise._finite`).
     """
     if n_qubits < 1:
         raise ValueError(f"register length must be >= 1, got {n_qubits}")
     enhancement = 1.0 + n_qubits * bath.coupling * bath.cutoff / (4.0 * math.pi)
-    if not math.isfinite(enhancement):
-        raise ValueError(f"drive enhancement overflows for {n_qubits} qubits")
-    return enhancement
+    return _finite(enhancement, "drive enhancement overflows for {} qubits", n_qubits)

@@ -743,9 +743,7 @@ def make_validation_scenario(
         name = f"{kind.value}_L{n}_{pair.left}_{pair.right}"
     # Mix the scenario name into the stream: scenarios with the same master
     # seed must not share dimensionless noise realizations.
-    seed_seq = np.random.SeedSequence(
-        int(master_seed), spawn_key=(zlib.crc32(name.encode()),)
-    )
+    seed_seq = trajectory_seed_sequence(master_seed, zlib.crc32(name.encode()))
     scenario_seed = int(seed_seq.generate_state(1, dtype=np.uint64)[0])
     cfg = McConfig(
         dt=dt,

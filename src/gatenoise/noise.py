@@ -174,6 +174,19 @@ def _scalar_like(value: np.ndarray, reference) -> float | np.ndarray:
     return float(value) if np.isscalar(reference) or np.ndim(reference) == 0 else value
 
 
+def _finite(value, message: str, *args):
+    """``value`` (a number or an array), or ValueError(message.format(*args)) if
+    any entry is not finite; the message is formatted only when it is raised.
+
+    The package's one float-range rule: a public function refuses its input
+    through this check, after computing any overflow-prone value under
+    ``np.errstate``, rather than return NaN or infinity.
+    """
+    if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
+        raise ValueError(message.format(*args))
+    return value
+
+
 def spectral_density(bath: OhmicBath, omega) -> float | np.ndarray:
     """Ohmic spectral density J(w) = coupling * w * exp(-w / cutoff).
 
@@ -188,26 +201,32 @@ def propagation_kernel_f(x, geometry: Geometry) -> float | np.ndarray:
 
     x = w r / v is the phase a reservoir excitation accumulates travelling
     between the two sites.  f(0) = 1 and |f| <= 1 in both geometries; the
-    3D kernel is evaluated by its limit at x = 0.
+    3D kernel is evaluated by its limits, 1 at x = 0 and 0 at x = +-inf.
+    NaN is refused (:func:`_finite`), and so is x = +-inf in 1D, where cos
+    has no limit.
     """
     xv = np.asarray(x, dtype=float)
     if Geometry(geometry) is Geometry.ONE_D:
-        out = np.cos(xv)
-    else:
+        out = np.cos(_finite(xv, "kernel f(x) = cos(x) has no value at x = NaN or +-inf"))
+    elif np.isfinite(xv).all():
         out = np.sinc(xv / np.pi)
+    else:  # sin(x) / x tends to 0 at +-inf
+        far = np.isinf(xv)
+        near = _finite(np.where(far, 0.0, xv), "kernel f(x) has no value at x = NaN")
+        out = np.where(far, 0.0, np.sinc(near / np.pi))
     return _scalar_like(out, x)
 
 
 def _site_pair_kernel(bath: OhmicBath, w: np.ndarray, r) -> np.ndarray:
     """f(w r / v) in the bath's geometry, for checked frequencies and distances.
 
-    A phase w r / v beyond the float range is refused: f has no value there.
+    A phase w r / v beyond the float range is refused (:func:`_finite`): f
+    has no value there.
     """
     with np.errstate(over="ignore"):  # refused below
         x = w * r / bath.velocity
-    if not np.isfinite(x).all():
-        raise ValueError("phase w r / v overflows the float range: check the site distances")
-    return propagation_kernel_f(x, bath.geometry)
+    message = "phase w r / v overflows the float range: check the site distances"
+    return propagation_kernel_f(_finite(x, message), bath.geometry)
 
 
 def cross_spectral_density(bath: OhmicBath, omega, r: float) -> float | np.ndarray:
@@ -256,9 +275,7 @@ def _site_distances(positions: Sequence) -> np.ndarray:
     """The distance matrix of the sites; a non-finite distance is refused."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         r = _distance_matrix(positions)
-    if not np.isfinite(r).all():
-        raise ValueError("non-finite noise covariance: check the site positions")
-    return r
+    return _finite(r, "non-finite noise covariance: check the site positions")
 
 
 def spatial_correlation_matrix(bath: OhmicBath, positions: Sequence, omega) -> np.ndarray:
@@ -451,11 +468,9 @@ def functional_factor(
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     omega, scale2 = _spectral_grid(bath, dt, n_steps)
-    if not (np.isfinite(w).all() and np.isfinite(scale2).all()):
-        raise ValueError(
-            "non-finite noise covariance: check the bath and the weights for NaN or "
-            "infinite values"
-        )
+    for value in (w, scale2):
+        _finite(value, "non-finite noise covariance: check the bath and the weights for NaN "
+                "or infinite values")
     distances, groups = _site_kernel(topology, w.shape[1])
     size = (np.abs(w).sum(axis=1) ** 2).max(initial=0.0)
     if not distances.any():
@@ -470,8 +485,7 @@ def functional_factor(
             k = slice(start, start + rows)
             f = _site_pair_kernel(bath, omega[k, None], distances)
             cov[k] = scale2[k, None, None] * (w @ f[:, groups] @ w.T)  # spatial: no -1 pairs
-        if not np.isfinite(cov).all():
-            raise ValueError("non-finite noise covariance: check the site positions")
+        _finite(cov, "non-finite noise covariance: check the site positions")
         eigval, eigvec = _psd_eigh(cov, "spatial correlation matrix", omega, scale2 * size)
     eigval[eigval <= EIG_CLAMP_TOL * eigval[..., -1:]] = 0.0
     # one sign per eigenvector, whatever LAPACK returns: its largest entry is positive
@@ -692,7 +706,7 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
     Accepts a single trajectory (1-D) or a stack with time along the last
     axis; all leading axes are flattened into the averaging ensemble.  The
     step ``dt`` must be finite and > 0, every sample finite, and the
-    estimate and its error within the float range.
+    estimate and its error within the float range (:func:`_finite`).
     """
     x = np.asarray(trajectories, dtype=float)
     if x.ndim == 0:
@@ -702,8 +716,7 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
         raise ValueError(f"trajectory too short for a PSD estimate: {n} < 256 samples")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if not np.isfinite(x).all():
-        raise ValueError("trajectories must be finite")
+    _finite(x, "trajectories must be finite")
     flat = x.reshape(-1, n)
     m = flat.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -713,8 +726,8 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
             stderr = periodograms.std(axis=0, ddof=1) / np.sqrt(m)
         else:
             stderr = psd.copy()  # single periodogram bins are ~100% uncertain
-    if not (np.isfinite(psd).all() and np.isfinite(stderr).all()):
-        raise ValueError("power spectrum estimate overflows the float range")
+    for value in (psd, stderr):
+        _finite(value, "power spectrum estimate overflows the float range")
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=dt)
     return PsdEstimate(omega=omega, psd=psd, stderr=stderr, n_average=m)
 

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .noise import OhmicBath, TopologyKind
+from .noise import OhmicBath, TopologyKind, _finite
 from .register import (
     CoherencePair,
     GateDrive,
@@ -171,20 +171,19 @@ def dephasing_rate(s0: float, q: float, qp: float) -> float:
 
     The noise power must be finite and >= 0, and a rate that is not finite
     (from a pointer that is not finite or is beyond the float range) raises
-    ValueError.  The pointers may be arrays; numpy then warns of an overflow
-    unless the caller silences it (as :func:`rate_table` does).
+    ValueError (:func:`~gatenoise.noise._finite`).  The pointers may be
+    numbers or arrays.
     """
     if not 0 <= s0 < math.inf:  # NaN included
         raise ValueError(f"noise power must be finite and >= 0, got {s0}")
-    dq = q - qp
-    return _finite(0.5 * s0 * dq * dq, "dephasing rate")
-
-
-def _finite(value, what: str):
-    """``value`` (a number or an array), or a ValueError if any entry is not finite."""
-    if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
-        raise ValueError(f"{what} overflows the float range")
-    return value
+    if isinstance(q, np.ndarray) or isinstance(qp, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            dq = q - qp
+            gamma = 0.5 * s0 * dq * dq
+    else:  # Python floats overflow to inf without a warning, numpy scalars with one
+        dq = float(q) - float(qp)
+        gamma = 0.5 * float(s0) * dq * dq
+    return _finite(gamma, "dephasing rate overflows the float range")
 
 
 def _require_thermal(bath: OhmicBath) -> None:
@@ -197,17 +196,20 @@ def _thermal_power(bath: OhmicBath) -> float:
     _require_thermal(bath)
     return _finite(
         2.0 * bath.temperature * bath.coupling,
-        f"noise power S(0) at temperature {bath.temperature:g} and coupling {bath.coupling:g}",
+        "noise power S(0) at temperature {:g} and coupling {:g} overflows the float range",
+        bath.temperature, bath.coupling,
     )
 
 
 def _independent_rate(bath: OhmicBath, n_qubits: int, nd):
     """(coupling T / 16) (L - N_d) N_d; ``nd`` may be an integer array.
 
-    A rate that is not finite raises ValueError, as :func:`dephasing_rate` does.
+    A rate that is not finite raises ValueError (:func:`~gatenoise.noise._finite`),
+    as :func:`dephasing_rate` does.
     """
     _require_thermal(bath)
-    return _finite(bath.coupling * bath.temperature / 16.0 * (n_qubits - nd) * nd, "dephasing rate")
+    gamma = bath.coupling * bath.temperature / 16.0 * (n_qubits - nd) * nd
+    return _finite(gamma, "dephasing rate overflows the float range")
 
 
 def _pointer_rate(
@@ -215,8 +217,8 @@ def _pointer_rate(
 ) -> RateResult:
     """The generic kernel at S(0) = 2 T coupling with one pointer per label."""
     s0 = _thermal_power(bath)
-    q = _finite(pointer(pair.left), "pointer")
-    qp = _finite(pointer(pair.right), "pointer")
+    q = _finite(pointer(pair.left), "pointer overflows the float range")
+    qp = _finite(pointer(pair.right), "pointer overflows the float range")
     gamma = dephasing_rate(s0, q, qp)
     try:
         return RateResult(gamma=gamma, pointer_delta_sq=(q - qp) ** 2)
@@ -292,7 +294,7 @@ def rate_fsa_independent_bruteforce(bath: OhmicBath, pair: CoherencePair) -> Rat
     if pair.n_qubits > 12:
         raise ValueError(f"brute force guarded to L <= 12, got {pair.n_qubits}")
     total, delta_sq, breakdown = _fsa_pair_sum(bath, pair, fsa_pair_calibration())
-    gamma = _finite(total, "dephasing rate")
+    gamma = _finite(total, "dephasing rate overflows the float range")
     return RateResult(gamma=gamma, pointer_delta_sq=delta_sq, breakdown=breakdown)
 
 
@@ -333,7 +335,7 @@ def rate_table(
             gamma = _independent_rate(bath, arch.n_qubits, hamming)
         else:
             pointers = [record.pointer(label, arch.drive) for label in labels]
-            q = _finite(np.array(pointers, dtype=float), "pointer")
+            q = _finite(np.array(pointers, dtype=float), "pointer overflows the float range")
             gamma = dephasing_rate(_thermal_power(bath), q[left], q[right])
     return RateTable(pointers, hamming, gamma)
 

@@ -948,7 +948,10 @@ def test_config_fuzz_never_crashes_or_writes_non_finite(slot, value):
             code = main([command, "--config", path_in, "--output", path_out])
         except ReachedTheEngine:
             return
-        written = open(path_out).read() if os.path.exists(path_out) else None
+        written = None
+        if os.path.exists(path_out):
+            with open(path_out) as fh:
+                written = fh.read()
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2, 3), err.getvalue()
     assert len(lines) == (code != 0) and "Traceback" not in err.getvalue()

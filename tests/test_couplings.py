@@ -54,6 +54,7 @@ def test_kernel_g_switches_where_the_denominator_overflows():
 def test_kernel_h_examples():
     assert kernel_h(0.0, Geometry.THREE_D) == 1.0
     assert kernel_h(1.0, Geometry.ONE_D) == 0.5
+    assert kernel_h(1e300, Geometry.ONE_D) == 0.0  # x^2 overflows: the limit at infinity
     assert kernel_h(100.0, Geometry.THREE_D) == pytest.approx(
         (math.pi / 2) / 100.0, rel=0.01
     )
@@ -354,8 +355,13 @@ def test_drive_enhancement():
         (lambda: drive_enhancement(10, bath(coupling=1e300, cutoff=1e300)), "overflows"),
         (lambda: transient_energy_shift(GateDrive((1.0, 1.0)), RegisterLabel((1, 1, 1)),
                                         _transient_matrix(3)), "length mismatch"),
+        (lambda: kernel_g(np.nan, Geometry.ONE_D), "no value at x = NaN"),
+        (lambda: kernel_g([0.0, np.nan], Geometry.THREE_D), "no value at x = NaN"),
+        (lambda: kernel_h(np.nan, Geometry.ONE_D), "no value at x = NaN"),
+        (lambda: kernel_h([np.nan], Geometry.THREE_D), "no value at x = NaN"),
     ],
-    ids=["enhancement_no_qubits", "enhancement_overflows", "energy_shift_lengths"],
+    ids=["enhancement_no_qubits", "enhancement_overflows", "energy_shift_lengths",
+         "kernel_g_nan_1d", "kernel_g_nan_3d", "kernel_h_nan_1d", "kernel_h_nan_3d"],
 )
 def test_coupling_refusals(call, message):
     with pytest.raises(ValueError, match=message):

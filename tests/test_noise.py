@@ -74,6 +74,9 @@ def test_propagation_kernel_examples():
     assert propagation_kernel_f(np.pi, Geometry.ONE_D) == pytest.approx(-1.0)
     assert propagation_kernel_f(0.0, Geometry.THREE_D) == 1.0
     assert propagation_kernel_f(np.pi, Geometry.THREE_D) == pytest.approx(0.0, abs=1e-15)
+    # sin(x) / x tends to 0 at +-inf
+    assert propagation_kernel_f(-np.inf, Geometry.THREE_D) == 0.0
+    assert propagation_kernel_f([1.0, np.inf], Geometry.THREE_D)[1] == 0.0
     x = np.linspace(0, 50, 500)
     for geom in Geometry:
         f = propagation_kernel_f(x, geom)
@@ -761,8 +764,14 @@ def test_trapezoid_phase_factor_is_empty_without_noise():
         (lambda: SpectralSynthesizer(bath_1d(), NoiseTopology.uniform(), 0, 0.1, 256),
          "at least one site"),
         (lambda: estimate_psd(1.0, 0.1), "got a scalar"),
+        (lambda: propagation_kernel_f(np.nan, Geometry.ONE_D), "no value at x = NaN"),
+        (lambda: propagation_kernel_f([0.0, np.nan], Geometry.THREE_D), "no value at x = NaN"),
+        # cos has no limit at +-inf
+        (lambda: propagation_kernel_f(np.inf, Geometry.ONE_D), r"no value at x = NaN or \+-inf"),
+        (lambda: propagation_kernel_f([-np.inf], Geometry.ONE_D), r"no value at x = NaN or \+-inf"),
     ],
-    ids=["synthesizer_no_sites", "psd_of_a_scalar"],
+    ids=["synthesizer_no_sites", "psd_of_a_scalar", "kernel_f_nan_1d", "kernel_f_nan_3d",
+         "kernel_f_inf_1d", "kernel_f_minus_inf_1d"],
 )
 def test_noise_refusals(call, message):
     with pytest.raises(ValueError, match=message):

@@ -56,7 +56,7 @@ def test_dephasing_rate_examples():
         for s0 in (math.nan, math.inf):
             with pytest.raises(ValueError, match="noise power must be finite"):
                 dephasing_rate(s0, 0.0, 1.0)
-        for q in (1e300, math.nan, math.inf):
+        for q in (1e300, math.nan, math.inf, np.float64(1e300), np.array([1.0, 1e300])):
             with pytest.raises(ValueError, match="dephasing rate overflows"):
                 dephasing_rate(1.0, q, 0.0)
 
