@@ -75,9 +75,10 @@ grid (every point of a shorter grid).  Under a linear coupling one
 ``matmul`` writes xi @ B straight into the chunk's phase array.  Each chunk
 is reduced, as soon as it is drawn, to its sum of exp(i phase), the centred
 second moments of its real and imaginary parts and its partial sums over the
-blocks.  The reduction works on the chunk in place (sums first, then
-centring and one scratch array for the products) in the summation order a
-centred copy would have, so no chunk is copied.  The chunks are
+blocks.  The chunk's phase is dropped once exp(i phase) is formed, and the
+reduction works on the chunk in place (sums first, then centring and one
+``einsum`` per second moment) in the summation order a centred copy would
+have, so no chunk is copied.  The chunks are
 merged in chunk order with the pairwise update of Chan, Golub & LeVeque
 (1983), so memory does not grow with the number of trajectories.  Per-point
 standard errors of |coherence| follow from the moments by the delta method
@@ -307,8 +308,8 @@ def _chunk_moments(
     (Re z, Im z) stacked as (rr, ii, ri), the index of the first block of
     ``bounds`` the chunk overlaps and the chunk's partial sum for each block
     it overlaps (blocks may straddle chunks).  ``z`` is consumed: it is
-    centred in place after its sums are taken, and the products go through
-    one real scratch array, so the chunk is never copied.
+    centred in place after its sums are taken, and each second moment is one
+    ``einsum`` over its real and imaginary views, so the chunk is never copied.
     """
     nt = z.shape[0]
     total = z.sum(axis=0)
@@ -318,10 +319,9 @@ def _chunk_moments(
     partial = np.add.reduceat(z, cuts, axis=0)  # complex: real sums round differently
     z -= total / nt
     re, im = z.real, z.imag
-    scratch = np.empty(re.shape)
     moments = np.empty((3, z.shape[1]))
     for row, (a, b) in zip(moments, [(re, re), (im, im), (re, im)]):
-        np.multiply(a, b, out=scratch).sum(axis=0, out=row)
+        np.einsum("ij,ij->j", a, b, out=row)
     return nt, total, moments, first, partial
 
 
@@ -369,6 +369,7 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
         z = np.empty_like(phase, dtype=complex)  # keeps the layout, and so the sum order
         np.cos(phase, out=z.real)
         np.sin(phase, out=z.imag)
+        del phase
         return _chunk_moments(z, start, bounds)
 
     # Merge in chunk order (Chan, Golub & LeVeque 1983 pairwise update); both
