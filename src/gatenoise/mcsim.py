@@ -65,7 +65,9 @@ one row block.  Within a chunk, the sums over trajectories are numpy
 reductions whose order is fixed by the chunk's shape and memory layout;
 chunks are merged in chunk order.  Every covariance factorisation
 runs on one BLAS thread, and with ``jobs`` > 1 so does BLAS inside the
-engine threads.  Results are bit-identical for a given configuration at any
+engine threads; every factor's columns (B and the noise factor) are signed
+by the one rule of :func:`gatenoise.noise._psd_factor`, so they do not
+depend on the signs the eigensolver returns.  Results are bit-identical for a given configuration at any
 ``jobs`` and, wherever the process's OpenBLAS is found
 (:func:`gatenoise.noise._one_blas_thread`), at any OpenBLAS thread count.
 

@@ -104,10 +104,13 @@ class OhmicBath:
     velocity: float = 1.0
 
     def __post_init__(self) -> None:
+        # held as Python floats (numpy scalars warn where floats overflow
+        # quietly) and a Geometry
         for name in ("coupling", "cutoff", "temperature", "velocity"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"non-finite {name}: {value}")
+            object.__setattr__(self, name, float(value))
         if self.coupling <= 0:
             raise ValueError(f"coupling must be > 0, got {self.coupling}")
         if self.cutoff <= 0:
@@ -116,8 +119,7 @@ class OhmicBath:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.velocity <= 0:
             raise ValueError(f"velocity must be > 0, got {self.velocity}")
-        if not isinstance(self.geometry, Geometry):
-            object.__setattr__(self, "geometry", Geometry(self.geometry))
+        object.__setattr__(self, "geometry", Geometry(self.geometry))
 
 
 class TopologyKind(enum.Enum):
@@ -432,6 +434,21 @@ def _psd_eigh(cov: np.ndarray, what: str, omega=None, scale=None) -> tuple[np.nd
     return np.clip(eigval, 0.0, None), eigvec
 
 
+def _psd_factor(eigval: np.ndarray, eigvec: np.ndarray) -> np.ndarray:
+    """Factor (..., n, R) of PSD matrices from their eigenpairs, as from :func:`_psd_eigh`.
+
+    The package's one sign rule: each eigenvector, of every matrix of a
+    stack, is signed so that its largest-magnitude entry (the first of equal
+    ones) is positive, whatever signs LAPACK returns, so a factor does not
+    depend on the eigensolver's build; near-equal eigenvalues may still
+    rotate their pair.  Only the R directions with positive variance in some
+    matrix are kept, each scaled by sqrt(eigval).
+    """
+    top = np.take_along_axis(eigvec, np.abs(eigvec).argmax(axis=-2)[..., None, :], axis=-2)
+    keep = np.atleast_2d(eigval > 0.0).any(axis=0)
+    return (eigvec * (np.sign(top) * np.sqrt(eigval)[..., None, :]))[..., keep]
+
+
 def functional_factor(
     bath: OhmicBath,
     topology: NoiseTopology,
@@ -458,21 +475,21 @@ def functional_factor(
     negative eigenvalues are round-off down to EIG_CLAMP_TOL times that (and
     scale_k^2), so a bin where the functionals' power cancels passes.
     Eigenvalues at or below EIG_CLAMP_TOL * lambda_max (of their bin) count as
-    zero, and only the R directions that carry noise in some bin are kept;
-    R = 0 means the functionals are noise free.  Each eigenvector, in every
-    bin, is signed so that its largest-magnitude entry (the first of equal
-    ones) is positive; near-equal eigenvalues may still rotate their pair.
-    With ``white`` from :func:`draw_white` at ``amplitude``, ``F @ white``
-    (or, per bin, :func:`mix_per_bin`) has the target covariance in every
-    bin, so the functionals are drawn from R sources instead of L.
+    zero, and :func:`_psd_factor` keeps the R directions that carry noise in
+    some bin and signs them by its rule; R = 0 means the functionals are
+    noise free.  With ``white`` from :func:`draw_white` at ``amplitude``,
+    ``F @ white`` (or, per bin, :func:`mix_per_bin`) has the target
+    covariance in every bin, so the functionals are drawn from R sources
+    instead of L.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     omega, scale2 = _spectral_grid(bath, dt, n_steps)
-    for value in (w, scale2):
+    with np.errstate(over="ignore"):
+        size = (np.abs(w).sum(axis=1) ** 2).max(initial=0.0)
+    for value in (w, scale2, size):
         _finite(value, "non-finite noise covariance: check the bath and the weights for NaN "
                 "or infinite values")
     distances, groups = _site_kernel(topology, w.shape[1])
-    size = (np.abs(w).sum(axis=1) ** 2).max(initial=0.0)
     if not distances.any():
         amplitude = np.sqrt(scale2)
         kernel = (groups >= 0).astype(float)  # all ones or the identity
@@ -488,11 +505,7 @@ def functional_factor(
         _finite(cov, "non-finite noise covariance: check the site positions")
         eigval, eigvec = _psd_eigh(cov, "spatial correlation matrix", omega, scale2 * size)
     eigval[eigval <= EIG_CLAMP_TOL * eigval[..., -1:]] = 0.0
-    # one sign per eigenvector, whatever LAPACK returns: its largest entry is positive
-    top = np.abs(eigvec).argmax(axis=-2)[..., None, :]
-    eigvec *= np.sign(np.take_along_axis(eigvec, top, axis=-2))
-    keep = np.atleast_2d(eigval > 0.0).any(axis=0)
-    return amplitude, (eigvec * np.sqrt(eigval)[..., None, :])[..., keep]
+    return amplitude, _psd_factor(eigval, eigvec)
 
 
 def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:
@@ -514,7 +527,9 @@ def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:
     A(n) = sum_{i, j <= n} c_{i - j} = (n + 1) c_0 + 2 sum_{t=1..n} (n + 1 - t) c_t:
     O(n_steps + m^2) work and memory.  The covariance is factored with
     ``eigh``; round-off negatives down to -EIG_CLAMP_TOL * lambda_max count as
-    zero and the k directions of positive variance are kept (k = 0: no noise).
+    zero, and :func:`_psd_factor` keeps the k directions of positive variance
+    (k = 0: no noise) and signs them by its rule, so B does not depend on the
+    signs LAPACK returns.
     """
     power = np.asarray(power, dtype=float)
     n_steps = 2 * (power.size - 1)
@@ -524,9 +539,7 @@ def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:
     v = dt**2 * (a - 2.0 * r + 0.5 * (c[0] + c))
     idx = np.asarray(report_idx)[1:]
     cov = 0.5 * (v[idx, None] + v[None, idx] - v[np.abs(idx[:, None] - idx[None, :])])
-    eigval, eigvec = _psd_eigh(cov, "integrated phase covariance")
-    keep = eigval > 0.0
-    return (eigvec[:, keep] * np.sqrt(eigval[keep])).T
+    return _psd_factor(*_psd_eigh(cov, "integrated phase covariance")).T
 
 
 def draw_white(

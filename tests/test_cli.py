@@ -568,10 +568,8 @@ def test_units_block_converts_and_reports(tmp_path):
     )
 
 
-# sha256 of the default `validate --format json` output.  Like LINEAR_PINS in
-# test_mcsim.py, it holds for one LAPACK's eigenvector signs: the linear
-# engine's phase factor comes from `eigh` with the signs LAPACK returns.
-DEFAULT_VALIDATE_SHA256 = "a6f32776d443f48bd0148e840c04efae90c3f0c9035194b22df8c4a5514df3f1"
+# sha256 of the default `validate --format json` output.
+DEFAULT_VALIDATE_SHA256 = "587b681734a8f957cab8087d466ebed295584a2aa3459ca729bb057654d3b70f"
 
 
 def test_validate_default_suite_all_pass(tmp_path):

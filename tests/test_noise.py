@@ -544,6 +544,12 @@ def test_functional_factors_reject_non_finite_input():
             bath_1d(cutoff=8.0), NoiseTopology.spatial([0.0, np.nan]), [[1.0, 1.0]],
             FACTOR_DT, FACTOR_STEPS,
         )
+    # finite weights whose row sum squares past the float range
+    with pytest.raises(ValueError, match="non-finite noise covariance"):
+        functional_factor(
+            bath_1d(cutoff=8.0), NoiseTopology.uniform(), [[1e200, 1e200]],
+            FACTOR_DT, FACTOR_STEPS,
+        )
 
 
 def test_functional_factors_do_not_expand_a_broadcast_kernel_stack():
@@ -756,6 +762,45 @@ def test_trapezoid_phase_factor_reproduces_pipeline_covariance(
 def test_trapezoid_phase_factor_is_empty_without_noise():
     report_idx = np.arange(0, 64, 4)
     assert trapezoid_phase_factor(np.zeros(33), 0.01, report_idx).shape == (0, 15)
+
+
+def _trapezoid_factor_of_one_functional():
+    amplitude, factor = functional_factor(
+        bath_1d(cutoff=8.0), NoiseTopology.uniform(), [[1.0, 1.0, -1.0]], FACTOR_DT, FACTOR_STEPS
+    )
+    power = amplitude**2 * (factor[0] ** 2).sum()
+    return trapezoid_phase_factor(power, FACTOR_DT, np.arange(0, FACTOR_STEPS, 8))
+
+
+@pytest.mark.parametrize(
+    "make_factor",
+    [
+        lambda: functional_factor(
+            bath_1d(cutoff=8.0), NoiseTopology.uniform(), [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]],
+            FACTOR_DT, FACTOR_STEPS,
+        )[1],
+        lambda: functional_factor(
+            bath_1d(cutoff=8.0), NoiseTopology.spatial([0.0, 0.05, 0.12]),
+            [[1.0, -1.0, 1.0], [0.5, 1.0, -2.0]], FACTOR_DT, FACTOR_STEPS,
+        )[1],
+        _trapezoid_factor_of_one_functional,
+    ],
+    ids=["functional_uniform", "functional_separated", "trapezoid"],
+)
+def test_factors_do_not_depend_on_the_eigenvector_signs(make_factor, monkeypatch):
+    # noise._psd_factor signs every column by its largest entry, so an
+    # eigensolver that returns each eigenvector negated gives the same bytes
+    expected = make_factor()
+    eigh = np.linalg.eigh
+
+    def negated(a):
+        eigval, eigvec = eigh(a)
+        return eigval, -eigvec
+
+    monkeypatch.setattr(np.linalg, "eigh", negated)
+    factor = make_factor()
+    assert expected.shape[-1] > 0
+    assert factor.shape == expected.shape and factor.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

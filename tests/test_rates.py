@@ -17,6 +17,7 @@ from gatenoise.rates import (
     rate_fsa_independent,
     rate_fsa_independent_bruteforce,
     rate_fsa_uniform,
+    rate_table,
     scaling_scan,
     worst_case_pair,
 )
@@ -159,6 +160,9 @@ def test_rate_bus_flip_invariances():
     assert rate_bus(BATH, pair.flipped(), neg).gamma == base
 
 
+NUMPY_BATH = OhmicBath(coupling=np.float64(1e300), cutoff=1.0, temperature=np.float64(1e10))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -169,8 +173,19 @@ def test_rate_bus_flip_invariances():
         (lambda: rate_fsa_independent_bruteforce(
             OhmicBath(coupling=1e308, cutoff=1.0, temperature=10.0),
             CoherencePair.from_strings("++", "+-")), "noise power must be finite"),
+        # a bath given numpy scalars holds Python floats, which overflow quietly
+        (lambda: rate_fsa_uniform(NUMPY_BATH, CoherencePair.from_strings("++", "+-")),
+         "overflows the float range"),
+        (lambda: rate_fsa_independent(NUMPY_BATH, CoherencePair.from_strings("++", "+-")),
+         "overflows the float range"),
+        (lambda: rate_bus(NUMPY_BATH, CoherencePair.from_strings("++", "+-"),
+                          GateDrive((1.0, 1.0))), "overflows the float range"),
+        (lambda: rate_table(ArchitectureModel(ArchKind.FSA_INDEPENDENT, 2), NUMPY_BATH,
+                            [RegisterLabel.from_string("++"), RegisterLabel.from_string("+-")],
+                            np.array([0]), np.array([1])), "overflows the float range"),
     ],
-    ids=["bus_pointer_separation", "bruteforce_noise_power"],
+    ids=["bus_pointer_separation", "bruteforce_noise_power", "uniform_numpy_bath",
+         "independent_numpy_bath", "bus_numpy_bath", "table_numpy_bath"],
 )
 def test_rate_refusals(call, message):
     with warnings.catch_warnings():
