@@ -281,7 +281,8 @@ def transient_energy_shift(
 
     Evaluates (1/2) sum_{j k l n} phi_j phi_l mu_kn m_j m_k m_l m_n, which
     factorizes exactly as (1/2) (sum_j phi_j m_j)^2 (m^T mu m): O(L^2) work
-    (the explicit quadruple sum is the oracle in the test suite).
+    (the explicit quadruple sum is the oracle in the test suite).  A shift
+    beyond the float range is refused (:func:`~gatenoise.noise._finite`).
     """
     if mu.kind is not CouplingKind.TRANSIENT:
         raise ValueError("energy shift requires a transient coupling matrix")
@@ -292,8 +293,10 @@ def transient_energy_shift(
         )
     phi = np.asarray(drive.phi, dtype=float)
     m = np.asarray(label.bits, dtype=float)
-    drive_sum = float(phi @ m)
-    return 0.5 * drive_sum**2 * float(m @ mu.values @ m)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        drive_sum = phi @ m  # a numpy scalar: its square overflows to inf, not an error
+        shift = 0.5 * drive_sum**2 * float(m @ mu.values @ m)
+    return float(_finite(shift, "transient level shift overflows the float range"))
 
 
 def drive_enhancement(n_qubits: int, bath: OhmicBath) -> float:

@@ -55,15 +55,17 @@ trajectory's normals are consecutive.  Linear coupling: one
 the phase at the report points is [0, xi @ B].  Bus coupler: one
 ``standard_normal((rows, 2, R, n_bins))`` per row block, so each trajectory
 draws the real parts of its (source, bin) amplitudes and then their
-imaginary parts.  A row block holds about 2^17 samples of the time series
+imaginary parts.  A row block holds about 2^15 samples of the time series
 the engine transforms (``_BLOCK_SAMPLES``) and is transformed and
 integrated into the chunk's phase array before the next is drawn.
 Consecutive draws give the normals of one draw and every step after the
 draw is row-local, so the row-block height changes neither the draws nor a
-byte of the result; it bounds the memory to the chunk's phase array plus
-one row block.  Within a chunk, the sums over trajectories are numpy
-reductions whose order is fixed by the chunk's shape and memory layout;
-chunks are merged in chunk order.  Every covariance factorisation
+byte of the result; it bounds the memory to one buffer per chunk, the
+complex exp(i phase) array whose halves hold the phase and the linear
+engine's normals, plus one row block.  Within a chunk, the sums over
+trajectories are numpy reductions whose order is fixed by the chunk's
+shape and memory layout; chunks are merged in chunk order.  Every
+covariance factorisation
 runs on one BLAS thread, and with ``jobs`` > 1 so does BLAS inside the
 engine threads; every factor's columns (B and the noise factor) are signed
 by the one rule of :func:`gatenoise.noise._psd_factor`, so they do not
@@ -73,14 +75,15 @@ depend on the signs the eigensolver returns.  Results are bit-identical for a gi
 
 Error bars: the estimator's layout is fixed.  Trajectories run in chunks of
 512, are split by index into 50 blocks and are reported at 257 points of the
-grid (every point of a shorter grid).  Under a linear coupling one
-``matmul`` writes xi @ B straight into the chunk's phase array.  Each chunk
-is reduced, as soon as it is drawn, to its sum of exp(i phase), the centred
-second moments of its real and imaginary parts and its partial sums over the
-blocks.  The chunk's phase is dropped once exp(i phase) is formed, and the
-reduction works on the chunk in place (sums first, then centring and one
-``einsum`` per second moment) in the summation order a centred copy would
-have, so no chunk is copied.  The chunks are
+grid (every point of a shorter grid).  Under a linear coupling the normals
+xi are drawn into the first half of the chunk's exp(i phase) buffer and one
+``matmul`` writes xi @ B straight into the phase array, its second half.
+Each chunk is reduced, as soon as it is drawn, to its sum of exp(i phase),
+the centred second moments of its real and imaginary parts and its partial
+sums over the blocks.  exp(i phase) overwrites the phase and the normals,
+128 rows at a time, and the reduction works on the chunk in place (sums
+first, then centring and one ``einsum`` per second moment) in the summation
+order a centred copy would have, so no chunk is copied.  The chunks are
 merged in chunk order with the pairwise update of Chan, Golub & LeVeque
 (1983), so memory does not grow with the number of trajectories.  Per-point
 standard errors of |coherence| follow from the moments by the delta method
@@ -167,6 +170,13 @@ class FitWindowError(ValueError):
     """No usable trace points in the requested fit window."""
 
 
+def _check_fit_window(fit_window: tuple[float, float]) -> None:
+    """A window 0 <= lo < hi with a finite upper edge."""
+    lo, hi = fit_window
+    if not (math.isfinite(hi) and 0 <= lo < hi):
+        raise ValueError(f"invalid fit window {fit_window}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte-Carlo run settings.
@@ -193,9 +203,7 @@ class McConfig:
             raise ValueError(
                 f"need at least 100 trajectories, got {self.n_trajectories}"
             )
-        lo, hi = self.fit_window
-        if not (math.isfinite(hi) and 0 <= lo < hi):
-            raise ValueError(f"invalid fit window {self.fit_window}")
+        _check_fit_window(self.fit_window)
 
     @property
     def duration(self) -> float:
@@ -243,8 +251,14 @@ _CHUNK = 512
 # Samples of the bus engine's transformed time series per row block: a chunk
 # is transformed and integrated max(1, _BLOCK_SAMPLES // (series per row *
 # n_steps)) rows at a time.  Every step after the draw is row-local, so the
-# block height changes no byte, only the memory; it is not a setting.
-_BLOCK_SAMPLES = 1 << 17
+# block height changes no byte, only the memory; it is not a setting.  The
+# chunk's complex exp(i phase) array (2 MiB) is held while the blocks run, so
+# a block's series, spectrum and rate (about 1 MiB at 2^15 samples) stay
+# under it.
+_BLOCK_SAMPLES = 1 << 15
+# Rows of a chunk's phase copied out and turned into exp(i phase) at a time:
+# the phase lives inside the complex array it becomes (``_run_engine``).
+_EXP_ROWS = 128
 # Trajectory blocks of the rate's jackknife; n_trajectories >= 100 gives each
 # block at least 2 rows.
 _N_BLOCKS = 50
@@ -327,21 +341,31 @@ def _chunk_moments(
     return nt, total, moments, first, partial
 
 
-# sample_phase(rng, phase): writes a chunk's phase (nt, points), which arrives
-# zeroed, from column 1 on; column 0, the phase at t = 0, is never written.
-# An engine whose phase no noise reaches passes None instead, and
-# ``_run_engine`` returns the exact noise-free trace without drawing.
-PhaseSampler = Callable[[np.random.Generator, np.ndarray], None]
+# sample_phase(rng, phase, scratch): writes a chunk's phase (nt, points), which
+# arrives zeroed, from column 1 on; column 0, the phase at t = 0, is never
+# written.  ``scratch`` is nt * points float64 values, 1-D, that the sampler may
+# use for anything it drops before it returns (the linear engine draws its
+# normals there).  Both are halves of the chunk's exp(i phase) buffer and do
+# not overlap.  An engine whose phase no noise reaches passes None instead,
+# and ``_run_engine`` returns the exact noise-free trace without drawing.
+PhaseSampler = Callable[[np.random.Generator, np.ndarray, np.ndarray], None]
 
 
 def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> CoherenceTrace:
     """Ensemble mean of exp(i phase) over ``cfg.n_trajectories`` trajectories.
 
-    Each chunk's phase (nt, points), of nt trajectories at the report
-    points, is allocated here, zeroed; ``sample_phase(rng, phase)`` writes
+    Each chunk allocates one buffer, its complex z = exp(i phase) (nt,
+    points), of nt trajectories at the report points.  Its second half, as
+    float64, is the chunk's phase (nt, points), zeroed, and its first half
+    the sampler's scratch; ``sample_phase(rng, phase, scratch)`` writes
     columns 1 onwards from the chunk's generator and leaves column 0, the
-    phase at t = 0, zero.  Each chunk is reduced to its moments as soon as
-    it is drawn, so memory does not grow with the number of trajectories.
+    phase at t = 0, zero.  exp(i phase) is then formed in place, in
+    ascending blocks of ``_EXP_ROWS`` rows, each block's phase copied out
+    before its z rows are written: z rows [s, s + b) end at or below phase
+    row s + b, the first that is not yet read.  Each chunk is reduced to
+    its moments as soon as it is formed, so memory does not grow with the
+    number of trajectories and each thread holds one chunk's z and one
+    block.
     ``None`` means no noise reaches the phase, which then stays exactly zero
     (exp(i 0) = 1 + 0j): the trace is known without a chunk (|C| = 1, arg 0,
     stderr 0, block sums equal to the block counts) and is returned with no
@@ -365,13 +389,22 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
 
     def work(chunk: int) -> tuple:
         start = chunk * _CHUNK
-        phase = np.zeros((min(start + _CHUNK, n) - start, report_idx.size))
+        nt, m = min(start + _CHUNK, n) - start, report_idx.size
+        z = np.empty((nt, m), dtype=complex)
+        # the phase is the second half of z's buffer and the scratch the first
+        scratch, phase = np.split(z.reshape(-1).view(np.float64), 2)
+        phase = phase.reshape(nt, m)
+        phase.fill(0.0)
         seed = trajectory_seed_sequence(cfg.master_seed, chunk)
-        sample_phase(np.random.Generator(np.random.PCG64(seed)), phase)
-        z = np.empty_like(phase, dtype=complex)  # keeps the layout, and so the sum order
-        np.cos(phase, out=z.real)
-        np.sin(phase, out=z.imag)
-        del phase
+        sample_phase(np.random.Generator(np.random.PCG64(seed)), phase, scratch)
+        # z rows [s, s + b) end at or below phase row s + b, so every phase row
+        # is copied out before a z row overwrites it
+        for s in range(0, nt, _EXP_ROWS):
+            rows = slice(s, s + _EXP_ROWS)
+            block = phase[rows].copy()
+            np.cos(block, out=z.real[rows])
+            np.sin(block, out=z.imag[rows])
+            del block
         return _chunk_moments(z, start, bounds)
 
     # Merge in chunk order (Chan, Golub & LeVeque 1983 pairwise update); both
@@ -481,8 +514,9 @@ def simulate_dephasing(
     power = amplitude**2 * (mix[..., 0, :] ** 2).sum(axis=-1)
     factor = trapezoid_phase_factor(power, cfg.dt, report_idx)
 
-    def sample_phase(rng: np.random.Generator, phase: np.ndarray) -> None:
-        np.matmul(rng.standard_normal((len(phase), factor.shape[0])), factor, out=phase[:, 1:])
+    def sample_phase(rng: np.random.Generator, phase: np.ndarray, scratch: np.ndarray) -> None:
+        xi = scratch[:len(phase) * factor.shape[0]].reshape(len(phase), factor.shape[0])
+        np.matmul(rng.standard_normal(out=xi), factor, out=phase[:, 1:])
 
     return _run_engine(sample_phase if factor.size else None, cfg, jobs)
 
@@ -546,7 +580,7 @@ def simulate_bus_full(
     lin = (const_right * mix[1] - const_left * mix[0]) / 4.0
     report_idx = _report_indices(cfg.n_steps)
 
-    def sample_phase(rng: np.random.Generator, phase: np.ndarray) -> None:
+    def sample_phase(rng: np.random.Generator, phase: np.ndarray, scratch: np.ndarray) -> None:
         # x holds mix.shape[1] series per trajectory: R sources, or (a, b)
         rows = max(1, _BLOCK_SAMPLES // (mix.shape[1] * cfg.n_steps))
         for start in range(0, len(phase), rows):
@@ -721,9 +755,11 @@ def make_validation_scenario(
     architecture's record accepts, and a bus without a ``drive`` takes the
     record's default drive.  Decoherence-free pairs have no intrinsic
     scale, so they require an explicit ``reference_rate``.  ``master_seed``
-    is an integer in [0, 2^64), as in :class:`McConfig`.
+    is an integer in [0, 2^64) and ``fit_window`` a window
+    :class:`McConfig` accepts; both are checked before the grid is sized.
     """
     _check_seed(master_seed)
+    _check_fit_window(fit_window)
     kind = ArchKind(kind)
     n = pair.n_qubits
     if drive is None and ARCHITECTURES[kind].default_drive is not None:

@@ -290,10 +290,20 @@ def spatial_correlation_matrix(bath: OhmicBath, positions: Sequence, omega) -> n
     return _site_pair_kernel(bath, w, _site_distances(positions))
 
 
+def _check_step(dt: float) -> None:
+    """The time step rule: dt finite and > 0, and the sampling frequency
+    2 pi / dt finite, so that every bin frequency 2 pi k / (n dt) (k <= n / 2)
+    and the frequency step of any grid of n >= 2 steps are finite too."""
+    if not (math.isfinite(dt) and dt > 0 and math.isfinite(2.0 * math.pi / float(dt))):
+        raise ValueError(
+            f"dt must be finite and > 0, with a finite sampling frequency 2 pi / dt, got {dt}"
+        )
+
+
 def _check_grid(dt: float, n_steps: int) -> None:
-    """The time grid rule: a finite step dt > 0 and a power-of-two step count."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    """The time grid rule: a step dt that ``_check_step`` accepts and a
+    power-of-two step count."""
+    _check_step(dt)
     if n_steps < 2 or n_steps & (n_steps - 1):
         raise ValueError(f"n_steps must be a power of two >= 2, got {n_steps}")
 
@@ -529,16 +539,21 @@ def trapezoid_phase_factor(power, dt: float, report_idx) -> np.ndarray:
     ``eigh``; round-off negatives down to -EIG_CLAMP_TOL * lambda_max count as
     zero, and :func:`_psd_factor` keeps the k directions of positive variance
     (k = 0: no noise) and signs them by its rule, so B does not depend on the
-    signs LAPACK returns.
+    signs LAPACK returns.  ``dt`` follows the grid's step rule
+    (:func:`_check_step`), ``power`` must be finite, and a covariance beyond
+    the float range is refused (:func:`_finite`).
     """
-    power = np.asarray(power, dtype=float)
+    _check_step(dt)
+    power = _finite(np.asarray(power, dtype=float), "non-finite noise power")
     n_steps = 2 * (power.size - 1)
-    c = np.fft.irfft(power, n=n_steps) / n_steps
-    r = np.cumsum(c)
-    a = np.cumsum(2.0 * r - c[0])  # A(n) = A(n - 1) + 2 R(n) - c_0, A(0) = c_0
-    v = dt**2 * (a - 2.0 * r + 0.5 * (c[0] + c))
-    idx = np.asarray(report_idx)[1:]
-    cov = 0.5 * (v[idx, None] + v[None, idx] - v[np.abs(idx[:, None] - idx[None, :])])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        c = np.fft.irfft(power, n=n_steps) / n_steps
+        r = np.cumsum(c)
+        a = np.cumsum(2.0 * r - c[0])  # A(n) = A(n - 1) + 2 R(n) - c_0, A(0) = c_0
+        v = np.float64(dt) ** 2 * (a - 2.0 * r + 0.5 * (c[0] + c))  # dt**2 without OverflowError
+        idx = np.asarray(report_idx)[1:]
+        cov = 0.5 * (v[idx, None] + v[None, idx] - v[np.abs(idx[:, None] - idx[None, :])])
+    _finite(cov, "integrated phase covariance overflows the float range")
     return _psd_factor(*_psd_eigh(cov, "integrated phase covariance")).T
 
 
@@ -718,8 +733,9 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
 
     Accepts a single trajectory (1-D) or a stack with time along the last
     axis; all leading axes are flattened into the averaging ensemble.  The
-    step ``dt`` must be finite and > 0, every sample finite, and the
-    estimate and its error within the float range (:func:`_finite`).
+    step ``dt`` follows the grid's step rule (:func:`_check_step`), every
+    sample must be finite, and the estimate and its error within the float
+    range (:func:`_finite`).
     """
     x = np.asarray(trajectories, dtype=float)
     if x.ndim == 0:
@@ -727,8 +743,7 @@ def estimate_psd(trajectories, dt: float) -> PsdEstimate:
     n = x.shape[-1]
     if n < 256:
         raise ValueError(f"trajectory too short for a PSD estimate: {n} < 256 samples")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    _check_step(dt)
     _finite(x, "trajectories must be finite")
     flat = x.reshape(-1, n)
     m = flat.shape[0]

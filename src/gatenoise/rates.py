@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .noise import OhmicBath, TopologyKind, _finite
+from .noise import OhmicBath, TopologyKind, _check_integer, _finite
 from .register import (
     CoherencePair,
     GateDrive,
@@ -437,7 +437,9 @@ def scaling_scan(
     processor_core      central      L^2
     ==================  ===========  =====================================
 
-    Any other combination has no closed-form law in scope and raises.
+    Any other combination has no closed-form law in scope and raises.  Each
+    length is an integer, and a relative rate beyond the float range is
+    refused (:func:`~gatenoise.noise._finite`).
     """
     kind = ArchKind(kind)
     noise = NoiseKind(noise)
@@ -446,9 +448,15 @@ def scaling_scan(
         raise ValueError(f"no scaling law in scope for {kind.value} with {noise.value} noise")
     points: list[ScanPoint] = []
     for n in n_qubits_values:
+        _check_integer("register length", n)
         n = int(n)
         _check_length(kind, n)
-        points.append(ScanPoint(n_qubits=n, relative_rate=law(n)))
+        try:
+            rate = law(n)
+        except OverflowError:  # an int whose rate does not convert to a float
+            rate = math.inf
+        _finite(rate, "relative rate at L = {} overflows the float range", n)
+        points.append(ScanPoint(n_qubits=n, relative_rate=rate))
     return points
 
 

@@ -359,9 +359,13 @@ def test_drive_enhancement():
         (lambda: kernel_g([0.0, np.nan], Geometry.THREE_D), "no value at x = NaN"),
         (lambda: kernel_h(np.nan, Geometry.ONE_D), "no value at x = NaN"),
         (lambda: kernel_h([np.nan], Geometry.THREE_D), "no value at x = NaN"),
+        # the drive sum squares past the float range
+        (lambda: transient_energy_shift(GateDrive((1e200, 1e200)), RegisterLabel((1, 1)),
+                                        _transient_matrix(2)), "level shift overflows"),
     ],
     ids=["enhancement_no_qubits", "enhancement_overflows", "energy_shift_lengths",
-         "kernel_g_nan_1d", "kernel_g_nan_3d", "kernel_h_nan_1d", "kernel_h_nan_3d"],
+         "kernel_g_nan_1d", "kernel_g_nan_3d", "kernel_h_nan_1d", "kernel_h_nan_3d",
+         "energy_shift_overflows"],
 )
 def test_coupling_refusals(call, message):
     with pytest.raises(ValueError, match=message):

@@ -216,7 +216,7 @@ def test_noise_free_trace_is_the_bytes_of_a_zero_phase_run(n, jobs):
     # stays zero, for one chunk, several, and blocks of unequal size
     cfg = McConfig(dt=0.01, n_steps=512, n_trajectories=n, master_seed=8)
     exact = mcsim._run_engine(None, cfg, jobs)
-    general = mcsim._run_engine(lambda rng, phase: None, cfg, jobs)
+    general = mcsim._run_engine(lambda rng, phase, scratch: None, cfg, jobs)
     for field in fields(CoherenceTrace):
         a, b = np.asarray(getattr(exact, field.name)), np.asarray(getattr(general, field.name))
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
@@ -348,8 +348,13 @@ _CFG = McConfig(dt=0.005, n_steps=256, n_trajectories=300)
          "does not match drive length 3"),
         (lambda: make_validation_scenario(ArchKind.HYPERCUBE, _PAIR_2),
          "no analytic Monte-Carlo scenario for hypercube"),
+        # an infinite window edge sized an infinite grid before the window was checked
+        (lambda: make_validation_scenario(ArchKind.FSA_UNIFORM, _PAIR_2,
+                                          fit_window=(0.5, np.inf)),
+         "invalid fit window"),
     ],
-    ids=["dephasing_pair_length", "bus_pair_length", "scenario_hypercube"],
+    ids=["dephasing_pair_length", "bus_pair_length", "scenario_hypercube",
+         "scenario_infinite_fit_window"],
 )
 def test_monte_carlo_refusals(call, message):
     with pytest.raises(ValueError, match=message):
@@ -671,11 +676,12 @@ def test_engine_memory_does_not_grow_with_trajectories():
     assert abs(peaks[1] - peaks[0]) < 2 * 2**20
 
 
-@pytest.mark.parametrize("jobs, bound_mib", [(1, 5.5), (2, 9.5)])
+@pytest.mark.parametrize("jobs, bound_mib", [(1, 3.5), (2, 5.8), (4, 10.25)])
 def test_linear_engine_holds_no_copy_of_a_chunk(jobs, bound_mib):
-    # a 512 x 257 chunk holds its phase, its complex z and one real scratch
-    # array per engine thread; zero-filling and copying the phase and
-    # centring a complex copy of z peaked at 6.8 MiB (jobs 1) and 12.8 MiB (jobs 2)
+    # each engine thread holds one buffer per 512 x 257 chunk, its complex z,
+    # whose halves hold the phase and the normals, plus one 128-row block of
+    # phases; a separate phase, normals and z peaked at 3.8-3.9 MiB (jobs 1),
+    # 6.0-6.8 MiB (jobs 2) and 10.8-12.8 MiB (jobs 4)
     scn = {s.name: s for s in default_validation_suite(n_trajectories=2048)}[
         "fsa_uniform_L3_M3_Mp1"
     ]
@@ -875,7 +881,7 @@ def reference_bus_trace(drive, pair, bath, topology, cfg):
         np.round(np.linspace(0, cfg.n_steps - 1, min(257, cfg.n_steps))).astype(int)
     )
 
-    def sample_phase(rng, phase):
+    def sample_phase(rng, phase, scratch):
         nt = len(phase)
         # each row's real parts, then its imaginary parts
         re, im = np.moveaxis(rng.standard_normal((nt, 2, n_sources, n_bins)), 1, 0)
@@ -991,6 +997,22 @@ def test_bus_engine_memory_is_bounded_per_row_block():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("jobs, bound_mib", [(1, 4.5), (2, 8.0)])
+def test_bus_engine_row_blocks_fit_under_the_chunk(jobs, bound_mib):
+    # the scan's L = 2 grid, two chunks: each thread holds its chunk's complex
+    # z and one row block of 2^15 samples; a separate phase array and blocks
+    # of 2^17 samples peaked at 5.4 MiB (jobs 1) and 10.3 MiB (jobs 2)
+    drive, pair = scan_family(2)
+    cfg = McConfig(dt=0.5 / 128.0, n_steps=8192, n_trajectories=1024, master_seed=7)
+    tracemalloc.start()
+    try:
+        simulate_bus_full(drive, pair, SCAN_BATH, NoiseTopology.uniform(), cfg, jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("lengths", [(), (4,), (4, 4), (2, 2, 4, 8), (2, 4.0), (2, True)])

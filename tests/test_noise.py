@@ -233,7 +233,8 @@ def test_estimate_psd_zero_and_guards():
     assert np.all(est.psd == 0.0)
     with pytest.raises(ValueError):
         estimate_psd(np.zeros(100), dt=0.1)
-    for dt in (0.0, -0.1, np.nan, np.inf):
+    # 1e-320: the frequency grid 2 pi / (n dt) overflows
+    for dt in (0.0, -0.1, np.nan, np.inf, 1e-320):
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             estimate_psd(np.zeros(512), dt)
     for sample in (np.nan, np.inf):
@@ -550,6 +551,11 @@ def test_functional_factors_reject_non_finite_input():
             bath_1d(cutoff=8.0), NoiseTopology.uniform(), [[1e200, 1e200]],
             FACTOR_DT, FACTOR_STEPS,
         )
+    # a step whose bin frequencies 2 pi k / (n dt) overflow
+    with pytest.raises(ValueError, match="dt must be finite and > 0"):
+        functional_factor(
+            bath_1d(cutoff=8.0), NoiseTopology.uniform(), [[1.0]], 1e-320, FACTOR_STEPS
+        )
 
 
 def test_functional_factors_do_not_expand_a_broadcast_kernel_stack():
@@ -814,9 +820,32 @@ def test_factors_do_not_depend_on_the_eigenvector_signs(make_factor, monkeypatch
         # cos has no limit at +-inf
         (lambda: propagation_kernel_f(np.inf, Geometry.ONE_D), r"no value at x = NaN or \+-inf"),
         (lambda: propagation_kernel_f([-np.inf], Geometry.ONE_D), r"no value at x = NaN or \+-inf"),
+        # the grid's frequencies 2 pi k / (n dt) overflow
+        (lambda: SpectralSynthesizer(bath_1d(), NoiseTopology.uniform(), 1, 1e-320, 256),
+         "dt must be finite and > 0"),
+        (lambda: synthesize_trajectories(bath_1d(), NoiseTopology.uniform(), 1, 1e-320, 256, 1),
+         "dt must be finite and > 0"),
+        # the trapezoid factor checks its step as the grid does, and its power
+        (lambda: trapezoid_phase_factor(np.ones(33), -1.0, np.arange(0, 64, 4)),
+         "dt must be finite and > 0"),
+        (lambda: trapezoid_phase_factor(np.ones(33), np.inf, np.arange(0, 64, 4)),
+         "dt must be finite and > 0"),
+        (lambda: trapezoid_phase_factor(np.ones(33), -np.inf, np.arange(0, 64, 4)),
+         "dt must be finite and > 0"),
+        (lambda: trapezoid_phase_factor(np.ones(33), 1e-320, np.arange(0, 64, 4)),
+         "dt must be finite and > 0"),
+        (lambda: trapezoid_phase_factor(np.ones(33), 1e300, np.arange(0, 64, 4)),
+         "covariance overflows the float range"),
+        (lambda: trapezoid_phase_factor(np.full(33, np.inf), 0.01, np.arange(0, 64, 4)),
+         "non-finite noise power"),
+        (lambda: trapezoid_phase_factor(np.full(33, np.nan), 0.01, np.arange(0, 64, 4)),
+         "non-finite noise power"),
     ],
     ids=["synthesizer_no_sites", "psd_of_a_scalar", "kernel_f_nan_1d", "kernel_f_nan_3d",
-         "kernel_f_inf_1d", "kernel_f_minus_inf_1d"],
+         "kernel_f_inf_1d", "kernel_f_minus_inf_1d", "synthesizer_subnormal_dt",
+         "synthesize_subnormal_dt", "trapezoid_negative_dt", "trapezoid_inf_dt",
+         "trapezoid_minus_inf_dt", "trapezoid_subnormal_dt", "trapezoid_huge_dt",
+         "trapezoid_inf_power", "trapezoid_nan_power"],
 )
 def test_noise_refusals(call, message):
     with pytest.raises(ValueError, match=message):

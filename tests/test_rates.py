@@ -183,9 +183,23 @@ NUMPY_BATH = OhmicBath(coupling=np.float64(1e300), cutoff=1.0, temperature=np.fl
         (lambda: rate_table(ArchitectureModel(ArchKind.FSA_INDEPENDENT, 2), NUMPY_BATH,
                             [RegisterLabel.from_string("++"), RegisterLabel.from_string("+-")],
                             np.array([0]), np.array([1])), "overflows the float range"),
+        # a length is a whole number of qubits, as in mc_bus_scaling
+        (lambda: scaling_scan(ArchKind.BUS, NoiseKind.CENTRAL, [math.inf]),
+         "register length must be an integer"),
+        (lambda: scaling_scan(ArchKind.BUS, NoiseKind.CENTRAL, [1e300]),
+         "register length must be an integer"),
+        (lambda: scaling_scan(ArchKind.BUS, NoiseKind.CENTRAL, [2.5]),
+         "register length must be an integer"),
+        # integer lengths whose relative rate is beyond the float range
+        (lambda: scaling_scan(ArchKind.FSA_UNIFORM, NoiseKind.CENTRAL, [10**100]),
+         "overflows the float range"),
+        (lambda: scaling_scan(ArchKind.HYPERCUBE, NoiseKind.INDEPENDENT, [2**1023]),
+         "overflows the float range"),
     ],
     ids=["bus_pointer_separation", "bruteforce_noise_power", "uniform_numpy_bath",
-         "independent_numpy_bath", "bus_numpy_bath", "table_numpy_bath"],
+         "independent_numpy_bath", "bus_numpy_bath", "table_numpy_bath", "scan_inf_length",
+         "scan_huge_length", "scan_fractional_length", "scan_rate_overflows_int",
+         "scan_rate_overflows_float"],
 )
 def test_rate_refusals(call, message):
     with warnings.catch_warnings():
