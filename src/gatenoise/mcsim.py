@@ -65,8 +65,8 @@ complex exp(i phase) array whose halves hold the phase and the linear
 engine's normals, plus one row block.  Within a chunk, the sums over
 trajectories are numpy reductions whose order is fixed by the chunk's
 shape and memory layout; chunks are merged in chunk order.  Every
-covariance factorisation
-runs on one BLAS thread, and with ``jobs`` > 1 so does BLAS inside the
+covariance factorisation runs on one BLAS thread, and with ``jobs`` > 1 so
+does BLAS inside the
 engine threads; every factor's columns (B and the noise factor) are signed
 by the one rule of :func:`gatenoise.noise._psd_factor`, so they do not
 depend on the signs the eigensolver returns.  Results are bit-identical for a given configuration at any
@@ -361,11 +361,9 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
     columns 1 onwards from the chunk's generator and leaves column 0, the
     phase at t = 0, zero.  exp(i phase) is then formed in place, in
     ascending blocks of ``_EXP_ROWS`` rows, each block's phase copied out
-    before its z rows are written: z rows [s, s + b) end at or below phase
-    row s + b, the first that is not yet read.  Each chunk is reduced to
-    its moments as soon as it is formed, so memory does not grow with the
-    number of trajectories and each thread holds one chunk's z and one
-    block.
+    before its z rows are written.  Each chunk is reduced to its moments as
+    soon as it is formed, so memory does not grow with the number of
+    trajectories and each thread holds one chunk's z and one block.
     ``None`` means no noise reaches the phase, which then stays exactly zero
     (exp(i 0) = 1 + 0j): the trace is known without a chunk (|C| = 1, arg 0,
     stderr 0, block sums equal to the block counts) and is returned with no
@@ -404,7 +402,7 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
             block = phase[rows].copy()
             np.cos(block, out=z.real[rows])
             np.sin(block, out=z.imag[rows])
-            del block
+            del block  # before the next block is copied
         return _chunk_moments(z, start, bounds)
 
     # Merge in chunk order (Chan, Golub & LeVeque 1983 pairwise update); both

@@ -313,6 +313,7 @@ def _spectral_grid(bath: OhmicBath, dt: float, n_steps: int) -> tuple[np.ndarray
 
     E|Z_k|^2 = n_steps * S(w_k) / dt reproduces the target spectrum through
     the inverse DFT.  The grid must resolve the cutoff: dt * cutoff <= 0.5.
+    A variance beyond the float range is inf, which the caller refuses.
     """
     _check_grid(dt, n_steps)
     if dt * bath.cutoff > 0.5 + 1e-12:
@@ -321,7 +322,8 @@ def _spectral_grid(bath: OhmicBath, dt: float, n_steps: int) -> tuple[np.ndarray
             "decrease dt to resolve the spectral cutoff"
         )
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_steps, d=dt)
-    return omega, n_steps * classical_psd(bath, omega) / dt
+    with np.errstate(over="ignore"):
+        return omega, n_steps * classical_psd(bath, omega) / dt
 
 
 def _site_kernel(topology: NoiseTopology, n_sites: int) -> tuple[np.ndarray, np.ndarray]:

@@ -556,6 +556,12 @@ def test_functional_factors_reject_non_finite_input():
         functional_factor(
             bath_1d(cutoff=8.0), NoiseTopology.uniform(), [[1.0]], 1e-320, FACTOR_STEPS
         )
+    # a finite spectrum whose per-bin variance n S(w) / dt overflows
+    with pytest.raises(ValueError, match="non-finite noise covariance"):
+        functional_factor(
+            OhmicBath(coupling=1e10, cutoff=1.0, temperature=1e10), NoiseTopology.uniform(),
+            [[1.0]], 1e-300, FACTOR_STEPS,
+        )
 
 
 def test_functional_factors_do_not_expand_a_broadcast_kernel_stack():
