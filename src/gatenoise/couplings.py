@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .noise import Geometry, OhmicBath, propagation_kernel_f, _distance_matrix, _finite, _scalar_like
+from .noise import _check_integer
 from .register import GateDrive, RegisterLabel
 
 __all__ = [
@@ -307,7 +308,6 @@ def drive_enhancement(n_qubits: int, bath: OhmicBath) -> float:
     length.  Compensable by re-calibrating the drive.  A factor beyond the
     float range is refused (:func:`~gatenoise.noise._finite`).
     """
-    if n_qubits < 1:
-        raise ValueError(f"register length must be >= 1, got {n_qubits}")
+    n_qubits = _check_integer("register length", n_qubits, lo=1)
     enhancement = 1.0 + n_qubits * bath.coupling * bath.cutoff / (4.0 * math.pi)
     return _finite(enhancement, "drive enhancement overflows for {} qubits", n_qubits)

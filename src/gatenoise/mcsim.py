@@ -195,14 +195,9 @@ class McConfig:
     fit_window: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self) -> None:
-        for name in ("n_steps", "n_trajectories"):
-            _check_integer(name, getattr(self, name))
+        _check_integer("n_trajectories", self.n_trajectories, lo=100)
         _check_seed(self.master_seed)
         _check_grid(self.dt, self.n_steps)
-        if self.n_trajectories < 100:
-            raise ValueError(
-                f"need at least 100 trajectories, got {self.n_trajectories}"
-            )
         _check_fit_window(self.fit_window)
 
     @property
@@ -370,9 +365,7 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
     stream opened, the same bytes a sampler that writes zeros gives.
     ``jobs`` is the number of engine threads, an integer >= 1.
     """
-    _check_integer("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_integer("jobs", jobs, lo=1)
     n = cfg.n_trajectories
     report_idx = _report_indices(cfg.n_steps)
     bounds = np.linspace(0, n, _N_BLOCKS + 1).astype(int)
@@ -890,16 +883,15 @@ def mc_bus_scaling(
     driven qubit, pointer difference growing linearly in L) and returns the
     log-log slope together with the per-L fitted rates; the slope checks the
     quadratic superdecoherence law of the driven bus, so at least two distinct
-    lengths, none repeated, are needed.  Each length is one quadratic
+    lengths, none repeated, each an integer >= 2 (a two-qubit gate), are
+    needed.  Each length is one quadratic
     :class:`ValidationScenario` run through :func:`validate_against_analytic`,
     on the module's uniform scan bath and gate amplitude (``_SCAN_BATH``,
     ``_SCAN_AMPLITUDE``), a grid set by the coupler's rate (1/16 of the bus
     rate law) and ``master_seed`` itself (no scenario-name mixing); its
     verdict is computed but not gated.
     """
-    lengths = tuple(n_qubits_values)
-    for n in lengths:
-        _check_integer("register length", n)
+    lengths = tuple(_check_integer("register length", n, lo=2) for n in n_qubits_values)
     if len(set(lengths)) < max(2, len(lengths)):
         raise ValueError(
             "need at least two distinct register lengths, none repeated, to fit an "
@@ -916,7 +908,7 @@ def mc_bus_scaling(
             f"bus_scan_L{n}", ArchitectureModel(ArchKind.BUS, n, drive), pair, _SCAN_BATH,
             NoiseTopology.uniform(), cfg, gamma_eff, quadratic=True,
         )
-        fitted.append((int(n), validate_against_analytic(scenario, jobs).gamma_hat))
+        fitted.append((n, validate_against_analytic(scenario, jobs).gamma_hat))
     log_l = np.log([n for n, _ in fitted])
     log_g = np.log([g for _, g in fitted])
     exponent = float(np.polyfit(log_l, log_g, 1)[0])

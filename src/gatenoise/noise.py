@@ -304,8 +304,9 @@ def _check_grid(dt: float, n_steps: int) -> None:
     """The time grid rule: a step dt that ``_check_step`` accepts and a
     power-of-two step count."""
     _check_step(dt)
-    if n_steps < 2 or n_steps & (n_steps - 1):
-        raise ValueError(f"n_steps must be a power of two >= 2, got {n_steps}")
+    n_steps = _check_integer("n_steps", n_steps, lo=2)
+    if n_steps & (n_steps - 1):
+        raise ValueError(f"n_steps must be a power of two, got {n_steps}")
 
 
 def _spectral_grid(bath: OhmicBath, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -620,10 +621,8 @@ class SpectralSynthesizer:
         dt: float,
         n_steps: int,
     ) -> None:
-        self.n_sites = int(n_sites)
-        if self.n_sites < 1:
-            raise ValueError("need at least one site")
-        self.n_steps = int(n_steps)
+        self.n_sites = _check_integer("n_sites", n_sites, lo=1)
+        self.n_steps = _check_integer("n_steps", n_steps)
         self._uniform = topology.kind is TopologyKind.UNIFORM
         self._spatial = topology.kind is TopologyKind.SPATIAL
         eye = np.eye(self.n_sites if self._spatial else 1)
@@ -656,17 +655,27 @@ class SpectralSynthesizer:
         return samples
 
 
-def _check_integer(name: str, value: object) -> None:
-    """A Python or numpy integer, not a bool or a float."""
+def _check_integer(name: str, value: object, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int, or ValueError if it is not a Python or numpy
+    integer (a bool or a float is not) or lies outside [lo, hi] where given.
+
+    The package's one integer rule, the twin of :func:`_finite`: every count
+    a public function takes (a register length, step, trajectory or thread
+    count, a seed) is refused through this check rather than truncated.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value}")
+    return value
 
 
-def _check_seed(master_seed: object) -> None:
+def _check_seed(master_seed: object) -> int:
     """An integer in [0, 2^64): a float, bool or string would run as another seed."""
-    _check_integer("master_seed", master_seed)
-    if not 0 <= int(master_seed) < 2**64:
-        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+    return _check_integer("master_seed", master_seed, 0, 2**64 - 1)
 
 
 def trajectory_seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -676,9 +685,8 @@ def trajectory_seed_sequence(master_seed: int, index: int) -> np.random.SeedSequ
     matter how the work is scheduled across threads.  ``master_seed`` is an
     integer in [0, 2^64) and ``index`` an integer.
     """
-    _check_seed(master_seed)
-    _check_integer("index", index)
-    return np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
+    return np.random.SeedSequence(_check_seed(master_seed),
+                                  spawn_key=(_check_integer("index", index),))
 
 
 def synthesize_trajectories(

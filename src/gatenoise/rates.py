@@ -102,11 +102,13 @@ class ArchitectureRecord:
     topologies: tuple[TopologyKind, ...] = ()
 
 
-def _check_length(kind: ArchKind, n_qubits: int) -> None:
-    if n_qubits < 1:
-        raise ValueError(f"register length must be >= 1, got {n_qubits}")
-    if ARCHITECTURES[kind].power_of_two and (n_qubits < 2 or n_qubits & (n_qubits - 1)):
-        raise ValueError(f"{kind.value} requires L = 2^d with d >= 1, got L = {n_qubits}")
+def _check_length(kind: ArchKind, n_qubits: int) -> int:
+    """The register length as a Python int: an integer >= 1, and L = 2^d
+    (d >= 1) where the architecture requires it."""
+    n = _check_integer("register length", n_qubits, lo=1)
+    if ARCHITECTURES[kind].power_of_two and (n < 2 or n & (n - 1)):
+        raise ValueError(f"{kind.value} requires L = 2^d with d >= 1, got L = {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -448,9 +450,7 @@ def scaling_scan(
         raise ValueError(f"no scaling law in scope for {kind.value} with {noise.value} noise")
     points: list[ScanPoint] = []
     for n in n_qubits_values:
-        _check_integer("register length", n)
-        n = int(n)
-        _check_length(kind, n)
+        n = _check_length(kind, n)
         try:
             rate = law(n)
         except OverflowError:  # an int whose rate does not convert to a float

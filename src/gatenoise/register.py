@@ -11,9 +11,12 @@ All operations here are pure functions on immutable values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
+
+from .noise import _check_integer
 
 __all__ = [
     "MAX_ENUMERATION_LENGTH",
@@ -32,6 +35,8 @@ __all__ = [
 
 # Guard for exhaustive enumeration (2^L labels, 4^L label pairs).
 MAX_ENUMERATION_LENGTH = 12
+# Longest register a tuple can hold: a longer label or drive is refused.
+_MAX_LENGTH = sys.maxsize
 
 _CHAR_TO_SPIN = {"+": 1, "-": -1, "−": -1}  # ASCII and unicode minus
 _SPIN_TO_CHAR = {1: "+", -1: "-"}
@@ -125,11 +130,13 @@ class GateDrive:
 
     @classmethod
     def idle(cls, n_qubits: int) -> "GateDrive":
-        return cls((0.0,) * n_qubits)
+        return cls((0.0,) * _check_integer("register length", n_qubits, 1, _MAX_LENGTH))
 
     @classmethod
     def two_qubit_gate(cls, n_qubits: int, j: int, k: int, amplitude: float = 1.0) -> "GateDrive":
         """Drive with one active gate on qubits (j, k)."""
+        n_qubits = _check_integer("register length", n_qubits, 1, _MAX_LENGTH)
+        j, k = _check_integer("qubit j", j), _check_integer("qubit k", k)
         if not 0 <= j < k < n_qubits:
             raise ValueError(f"need 0 <= j < k < {n_qubits}, got ({j}, {k})")
         phi = [0.0] * n_qubits
@@ -187,10 +194,7 @@ def pointer_bus(label: RegisterLabel, drive: GateDrive) -> float:
 
 def enumerate_labels(n_qubits: int) -> list[RegisterLabel]:
     """All 2^L labels in lexicographic order (+1 sorts before -1)."""
-    if not 1 <= n_qubits <= MAX_ENUMERATION_LENGTH:
-        raise ValueError(
-            f"enumeration supports 1 <= L <= {MAX_ENUMERATION_LENGTH}, got {n_qubits}"
-        )
+    _check_integer("register length", n_qubits, 1, MAX_ENUMERATION_LENGTH)
     return [RegisterLabel(bits) for bits in product((1, -1), repeat=n_qubits)]
 
 
@@ -204,6 +208,8 @@ def iter_coherence_pairs(n_qubits: int) -> Iterator[CoherencePair]:
 
 def label_with_total_spin(n_qubits: int, m_total: int) -> RegisterLabel:
     """Canonical label with the requested total spin: leading +1s, trailing -1s."""
+    n_qubits = _check_integer("register length", n_qubits, 1, _MAX_LENGTH)
+    m_total = _check_integer("total spin", m_total)
     if abs(m_total) > n_qubits or (n_qubits - m_total) % 2 != 0:
         raise ValueError(
             f"total spin {m_total} unreachable for {n_qubits} qubits"

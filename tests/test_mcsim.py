@@ -1196,7 +1196,7 @@ def test_worst_case_bus_scenario_roundtrip():
 
 def test_default_suite_refuses_a_zero_count():
     # 0 is a count, not "use the default": it reaches McConfig's check
-    with pytest.raises(ValueError, match="at least 100 trajectories"):
+    with pytest.raises(ValueError, match="n_trajectories must be >= 100"):
         default_validation_suite(n_trajectories=0)
 
 

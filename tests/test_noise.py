@@ -819,7 +819,7 @@ def test_factors_do_not_depend_on_the_eigenvector_signs(make_factor, monkeypatch
     "call, message",
     [
         (lambda: SpectralSynthesizer(bath_1d(), NoiseTopology.uniform(), 0, 0.1, 256),
-         "at least one site"),
+         "n_sites must be >= 1"),
         (lambda: estimate_psd(1.0, 0.1), "got a scalar"),
         (lambda: propagation_kernel_f(np.nan, Geometry.ONE_D), "no value at x = NaN"),
         (lambda: propagation_kernel_f([0.0, np.nan], Geometry.THREE_D), "no value at x = NaN"),
