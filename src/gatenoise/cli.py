@@ -28,7 +28,8 @@ noise combinations of ``rates.scaling_scan``), a pair or drive whose length is
 not ``L``, or a value outside its bounds: register lengths, ``L_values``
 entries and ``positions.count`` in [1, 64], a Monte-Carlo scenario's ``L`` in
 [1, 16], ``n_trajectories`` in [100, 10^6], ``seed`` and ``--seed`` in
-[0, 2^64 - 1], ``--jobs`` in [1, 64], and a time grid of at most 2^20 steps),
+[0, 2^64 - 1], ``--jobs`` in [1, 64], and a time grid of at most 2^20 steps,
+the bound ``mcsim._MAX_GRID_STEPS`` that ``mcsim.McConfig`` holds every run to),
 3 physical-constraint violation (a missing bath ``coupling`` or ``cutoff``
 or ``rates`` temperature, non-finite physical values, and rates, couplings or
 coupling scales that overflow), 4 internal error (any other exception;
@@ -36,8 +37,8 @@ never reported as 1).
 
 A scenario's grid has ``mcsim.grid_points(cutoff_ratio, fit_window)`` =
 2 * cutoff_ratio * max(3.2, 1.15 * fit_window[1]) + 1 points rounded up to a
-power of two; the bound is checked after the scenario is read, before any
-work.
+power of two; the bound, owned by ``mcsim``, is checked after the scenario
+is read, before any work, so an oversized grid exits 2.
 
 Units: natural units (hbar = k_B = 1) by default.  ``rates`` and
 ``couplings``, the commands that convert a value with it, accept an optional
@@ -64,6 +65,7 @@ from .couplings import (
     drive_enhancement,
 )
 from .mcsim import (
+    _MAX_GRID_STEPS,
     DEFAULT_MASTER_SEED,
     default_validation_suite,
     grid_points,
@@ -109,11 +111,9 @@ _MAX_QUBITS = 64
 _MAX_MC_QUBITS = 16
 # "n_trajectories" of a scenario or of the validate override.
 _MAX_TRAJECTORIES = 10**6
-# Time steps of a scenario's grid, which its "cutoff_ratio" and the upper end of
-# its "fit_window" set (the default suite uses 1024 steps, the bus scan 8192).
-_MAX_GRID_STEPS = 2**20
 # "--jobs": the thread pool starts a thread per queued chunk while none is idle.
 _MAX_JOBS = 64
+# The grid bound is mcsim's (``_MAX_GRID_STEPS``), checked once a scenario is read.
 
 
 class ConfigError(Exception):

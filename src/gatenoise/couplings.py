@@ -94,7 +94,7 @@ class CouplingMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = _finite(np.asarray(self.values, dtype=float), "coupling matrix entries must be finite")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"coupling matrix must be square, got shape {v.shape}")
         if not np.allclose(v, v.T, rtol=0, atol=1e-12 * max(1.0, np.abs(v).max())):
@@ -309,5 +309,8 @@ def drive_enhancement(n_qubits: int, bath: OhmicBath) -> float:
     float range is refused (:func:`~gatenoise.noise._finite`).
     """
     n_qubits = _check_integer("register length", n_qubits, lo=1)
-    enhancement = 1.0 + n_qubits * bath.coupling * bath.cutoff / (4.0 * math.pi)
+    try:
+        enhancement = 1.0 + n_qubits * bath.coupling * bath.cutoff / (4.0 * math.pi)
+    except OverflowError:  # a length beyond the float range
+        enhancement = math.inf
     return _finite(enhancement, "drive enhancement overflows for {} qubits", n_qubits)

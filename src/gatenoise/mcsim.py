@@ -15,7 +15,9 @@ A :class:`ValidationScenario` names its engine (the linear coupling of
 :func:`simulate_dephasing` or the quadratic bus coupler of
 :func:`simulate_bus_full`), its grid, seed and reference rate; the function
 checks that the grid covers three decay times, runs the engine, fits the
-trace (:func:`fit_rate`) and returns the verdict with the trace.  The CLI's
+trace (:func:`fit_rate`) and returns the verdict with the trace.  This
+module owns the grid bound: :class:`McConfig` refuses more than 2^20 steps
+(``_MAX_GRID_STEPS``), and the CLI reads the same constant.  The CLI's
 ``mc`` writes that trace and fit and its ``validate`` the verdicts, and
 :func:`mc_bus_scaling` runs one quadratic scenario per register length.
 
@@ -183,9 +185,11 @@ class McConfig:
 
     ``fit_window`` is expressed in units of 1 / (analytic rate guess) and is
     converted to absolute times by the validation harness.  The integration
-    grid is (n_steps, dt); the trace is reported at 257 of its points and the
-    trajectories are reduced in 512-row chunks and 50 blocks, a fixed layout
-    that no setting changes.
+    grid is (n_steps, dt), n_steps a power of two of at most 2^20
+    (``_MAX_GRID_STEPS``), and n_trajectories is an integer in [100, 2^53].
+    The trace is reported at 257 of its points and the trajectories are
+    reduced in 512-row chunks and 50 blocks, a fixed layout that no setting
+    changes.
     """
 
     dt: float
@@ -195,8 +199,11 @@ class McConfig:
     fit_window: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self) -> None:
-        _check_integer("n_trajectories", self.n_trajectories, lo=100)
+        # the block bounds are float64 (np.linspace), which ends exactly at the
+        # count only up to 2^53
+        _check_integer("n_trajectories", self.n_trajectories, 100, 2**53)
         _check_seed(self.master_seed)
+        _check_integer("n_steps", self.n_steps, hi=_MAX_GRID_STEPS)
         _check_grid(self.dt, self.n_steps)
         _check_fit_window(self.fit_window)
 
@@ -239,6 +246,10 @@ class RateEstimate:
     n_points: int
 
 
+# Time steps of a run's grid, which McConfig bounds: a scenario's is set by its
+# cutoff ratio and the upper end of its fit window (the default suite uses 1024
+# steps, the bus scan 8192), and the CLI refuses a larger one before any work.
+_MAX_GRID_STEPS = 2**20
 # Trajectories per chunk: chunk c covers trajectories [c * _CHUNK, (c + 1) * _CHUNK)
 # and draws from one stream keyed by (master_seed, c).  The chunking is fixed,
 # so neither the streams nor the arithmetic depend on the number of threads.
@@ -720,8 +731,10 @@ def _grid_for_rate(
     gamma: float, cutoff: float, fit_window: tuple[float, float]
 ) -> tuple[float, int]:
     """(dt, n_steps): half an inverse cutoff, and ``grid_points`` at the ratio
-    cutoff / gamma rounded up."""
-    return 0.5 / cutoff, 1 << max(4, math.ceil(math.log2(grid_points(cutoff / gamma, fit_window))))
+    cutoff / gamma rounded up; a count past ``_MAX_GRID_STEPS``, infinite
+    included, rounds to twice it, which :class:`McConfig` refuses."""
+    points = min(grid_points(cutoff / gamma, fit_window), 2.0 * _MAX_GRID_STEPS)
+    return 0.5 / cutoff, 1 << max(4, math.ceil(math.log2(points)))
 
 
 def make_validation_scenario(

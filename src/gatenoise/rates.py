@@ -183,7 +183,10 @@ def dephasing_rate(s0: float, q: float, qp: float) -> float:
             dq = q - qp
             gamma = 0.5 * s0 * dq * dq
     else:  # Python floats overflow to inf without a warning, numpy scalars with one
-        dq = float(q) - float(qp)
+        try:
+            dq = float(q) - float(qp)
+        except OverflowError:  # an int pointer beyond the float range
+            dq = math.inf
         gamma = 0.5 * float(s0) * dq * dq
     return _finite(gamma, "dephasing rate overflows the float range")
 

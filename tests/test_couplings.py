@@ -362,11 +362,30 @@ def test_drive_enhancement():
         # the drive sum squares past the float range
         (lambda: transient_energy_shift(GateDrive((1e200, 1e200)), RegisterLabel((1, 1)),
                                         _transient_matrix(2)), "level shift overflows"),
+        # a length is a whole number of qubits: 2.5 and True gave a factor
+        (lambda: drive_enhancement(2.5, bath()), "register length must be an integer"),
+        (lambda: drive_enhancement(True, bath()), "register length must be an integer"),
+        # an int length beyond the float range
+        (lambda: drive_enhancement(10**400, bath()), "drive enhancement overflows"),
+        # a numpy length overflowed in numpy floats, with a RuntimeWarning
+        (lambda: drive_enhancement(np.int64(10), bath(coupling=1e300, cutoff=1e300)),
+         "drive enhancement overflows"),
+        # inf warned from np.allclose and NaN read as asymmetric
+        (lambda: CouplingMatrix(CouplingKind.SPURIOUS, np.array([[1.0, np.inf], [np.inf, 1.0]])),
+         "entries must be finite"),
+        (lambda: CouplingMatrix(CouplingKind.SPURIOUS, np.array([[np.nan, 0.0], [0.0, 1.0]])),
+         "entries must be finite"),
     ],
     ids=["enhancement_no_qubits", "enhancement_overflows", "energy_shift_lengths",
          "kernel_g_nan_1d", "kernel_g_nan_3d", "kernel_h_nan_1d", "kernel_h_nan_3d",
-         "energy_shift_overflows"],
+         "energy_shift_overflows", "enhancement_fractional_length", "enhancement_bool_length",
+         "enhancement_length_beyond_float_range", "enhancement_numpy_length_overflows",
+         "matrix_inf_entry", "matrix_nan_entry"],
 )
 def test_coupling_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_drive_enhancement_takes_a_numpy_length():
+    assert drive_enhancement(np.int64(8), bath()) == drive_enhancement(8, bath())

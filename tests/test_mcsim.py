@@ -352,13 +352,41 @@ _CFG = McConfig(dt=0.005, n_steps=256, n_trajectories=300)
         (lambda: make_validation_scenario(ArchKind.FSA_UNIFORM, _PAIR_2,
                                           fit_window=(0.5, np.inf)),
          "invalid fit window"),
+        # grids of 2^49 and 2^1000 steps were built and failed only when run;
+        # these are only constructed, never run
+        (lambda: make_validation_scenario(ArchKind.FSA_UNIFORM, _PAIR_2,
+                                          fit_window=(0.5, 1e12)),
+         "n_steps must be <= 1048576"),
+        (lambda: make_validation_scenario(ArchKind.FSA_UNIFORM, _PAIR_2, cutoff_ratio=1e300),
+         "n_steps must be <= 1048576"),
+        # a finite window whose grid point count is infinite raised OverflowError
+        (lambda: make_validation_scenario(ArchKind.FSA_UNIFORM, _PAIR_2,
+                                          fit_window=(0.5, 1e308)),
+         "n_steps must be <= 1048576"),
+        (lambda: McConfig(dt=0.005, n_steps=2**21, n_trajectories=300),
+         "n_steps must be <= 1048576"),
+        # 10^19 failed in np.linspace; past 2^53 the block bounds are inexact
+        (lambda: McConfig(dt=0.005, n_steps=256, n_trajectories=10**19),
+         "n_trajectories must be <= 9007199254740992"),
+        (lambda: McConfig(dt=0.005, n_steps=256, n_trajectories=2**53 + 1),
+         "n_trajectories must be <= 9007199254740992"),
+        # a bus scan length needs a two-qubit gate, checked before any run
+        (lambda: mc_bus_scaling((1, 2), n_trajectories=100), "register length must be >= 2"),
     ],
     ids=["dephasing_pair_length", "bus_pair_length", "scenario_hypercube",
-         "scenario_infinite_fit_window"],
+         "scenario_infinite_fit_window", "scenario_fit_window_past_grid_bound",
+         "scenario_cutoff_ratio_past_grid_bound", "scenario_fit_window_overflows_grid",
+         "config_grid_past_bound", "config_trajectories_past_int64",
+         "config_trajectories_past_2_53", "scaling_single_qubit"],
 )
 def test_monte_carlo_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_mcconfig_bounds_are_inclusive():
+    cfg = McConfig(dt=0.005, n_steps=2**20, n_trajectories=2**53, master_seed=np.uint64(2**64 - 1))
+    assert (cfg.n_steps, cfg.n_trajectories) == (2**20, 2**53)
 
 
 def test_small_validation_run_hits_analytic_rate():

@@ -846,12 +846,25 @@ def test_factors_do_not_depend_on_the_eigenvector_signs(make_factor, monkeypatch
          "non-finite noise power"),
         (lambda: trapezoid_phase_factor(np.full(33, np.nan), 0.01, np.arange(0, 64, 4)),
          "non-finite noise power"),
+        # counts are whole numbers: 2.5 sites built 2, True built 1
+        (lambda: SpectralSynthesizer(bath_1d(), NoiseTopology.independent(), 2.5, 0.1, 256),
+         "n_sites must be an integer"),
+        (lambda: SpectralSynthesizer(bath_1d(), NoiseTopology.independent(), True, 0.1, 256),
+         "n_sites must be an integer"),
+        (lambda: SpectralSynthesizer(bath_1d(), NoiseTopology.uniform(), 1, 0.1, np.inf),
+         "n_steps must be an integer"),
+        (lambda: synthesize_trajectories(bath_1d(), NoiseTopology.uniform(), 2, 0.1, 256.0, 1),
+         "n_steps must be an integer"),
+        (lambda: functional_factor(bath_1d(), NoiseTopology.uniform(), np.eye(1), 0.1, 256.0),
+         "n_steps must be an integer"),
     ],
     ids=["synthesizer_no_sites", "psd_of_a_scalar", "kernel_f_nan_1d", "kernel_f_nan_3d",
          "kernel_f_inf_1d", "kernel_f_minus_inf_1d", "synthesizer_subnormal_dt",
          "synthesize_subnormal_dt", "trapezoid_negative_dt", "trapezoid_inf_dt",
          "trapezoid_minus_inf_dt", "trapezoid_subnormal_dt", "trapezoid_huge_dt",
-         "trapezoid_inf_power", "trapezoid_nan_power"],
+         "trapezoid_inf_power", "trapezoid_nan_power", "synthesizer_fractional_sites",
+         "synthesizer_bool_sites", "synthesizer_inf_steps", "synthesize_float_steps",
+         "functional_float_steps"],
 )
 def test_noise_refusals(call, message):
     with pytest.raises(ValueError, match=message):

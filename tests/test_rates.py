@@ -195,17 +195,39 @@ NUMPY_BATH = OhmicBath(coupling=np.float64(1e300), cutoff=1.0, temperature=np.fl
          "overflows the float range"),
         (lambda: scaling_scan(ArchKind.HYPERCUBE, NoiseKind.INDEPENDENT, [2**1023]),
          "overflows the float range"),
+        # a model's length is a whole number of qubits: NaN and 2.5 gave gate counts
+        (lambda: ArchitectureModel(ArchKind.FSA_UNIFORM, math.nan),
+         "register length must be an integer"),
+        (lambda: ArchitectureModel(ArchKind.FSA_UNIFORM, 2.5),
+         "register length must be an integer"),
+        (lambda: ArchitectureModel(ArchKind.BUS, True, GateDrive.idle(1)),
+         "register length must be an integer"),
+        (lambda: worst_case_pair(ArchKind.FSA_INDEPENDENT, 4.0),
+         "register length must be an integer"),
+        (lambda: ArchitectureModel(ArchKind.HYPERCUBE, 4.0), "register length must be an integer"),
+        # an int pointer beyond the float range
+        (lambda: dephasing_rate(1.0, 10**400, 0), "dephasing rate overflows the float range"),
     ],
     ids=["bus_pointer_separation", "bruteforce_noise_power", "uniform_numpy_bath",
          "independent_numpy_bath", "bus_numpy_bath", "table_numpy_bath", "scan_inf_length",
          "scan_huge_length", "scan_fractional_length", "scan_rate_overflows_int",
-         "scan_rate_overflows_float"],
+         "scan_rate_overflows_float", "model_nan_length", "model_fractional_length",
+         "model_bool_length", "worst_case_float_length", "hypercube_float_length",
+         "pointer_beyond_float_range"],
 )
 def test_rate_refusals(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("kind", list(ArchKind), ids=lambda k: k.value)
+def test_lengths_take_numpy_integers(kind):
+    drive = GateDrive.two_qubit_gate(np.int64(4), np.int64(0), np.int64(1))
+    arch = ArchitectureModel(kind, np.int64(4), drive if kind is ArchKind.BUS else None)
+    assert gate_count(arch) == gate_count(ArchitectureModel(kind, 4, arch.drive))
+    assert worst_case_pair(kind, np.int64(4), arch.drive) == worst_case_pair(kind, 4, arch.drive)
 
 
 @given(label_pairs(max_qubits=5), st.floats(0.1, 4.0), st.floats(0.1, 4.0))

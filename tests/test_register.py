@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -126,6 +127,39 @@ def test_gate_drive_rejects_non_finite(phi):
 def test_gate_drive_needs_a_qubit():
     with pytest.raises(ValueError, match="at least one qubit"):
         GateDrive(())
+
+
+# Lengths past a tuple's reach are tested only at 2^63 and above: a length
+# between about 10^8 and 2^63 can try to build a tuple that large.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: enumerate_labels(True), "register length must be an integer"),
+        (lambda: enumerate_labels(2.0), "register length must be an integer"),
+        (lambda: label_with_total_spin(2, 0.0), "total spin must be an integer"),
+        (lambda: label_with_total_spin(2.0, 0), "register length must be an integer"),
+        (lambda: label_with_total_spin(2**63, 0), "register length must be <="),
+        (lambda: GateDrive.idle(2.0), "register length must be an integer"),
+        (lambda: GateDrive.idle(2**63), "register length must be <="),
+        (lambda: GateDrive.two_qubit_gate(4.0, 0, 1), "register length must be an integer"),
+        (lambda: GateDrive.two_qubit_gate(4, 0.0, 1), "qubit j must be an integer"),
+        (lambda: GateDrive.two_qubit_gate(2**63, 0, 1), "register length must be <="),
+    ],
+    ids=["enumerate_bool_length", "enumerate_float_length", "total_spin_float",
+         "total_spin_float_length", "total_spin_huge_length", "idle_float_length",
+         "idle_huge_length", "gate_float_length", "gate_float_index", "gate_huge_length"],
+)
+def test_register_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_counts_take_numpy_integers():
+    assert enumerate_labels(np.int64(2)) == enumerate_labels(2)
+    assert label_with_total_spin(np.int64(4), np.int64(0)) == label_with_total_spin(4, 0)
+    assert GateDrive.idle(np.int64(3)) == GateDrive.idle(3)
+    assert (GateDrive.two_qubit_gate(np.int64(4), np.int64(0), np.int64(1))
+            == GateDrive.two_qubit_gate(4, 0, 1))
 
 
 @given(labels)
