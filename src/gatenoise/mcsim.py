@@ -897,7 +897,7 @@ def mc_bus_scaling(
     log-log slope together with the per-L fitted rates; the slope checks the
     quadratic superdecoherence law of the driven bus, so at least two distinct
     lengths, none repeated, each an integer >= 2 (a two-qubit gate), are
-    needed.  Each length is one quadratic
+    needed; they are checked before any run.  Each length is one quadratic
     :class:`ValidationScenario` run through :func:`validate_against_analytic`,
     on the module's uniform scan bath and gate amplitude (``_SCAN_BATH``,
     ``_SCAN_AMPLITUDE``), a grid set by the coupler's rate (1/16 of the bus
