@@ -349,13 +349,12 @@ def _site_kernel(topology: NoiseTopology, n_sites: int) -> tuple[np.ndarray, np.
     return distances, np.searchsorted(distances, r)
 
 
-@functools.cache
-def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count pairs of every OpenBLAS this process has loaded.
+def _openblas_libraries() -> list[ctypes.CDLL]:
+    """Every OpenBLAS this process has loaded, bound through ``ctypes``.
 
-    The libraries are found by path in ``/proc/self/maps`` and bound through
-    ``ctypes``, on first use.  Empty where there is no such file (macOS,
-    Windows) or no OpenBLAS is loaded (numpy on MKL or Accelerate).
+    The libraries are found by path in ``/proc/self/maps``.  Empty where
+    there is no such file (macOS, Windows) or no OpenBLAS is loaded (numpy
+    on MKL or Accelerate).
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -365,13 +364,22 @@ def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int]
                 if len(fields) == 6 and "openblas" in fields[5].lower()
             }
     except OSError:
-        return ()
-    controls = []
+        return []
+    libraries = []
     for path in sorted(paths):
         try:
-            lib = ctypes.CDLL(path)
+            libraries.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return libraries
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count pairs of every OpenBLAS this process has loaded
+    (:func:`_openblas_libraries`), bound on first use."""
+    controls = []
+    for lib in _openblas_libraries():
         for get_name, set_name in [
             ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
             ("openblas_get_num_threads", "openblas_set_num_threads"),
@@ -572,7 +580,10 @@ def draw_white(
     row (trajectory) draws the real parts of its (source, bin) amplitudes and
     then their imaginary parts.  A generator's normals in consecutive draws are
     those of one draw, so consecutive calls give the rows of one call.
+    ``nt`` and ``n_sources`` are integers >= 1.
     """
+    nt = _check_integer("nt", nt, lo=1)
+    n_sources = _check_integer("n_sources", n_sources, lo=1)
     re, im = np.moveaxis(rng.standard_normal((nt, 2, n_sources, amplitude.size)), 1, 0)
     half = amplitude / np.sqrt(2.0)
     white = np.empty(re.shape, dtype=complex)
@@ -666,10 +677,14 @@ def _check_integer(name: str, value: object, lo: int | None = None, hi: int | No
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
+    # an int of more than sys.get_int_max_str_digits() digits (4300 by
+    # default) refuses str(), so a long one is shown by its bit length
+    shown = value if value.bit_length() <= 1000 else (
+        f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits")
     if lo is not None and value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value}")
+        raise ValueError(f"{name} must be >= {lo}, got {shown}")
     if hi is not None and value > hi:
-        raise ValueError(f"{name} must be <= {hi}, got {value}")
+        raise ValueError(f"{name} must be <= {hi}, got {shown}")
     return value
 
 

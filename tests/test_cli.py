@@ -569,7 +569,7 @@ def test_units_block_converts_and_reports(tmp_path):
 
 
 # sha256 of the default `validate --format json` output.
-DEFAULT_VALIDATE_SHA256 = "587b681734a8f957cab8087d466ebed295584a2aa3459ca729bb057654d3b70f"
+DEFAULT_VALIDATE_SHA256 = "8015ea0d41e1f698c4c598fa96ba458bc0762f447ec8c4c6a13ad763873484ad"
 
 
 def test_validate_default_suite_all_pass(tmp_path):

@@ -414,26 +414,35 @@ def test_deterministic_across_jobs_and_reruns():
         assert np.array_equal(a.stderr, b.stderr)
 
 
-def phase_factor(scn):
-    """Report indices and phase factor B of a central-noise scenario."""
+def phase_factor(scn, weights=None):
+    """Report indices and phase factor B of a linear scenario; the weights of
+    its sources default to a central-noise scenario's pointer difference."""
     cfg = scn.cfg
-    weights = [[pointer_fsa_uniform(scn.pair.left) - pointer_fsa_uniform(scn.pair.right)]]
+    if weights is None:
+        weights = [[pointer_fsa_uniform(scn.pair.left) - pointer_fsa_uniform(scn.pair.right)]]
     amplitude, mix = functional_factor(scn.bath, scn.topology, weights, cfg.dt, cfg.n_steps)
     power = amplitude**2 * (mix[..., 0, :] ** 2).sum(axis=-1)
     idx = np.unique(np.round(np.linspace(0, cfg.n_steps - 1, 257)).astype(int))
     return idx, trapezoid_phase_factor(power, cfg.dt, idx)
 
 
-def chunk_z_rows(master_seed, chunk, nt, idx, factor):
-    """exp(i phase) of one chunk in the documented layout: xi = standard_normal((nt, k))
+def exp_i(phase, dtype=np.float32):
+    """exp(i phase) as the engine forms it: cos and sin of the phase cast to
+    float32, written into complex128 (``dtype=np.float64`` keeps the phase)."""
+    block = phase.astype(dtype)
+    z = np.empty(phase.shape, dtype=complex)
+    np.cos(block, out=z.real)
+    np.sin(block, out=z.imag)
+    return z
+
+
+def chunk_phase_rows(master_seed, chunk, nt, idx, factor):
+    """The phase of one chunk in the documented layout: xi = standard_normal((nt, k))
     from the stream keyed by (master_seed, chunk), phase = [0, xi @ B]."""
     rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(master_seed, chunk)))
     phase = np.zeros((nt, idx.size))
     phase[:, 1:] = rng.standard_normal((nt, factor.shape[0])) @ factor
-    z = np.empty(phase.shape, dtype=complex)
-    z.real = np.cos(phase)
-    z.imag = np.sin(phase)
-    return z
+    return phase
 
 
 def test_chunk_stream_is_pinned():
@@ -444,8 +453,8 @@ def test_chunk_stream_is_pinned():
     scn = small_uniform_scenario(n_trajectories=600)
     trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg)
     idx, factor = phase_factor(scn)
-    z0 = chunk_z_rows(scn.cfg.master_seed, 0, 512, idx, factor)
-    z1 = chunk_z_rows(scn.cfg.master_seed, 1, 88, idx, factor)
+    z0 = exp_i(chunk_phase_rows(scn.cfg.master_seed, 0, 512, idx, factor))
+    z1 = exp_i(chunk_phase_rows(scn.cfg.master_seed, 1, 88, idx, factor))
     assert np.array_equal(trace.block_sums[43:], np.add.reduceat(z1, np.arange(4, 88, 12), axis=0))
     straddling = np.add.reduceat(z0, [504], axis=0)[0] + np.add.reduceat(z1, [0, 4], axis=0)[0]
     assert np.array_equal(trace.block_sums[42], straddling)
@@ -453,12 +462,12 @@ def test_chunk_stream_is_pinned():
 
 LINEAR_PINS = {
     "fsa_uniform_L3_M3_Mp1": (
-        "16.463762646494946", "0.9052505970882487",
-        "5220971d2003002c450e8fa38bcd0c3d23865b166560bbc7ad9d83fd5acec3f7",
+        "16.4637626318071", "0.9052505970468275",
+        "de03165e49bec210639902cae0e6ceb5e18b91f24bda91bac4b21d52cab8e35d",
     ),
     "fsa_independent_L6_Nd3": (
-        "0.5992733100490031", "0.029067099869559236",
-        "1a3d09906a9e98e32cf3f308196da9a5c69a932613100e96b4f5759e450191c9",
+        "0.5992733087481529", "0.029067099769554045",
+        "6a985ffb723e547e9baacedbcb22c59604c9cb36aee11216e535fe6f446df430",
     ),
 }
 
@@ -466,8 +475,9 @@ LINEAR_PINS = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(LINEAR_PINS))
 def test_linear_stream_is_pinned(name, jobs):
-    # recorded with the phase factor's columns signed by noise._psd_factor:
-    # any change to the linear engine's draw layout or arithmetic moves them
+    # recorded with the phase factor's columns signed by noise._psd_factor and
+    # exp(i phase) formed in float32: any change to the linear engine's draw
+    # layout or arithmetic moves them
     scenario = {s.name: s for s in default_validation_suite(n_trajectories=2000)}[name]
     report = validate_against_analytic(scenario, jobs)
     trace = report.trace
@@ -495,10 +505,7 @@ def engine_z(nt, seed):
     """exp(i phase) in the engine's layout, for a random walk phase over 257 points."""
     phase = np.zeros((nt, 257))
     phase[:, 1:] = np.cumsum(np.random.default_rng(seed).normal(0.0, 0.1, (nt, 256)), axis=1)
-    z = np.empty_like(phase, dtype=complex)
-    np.cos(phase, out=z.real)
-    np.sin(phase, out=z.imag)
-    return z
+    return exp_i(phase)
 
 
 @pytest.mark.parametrize(
@@ -521,15 +528,15 @@ def test_chunk_moments_match_the_complex_centred_formula(n, start, z):
         assert got[i].dtype == expected[i].dtype and np.array_equal(got[i], expected[i]), name
 
 
-def direct_z_rows(scn):
-    """exp(i phase) at the report points of every trajectory of a central-noise
-    scenario, drawn chunk by chunk in the documented layout."""
+def direct_phase_rows(scn, weights=None):
+    """The phase at the report points of every trajectory of a linear scenario
+    (see ``phase_factor``), drawn chunk by chunk in the documented layout."""
     cfg = scn.cfg
-    idx, factor = phase_factor(scn)
+    idx, factor = phase_factor(scn, weights)
     rows = []
     for chunk, start in enumerate(range(0, cfg.n_trajectories, 512)):
         nt = min(512, cfg.n_trajectories - start)
-        rows.append(chunk_z_rows(cfg.master_seed, chunk, nt, idx, factor))
+        rows.append(chunk_phase_rows(cfg.master_seed, chunk, nt, idx, factor))
     return np.concatenate(rows)
 
 
@@ -613,7 +620,7 @@ def test_linear_run_does_not_import_numpy_ma():
 def test_delta_method_stderr_matches_leave_one_out_jackknife():
     scn = small_uniform_scenario(n_trajectories=2000, seed=5)
     trace = simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg)
-    z = direct_z_rows(scn)
+    z = exp_i(direct_phase_rows(scn))
     n = z.shape[0]
     total = z.sum(axis=0)
     mean = trace.abs_coherence * np.exp(1j * trace.arg_coherence)
@@ -624,6 +631,30 @@ def test_delta_method_stderr_matches_leave_one_out_jackknife():
     usable = trace.abs_coherence > 5.0 * trace.stderr
     assert usable.sum() >= 100
     np.testing.assert_allclose(trace.stderr[usable], jackknife[usable], rtol=1e-2)
+
+
+def test_float32_exp_stays_inside_its_error_bound():
+    # the default suite's largest phases; the reference forms exp(i phase)
+    # from the same draws with float64 cos/sin
+    scn = {s.name: s for s in default_validation_suite(n_trajectories=2000)}[
+        "fsa_independent_L6_Nd5"]
+    report = validate_against_analytic(scn)
+    trace = report.trace
+    phase = direct_phase_rows(scn, scn.arch.record.sources(scn.pair, scn.arch.drive))
+    z = exp_i(phase, np.float64)
+    bound = 6e-8 * np.abs(phase).max() + 3e-7  # as stated at mcsim._EXP_ROWS
+    mean = z.mean(axis=0)
+    got = trace.abs_coherence * np.exp(1j * trace.arg_coherence)
+    assert np.abs(got - mean).max() <= bound
+    sums = np.add.reduceat(z, np.linspace(0, len(z), 51).astype(int)[:-1], axis=0)
+    assert np.abs((trace.block_sums - sums) / trace.block_counts[:, None]).max() <= bound
+    # the fit on the float64 reference, with its delta-method standard errors
+    u = mean / np.abs(mean)
+    stderr = (z * u.conj()).real.std(axis=0, ddof=1) / np.sqrt(len(z))
+    reference = replace(trace, abs_coherence=np.abs(mean), arg_coherence=np.angle(mean),
+                        stderr=stderr, block_sums=sums)
+    est = fit_rate(reference, scn.cfg.absolute_fit_window(scn.gamma_analytic))
+    assert report.gamma_hat == pytest.approx(est.gamma_hat, rel=1e-6)
 
 
 def test_rate_stderr_is_the_block_jackknife_of_the_weighted_slope():
@@ -1003,12 +1034,13 @@ def test_bus_row_blocks_change_no_byte(monkeypatch, topology, series):
 
 
 def test_bus_scan_stream_is_pinned():
-    # rates recorded when the draws became row-local (each row's real parts,
-    # then its imaginary parts) and factor columns got a fixed sign: any change
-    # to the bus engine's draw layout or arithmetic moves them
+    # rates recorded with row-local draws (each row's real parts, then its
+    # imaginary parts), factor columns of a fixed sign and exp(i phase) formed
+    # in float32: any change to the bus engine's draw layout or arithmetic
+    # moves them
     exponent, fitted = mc_bus_scaling((2, 4), n_trajectories=600, master_seed=5)
-    assert [repr(gamma) for _, gamma in fitted] == ["0.15979586527096146", "0.5837221189800265"]
-    assert repr(exponent) == "1.869051658378503"
+    assert [repr(gamma) for _, gamma in fitted] == ["0.15979586511298136", "0.5837221173264626"]
+    assert repr(exponent) == "1.8690516557179484"
 
 
 def test_bus_engine_memory_is_bounded_per_row_block():
@@ -1073,7 +1105,7 @@ def test_quadratic_scenario_runs_the_bus_engine_and_carries_its_trace():
         assert getattr(report.trace, name).tobytes() == getattr(trace, name).tobytes(), name
     estimate = fit_rate(trace, cfg.absolute_fit_window(scenario.gamma_analytic))
     assert report.gamma_hat == estimate.gamma_hat
-    assert repr(report.gamma_hat) == "0.15979586527096146"  # the pinned scan's L = 2 rate
+    assert repr(report.gamma_hat) == "0.15979586511298136"  # the pinned scan's L = 2 rate
     # the trace is not one of the verdict's columns
     assert "trace" not in report.to_dict() and "trace" not in repr(report)
 

@@ -857,6 +857,16 @@ def test_factors_do_not_depend_on_the_eigenvector_signs(make_factor, monkeypatch
          "n_steps must be an integer"),
         (lambda: functional_factor(bath_1d(), NoiseTopology.uniform(), np.eye(1), 0.1, 256.0),
          "n_steps must be an integer"),
+        # standard_normal raised TypeError for a float count
+        (lambda: draw_white(np.random.default_rng(0), 2.5, 1, np.ones(5)), "nt must be an integer"),
+        (lambda: draw_white(np.random.default_rng(0), 0, 1, np.ones(5)), "nt must be >= 1"),
+        (lambda: draw_white(np.random.default_rng(0), 1, 1.0, np.ones(5)),
+         "n_sources must be an integer"),
+        (lambda: draw_white(np.random.default_rng(0), 1, True, np.ones(5)),
+         "n_sources must be an integer"),
+        # str() refuses an int of more than 4300 digits
+        (lambda: SpectralSynthesizer(bath_1d(), NoiseTopology.uniform(), -10**5000, 0.1, 256),
+         "n_sites must be >= 1, got a negative integer of 16610 bits"),
     ],
     ids=["synthesizer_no_sites", "psd_of_a_scalar", "kernel_f_nan_1d", "kernel_f_nan_3d",
          "kernel_f_inf_1d", "kernel_f_minus_inf_1d", "synthesizer_subnormal_dt",
@@ -864,7 +874,8 @@ def test_factors_do_not_depend_on_the_eigenvector_signs(make_factor, monkeypatch
          "trapezoid_minus_inf_dt", "trapezoid_subnormal_dt", "trapezoid_huge_dt",
          "trapezoid_inf_power", "trapezoid_nan_power", "synthesizer_fractional_sites",
          "synthesizer_bool_sites", "synthesizer_inf_steps", "synthesize_float_steps",
-         "functional_float_steps"],
+         "functional_float_steps", "white_float_rows", "white_no_rows", "white_float_sources",
+         "white_bool_sources", "synthesizer_huge_negative_sites"],
 )
 def test_noise_refusals(call, message):
     with pytest.raises(ValueError, match=message):

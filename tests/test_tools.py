@@ -41,8 +41,9 @@ def test_line_counter_leaves_out_docstrings_comments_and_blank_lines(tmp_path, c
 
 
 # The listing of tools/output_digests.py.  The Monte-Carlo digests (mc_bus,
-# validate_two) hold for the engines' random streams; a logged stream change
-# re-pins them.  The others change only with the program's output.
+# validate_two) hold for the engines' random streams and arithmetic; a logged
+# stream or arithmetic change re-pins them.  The others, the noise-free mc
+# traces among them, change only with the program's output.
 OUTPUT_DIGESTS = """\
 f2fabdd5c716878cc60eafcd375dd7272398107b05a7b391ea8ef50f52918611  rates_bus.csv exit 0
 4f8a03a0d699bb61def0640595dfcc1a4c8da312e4b945568cffd4c592f65232  rates_bus.json exit 0
@@ -54,17 +55,20 @@ ac1e411cfd57359122f012854281f1ae46054385248a1d0d1961da14f8645066  couplings_grid
 f28c9860b7ccf01573d2f0411f8d093fcbdeb13d60f72970962a5ecedf4bcdaa  couplings_grid.json exit 0
 daad56f726cef06e1293374aff68b6e0f9996271c7519de5d0ff5805efe6cdbc  couplings_list.csv exit 0
 89af1d9d5eea30f122b2c85f847c10f281cb4060caa29b46c6e903f36b597b1c  couplings_list.json exit 0
-f00ec5898812c6c479fb00531605554e7e063ce5e185a6b5e7060706eb6d361b  mc_bus.csv exit 0
-cc0ce0e963c80a97cdb8d0f2a99331d90ed7ba39faea16e404a04b09f094f189  mc_bus.json exit 0
+11f29f00f4a241ab4b747ec93812475f50e8c23ba1dd6e05d947747379023273  mc_bus.csv exit 0
+4c6d538b7f456e2bcd8c90f4232be656f928e64bbbddf7c64a4a05ad70be74a0  mc_bus.json exit 0
 1f80bb0ea527d93824e6fe6dfbf4c914b77a7ff9452a773b295ae524098b7f8d  mc_decoherence_free.csv exit 0
 b716fbd13f3394b45137ae0da6797dc99542da1f384b76ac15682569cbfdf5f8  mc_decoherence_free.json exit 0
 01bcd4c578cb0c22da87e757f1920052dc39884b543e7215ef2ad3fbb4695a66  mc_decoherence_free_chunks.csv exit 0
 fe4d18171b50d57f3bcce83df9d7210582ce1c7b8a28d4d11c4b9d0f63e6b5b3  mc_decoherence_free_chunks.json exit 0
-81a872613efafd0c545cfecafa653cb8c31e5b6e0de789fb9c07f25582d37a68  validate_two.csv exit 1
-1c47ac2023278fe4751a38ce59aed22f9a51b7a777df248cd1d4893899483d2c  validate_two.json exit 1
+a44277990bcfe5e797e5b033937e32f54ee75c99bfa50cf92af8c8405722ff57  validate_two.csv exit 1
+458bbcde6e3862ace75a5aced6d5b8006f899c2647f5a1f8a9799793eeccea7f  validate_two.json exit 1
 """
 
 
 def test_output_digests_are_pinned(capsys):
     assert load("output_digests").main() == 0
-    assert capsys.readouterr().out == OUTPUT_DIGESTS
+    captured = capsys.readouterr()
+    assert captured.out == OUTPUT_DIGESTS
+    # the host's dispatch fingerprint goes to stderr, numpy's line first
+    assert captured.err.startswith("numpy ") and "dispatch found:" in captured.err

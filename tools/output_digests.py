@@ -15,16 +15,28 @@ trajectories are too few for either verdict to pass, so the listing holds
 the failing exit code as well.  Takes no options.  A change meant to keep
 every byte runs it once against each tree (``PYTHONPATH=<tree>/src``) and
 diffs the two listings.
+
+The Monte-Carlo digests also depend on the host: the engine forms exp(i
+phase) with numpy's float32 cos/sin, whose loops numpy picks for the CPU,
+and its matmul runs in BLAS.  So the tool first writes the host's dispatch
+fingerprint to stderr: numpy's SIMD baseline, the dispatch targets it found
+on this CPU, and the core name of each OpenBLAS the process has loaded
+(where ``/proc/self/maps`` lists it).  Two listings taken with ``2>&1``
+then show a host change as such; stdout holds the digests alone.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from gatenoise import cli
+from gatenoise.noise import _openblas_libraries
 
 _BATH = {"coupling": 1.0, "cutoff": 50.0, "temperature": 1.0}
 
@@ -85,7 +97,23 @@ def digests(directory: Path) -> list[str]:
     return lines
 
 
+def fingerprint() -> list[str]:
+    """The host's dispatch fingerprint, one line per numpy and per OpenBLAS."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    lines = [f"numpy {np.__version__} simd baseline: {' '.join(simd['baseline'])}; "
+             f"dispatch found: {' '.join(simd['found'])}"]
+    for lib in _openblas_libraries():
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                corename = getattr(lib, symbol)
+                corename.restype = ctypes.c_char_p
+                lines.append(f"openblas core: {corename().decode()}")
+                break
+    return lines
+
+
 def main() -> int:
+    print("\n".join(fingerprint()), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         print("\n".join(digests(Path(tmp))))
     return 0
