@@ -15,9 +15,12 @@ with geometry kernels
 
 The closed forms are the frequency integrals of the cross-spectral density;
 ``*_quadrature`` evaluates those integrals numerically and must agree with
-the closed forms to 1e-8 relative.  The quadrature is the zero-temperature
-(quantum) correlator; classical sampling cannot reproduce it, which is why
-these coefficients are validated here and not by the Monte-Carlo engine.
+the closed forms to 1e-8 relative.  The spurious coupling's quadrature is a
+zero-temperature (quantum) correlator, which classical sampling cannot
+reproduce, so mu_sc is validated here only.  The transient coupling is also
+classical: T mu_tr(r) is the equal-time cross correlator of two sites a
+distance r apart under the classical spectrum S = 2 T J / w, and the
+Monte-Carlo engine's idle-bus phase drift, -T mu_tr(r) / 2, checks its kernel h.
 """
 from __future__ import annotations
 
@@ -30,8 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .noise import Geometry, OhmicBath, propagation_kernel_f, _distance_matrix, _finite, _scalar_like
-from .noise import _check_integer
-from .register import GateDrive, RegisterLabel
+from .register import GateDrive, RegisterLabel, _check_length
 
 __all__ = [
     "CouplingKind",
@@ -308,9 +310,6 @@ def drive_enhancement(n_qubits: int, bath: OhmicBath) -> float:
     length.  Compensable by re-calibrating the drive.  A factor beyond the
     float range is refused (:func:`~gatenoise.noise._finite`).
     """
-    n_qubits = _check_integer("register length", n_qubits, lo=1)
-    try:
-        enhancement = 1.0 + n_qubits * bath.coupling * bath.cutoff / (4.0 * math.pi)
-    except OverflowError:  # a length beyond the float range
-        enhancement = math.inf
+    n_qubits = _check_length(n_qubits)
+    enhancement = 1.0 + n_qubits * bath.coupling * bath.cutoff / (4.0 * math.pi)
     return _finite(enhancement, "drive enhancement overflows for {} qubits", n_qubits)

@@ -137,6 +137,7 @@ from .rates import (
 from .register import (
     CoherencePair,
     GateDrive,
+    _check_length,
     label_with_total_spin,
 )
 
@@ -920,7 +921,7 @@ def mc_bus_scaling(
     rate law) and ``master_seed`` itself (no scenario-name mixing); its
     verdict is computed but not gated.
     """
-    lengths = tuple(_check_integer("register length", n, lo=2) for n in n_qubits_values)
+    lengths = tuple(_check_length(n, lo=2) for n in n_qubits_values)
     if len(set(lengths)) < max(2, len(lengths)):
         raise ValueError(
             "need at least two distinct register lengths, none repeated, to fit an "

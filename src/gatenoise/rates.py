@@ -35,15 +35,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .noise import OhmicBath, TopologyKind, _check_integer, _finite
+from .noise import OhmicBath, TopologyKind, _finite
 from .register import (
     CoherencePair,
     GateDrive,
     RegisterLabel,
+    _check_length,
+    _gate_pointer_deltas,
     hamming_distance,
     label_with_total_spin,
     pointer_bus,
-    pointer_fsa_pair,
     pointer_fsa_uniform,
 )
 
@@ -102,10 +103,11 @@ class ArchitectureRecord:
     topologies: tuple[TopologyKind, ...] = ()
 
 
-def _check_length(kind: ArchKind, n_qubits: int) -> int:
-    """The register length as a Python int: an integer >= 1, and L = 2^d
-    (d >= 1) where the architecture requires it."""
-    n = _check_integer("register length", n_qubits, lo=1)
+def _check_arch_length(kind: ArchKind, n_qubits: int) -> int:
+    """The register length as a Python int (the register's one length rule,
+    :func:`~gatenoise.register._check_length`), and L = 2^d (d >= 1) where
+    the architecture requires it."""
+    n = _check_length(n_qubits)
     if ARCHITECTURES[kind].power_of_two and (n < 2 or n & (n - 1)):
         raise ValueError(f"{kind.value} requires L = 2^d with d >= 1, got L = {n}")
     return n
@@ -113,7 +115,11 @@ def _check_length(kind: ArchKind, n_qubits: int) -> int:
 
 @dataclass(frozen=True)
 class ArchitectureModel:
-    """A register architecture: kind, length, and (for the bus) the gate drive."""
+    """A register architecture: kind, length, and (for the bus) the gate drive.
+
+    The length follows the register's one length rule (an integer from 1 to
+    2^63 - 1) plus the architecture's L = 2^d rule where it has one.
+    """
 
     kind: ArchKind
     n_qubits: int
@@ -122,7 +128,7 @@ class ArchitectureModel:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ArchKind):
             object.__setattr__(self, "kind", ArchKind(self.kind))
-        _check_length(self.kind, self.n_qubits)
+        _check_arch_length(self.kind, self.n_qubits)
         if self.drive is None and self.record.default_drive is not None:
             raise ValueError(f"{self.kind.value} architecture requires a gate drive")
         if self.drive is not None and len(self.drive) != self.n_qubits:
@@ -258,15 +264,12 @@ def _fsa_pair_sum(bath: OhmicBath, pair: CoherencePair, calibration: float) -> t
     total = 0.0
     delta_sq = 0.0
     breakdown: dict[tuple[int, int], float] = {}
-    n = pair.n_qubits
-    for j in range(n):
-        for k in range(j + 1, n):
-            dq = pointer_fsa_pair(pair.left, j, k) - pointer_fsa_pair(pair.right, j, k)
-            contribution = calibration * dephasing_rate(s0, dq, 0.0)
-            if contribution:
-                breakdown[(j, k)] = contribution
-            total += contribution
-            delta_sq += dq * dq
+    for gate, dq in _gate_pointer_deltas(pair):
+        contribution = calibration * dephasing_rate(s0, dq, 0.0)
+        if contribution:
+            breakdown[gate] = contribution
+        total += contribution
+        delta_sq += dq * dq
     return total, delta_sq, breakdown
 
 
@@ -359,10 +362,7 @@ def _bus_worst_case(n_qubits: int, drive: GateDrive) -> RegisterLabel:
 def _gate_sources(pair: CoherencePair, drive: GateDrive | None) -> np.ndarray:
     # one source per gate whose pointer differs, weighted by the pair-sum calibration
     calib = math.sqrt(fsa_pair_calibration())
-    n = pair.n_qubits
-    dq = [pointer_fsa_pair(pair.left, j, k) - pointer_fsa_pair(pair.right, j, k)
-          for j in range(n) for k in range(j + 1, n)]
-    return np.asarray([d * calib for d in dq if d != 0.0], dtype=float)
+    return np.asarray([d * calib for _, d in _gate_pointer_deltas(pair) if d != 0.0], dtype=float)
 
 
 def _site_sources(pair: CoherencePair, drive: GateDrive) -> np.ndarray:
@@ -443,24 +443,16 @@ def scaling_scan(
     ==================  ===========  =====================================
 
     Any other combination has no closed-form law in scope and raises.  Each
-    length is an integer, and a relative rate beyond the float range is
-    refused (:func:`~gatenoise.noise._finite`).
+    length follows the register's one length rule, under which every law is
+    a finite float.
     """
     kind = ArchKind(kind)
     noise = NoiseKind(noise)
     law = ARCHITECTURES[kind].laws.get(noise)
     if law is None:
         raise ValueError(f"no scaling law in scope for {kind.value} with {noise.value} noise")
-    points: list[ScanPoint] = []
-    for n in n_qubits_values:
-        n = _check_length(kind, n)
-        try:
-            rate = law(n)
-        except OverflowError:  # an int whose rate does not convert to a float
-            rate = math.inf
-        _finite(rate, "relative rate at L = {} overflows the float range", n)
-        points.append(ScanPoint(n_qubits=n, relative_rate=rate))
-    return points
+    lengths = [_check_arch_length(kind, n) for n in n_qubits_values]
+    return [ScanPoint(n_qubits=n, relative_rate=law(n)) for n in lengths]
 
 
 def worst_case_pair(

@@ -6,6 +6,13 @@ m_j = +1/-1, and an off-diagonal density-matrix element by an ordered pair of
 such labels.  Pointer variables map a label (or label pair) to the scalar
 eigenvalue whose difference between the two labels sets the dephasing rate.
 
+This module owns the package's one length rule (``_check_length``): a
+register length is an integer from 1 to 2^63 - 1, the longest register a
+tuple can hold, and every public function that takes a length, here and in
+``rates``, ``couplings`` and ``mcsim``, refuses it through this check.  It
+also owns the one gate-index rule (``_check_gate``) and the one loop over the
+gates' pointer differences (``_gate_pointer_deltas``).
+
 All operations here are pure functions on immutable values.
 """
 from __future__ import annotations
@@ -35,11 +42,30 @@ __all__ = [
 
 # Guard for exhaustive enumeration (2^L labels, 4^L label pairs).
 MAX_ENUMERATION_LENGTH = 12
-# Longest register a tuple can hold: a longer label or drive is refused.
+# Longest register a tuple can hold: a longer length is refused everywhere.
 _MAX_LENGTH = sys.maxsize
 
 _CHAR_TO_SPIN = {"+": 1, "-": -1, "−": -1}  # ASCII and unicode minus
 _SPIN_TO_CHAR = {1: "+", -1: "-"}
+
+
+def _check_length(n_qubits: object, lo: int = 1, hi: int = _MAX_LENGTH) -> int:
+    """The register length as a Python int in [lo, hi]: the package's one length rule.
+
+    Below 2^63 every scaling law and gate count is a finite float or an int
+    (the largest law value, (L^2 - 1)^2, is about 7e75), so no caller needs an
+    overflow path of its own.
+    """
+    return _check_integer("register length", n_qubits, lo, hi)
+
+
+def _check_gate(n_qubits: int, j: object, k: object) -> tuple[int, int]:
+    """Gate indices as Python ints with 0 <= j < k < n_qubits: the one gate-index rule."""
+    j = _check_integer("qubit j", j, 0, n_qubits - 1)
+    k = _check_integer("qubit k", k, 0, n_qubits - 1)
+    if j >= k:
+        raise ValueError(f"need 0 <= j < k < {n_qubits}, got ({j}, {k})")
+    return j, k
 
 
 def _coerce_bits(bits: Sequence[int]) -> tuple[int, ...]:
@@ -130,15 +156,13 @@ class GateDrive:
 
     @classmethod
     def idle(cls, n_qubits: int) -> "GateDrive":
-        return cls((0.0,) * _check_integer("register length", n_qubits, 1, _MAX_LENGTH))
+        return cls((0.0,) * _check_length(n_qubits))
 
     @classmethod
     def two_qubit_gate(cls, n_qubits: int, j: int, k: int, amplitude: float = 1.0) -> "GateDrive":
         """Drive with one active gate on qubits (j, k)."""
-        n_qubits = _check_integer("register length", n_qubits, 1, _MAX_LENGTH)
-        j, k = _check_integer("qubit j", j), _check_integer("qubit k", k)
-        if not 0 <= j < k < n_qubits:
-            raise ValueError(f"need 0 <= j < k < {n_qubits}, got ({j}, {k})")
+        n_qubits = _check_length(n_qubits)
+        j, k = _check_gate(n_qubits, j, k)
         phi = [0.0] * n_qubits
         phi[j] = phi[k] = float(amplitude)
         return cls(tuple(phi))
@@ -170,12 +194,23 @@ def pointer_fsa_uniform(label: RegisterLabel) -> float:
 def pointer_fsa_pair(label: RegisterLabel, j: int, k: int) -> float:
     """Pointer eigenvalue of the (j, k) gate for independent per-gate noise.
 
-    Index pairs are unordered; callers must pass j < k.
+    j and k are checked integers with 0 <= j < k < L (``_check_gate``).
     """
-    n = len(label)
-    if not 0 <= j < k < n:
-        raise ValueError(f"need 0 <= j < k < {n}, got ({j}, {k})")
+    j, k = _check_gate(len(label), j, k)
     return label.bits[j] * label.bits[k] / 2.0
+
+
+def _gate_pointer_deltas(pair: CoherencePair) -> Iterator[tuple[tuple[int, int], float]]:
+    """((j, k), Q_jk - Q'_jk) for every gate j < k in row order.
+
+    The formula of :func:`pointer_fsa_pair` without its per-call checks: the
+    indices are in range by construction.
+    """
+    left, right = pair.left.bits, pair.right.bits
+    n = len(left)
+    for j in range(n):
+        for k in range(j + 1, n):
+            yield (j, k), left[j] * left[k] / 2.0 - right[j] * right[k] / 2.0
 
 
 def pointer_bus(label: RegisterLabel, drive: GateDrive) -> float:
@@ -194,7 +229,7 @@ def pointer_bus(label: RegisterLabel, drive: GateDrive) -> float:
 
 def enumerate_labels(n_qubits: int) -> list[RegisterLabel]:
     """All 2^L labels in lexicographic order (+1 sorts before -1)."""
-    _check_integer("register length", n_qubits, 1, MAX_ENUMERATION_LENGTH)
+    _check_length(n_qubits, hi=MAX_ENUMERATION_LENGTH)
     return [RegisterLabel(bits) for bits in product((1, -1), repeat=n_qubits)]
 
 
@@ -208,7 +243,7 @@ def iter_coherence_pairs(n_qubits: int) -> Iterator[CoherencePair]:
 
 def label_with_total_spin(n_qubits: int, m_total: int) -> RegisterLabel:
     """Canonical label with the requested total spin: leading +1s, trailing -1s."""
-    n_qubits = _check_integer("register length", n_qubits, 1, _MAX_LENGTH)
+    n_qubits = _check_length(n_qubits)
     m_total = _check_integer("total spin", m_total)
     if abs(m_total) > n_qubits or (n_qubits - m_total) % 2 != 0:
         raise ValueError(

@@ -365,8 +365,8 @@ def test_drive_enhancement():
         # a length is a whole number of qubits: 2.5 and True gave a factor
         (lambda: drive_enhancement(2.5, bath()), "register length must be an integer"),
         (lambda: drive_enhancement(True, bath()), "register length must be an integer"),
-        # an int length beyond the float range
-        (lambda: drive_enhancement(10**400, bath()), "drive enhancement overflows"),
+        # an int length beyond the float range lies past the register's length bound
+        (lambda: drive_enhancement(10**400, bath()), "register length must be <="),
         # a numpy length overflowed in numpy floats, with a RuntimeWarning
         (lambda: drive_enhancement(np.int64(10), bath(coupling=1e300, cutoff=1e300)),
          "drive enhancement overflows"),

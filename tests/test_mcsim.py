@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from gatenoise import mcsim, noise
+from gatenoise.couplings import transient_coupling
 from gatenoise.mcsim import (
     CoherenceTrace,
     FitWindowError,
@@ -540,25 +541,41 @@ def direct_phase_rows(scn, weights=None):
     return np.concatenate(rows)
 
 
+def record_cumsums(monkeypatch):
+    """(rows, length) of every np.cumsum call, length the summed axis: a phase
+    integrated over the grid is a cumsum of trajectory rows along n_steps."""
+    calls = []
+    cumsum = np.cumsum
+
+    def recording_cumsum(a, axis=None, *args, **kwargs):
+        size = np.size(a)
+        length = size if axis is None else np.shape(a)[axis]
+        calls.append((size // max(length, 1), length))
+        return cumsum(a, axis, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", recording_cumsum)
+    return calls
+
+
 def test_linear_engine_runs_no_per_chunk_irfft_or_integration(monkeypatch):
     # the phase is sampled at the report points: one irfft per scenario builds
     # its covariance, and no chunk synthesizes or integrates a noise trace
-    calls = {"irfft": 0, "trapezoid": 0}
+    calls = {"irfft": 0}
     irfft = np.fft.irfft
 
     def counting_irfft(*args, **kwargs):
         calls["irfft"] += 1
         return irfft(*args, **kwargs)
 
-    def counting_trapezoid(*args, **kwargs):
-        calls["trapezoid"] += 1
-        return cumulative_trapezoid(*args, **kwargs)
-
     monkeypatch.setattr(np.fft, "irfft", counting_irfft)
-    monkeypatch.setattr(mcsim, "cumulative_trapezoid", counting_trapezoid)
+    cumsums = record_cumsums(monkeypatch)
     scn = small_uniform_scenario(n_trajectories=1500)  # three chunks
     simulate_dephasing(scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg, jobs=2)
-    assert calls == {"irfft": 1, "trapezoid": 0}
+    assert calls == {"irfft": 1}
+    # the covariance's two running sums over one autocorrelation row are the
+    # only sums along the grid
+    n_steps = scn.cfg.n_steps
+    assert [c for c in cumsums if c[1] >= n_steps - 1] == [(1, n_steps)] * 2, cumsums
 
 
 def test_benchmark_tracer_targets_resolve(monkeypatch):
@@ -864,26 +881,13 @@ def test_bus_full_idle_uniform_same_total_spin_is_silent():
 def test_bus_full_drift_matches_classical_correlator():
     # idle drive, two spatially correlated sites: the noise-squared term
     # produces a linear mean phase drift at half the equal-time cross
-    # correlator (the classical counterpart of the permanent coupling)
-    from scipy.integrate import quad
-
-    from gatenoise.noise import classical_psd, propagation_kernel_f
-
+    # correlator C(r) = (1/pi) int_0^inf S(w) f(w r / v) dw, and with the
+    # classical S = 2 T J / w that integral is T mu_tr(r): the drift checks
+    # the transient coupling's kernel h
     bath = OhmicBath(coupling=0.02, cutoff=20.0, temperature=1.0)
     r = 0.05
     pair = CoherencePair.from_strings("++", "+-")
-    cfg = McConfig(dt=0.025, n_steps=1024, n_trajectories=3000, master_seed=11)
-    correlator = (
-        quad(
-            lambda w: classical_psd(bath, w)
-            * propagation_kernel_f(w * r / bath.velocity, bath.geometry),
-            0.0,
-            np.inf,
-            limit=400,
-        )[0]
-        / np.pi
-    )
-    expected_slope = -correlator / 2.0
+    expected_slope = -bath.temperature * transient_coupling(bath, r) / 2.0
 
     slopes = []
     errors = []
@@ -984,7 +988,7 @@ def test_uniform_bus_transforms_one_source_and_runs_no_integration(monkeypatch):
     # a uniform bus has one noise source: each chunk inverse-FFTs its rows'
     # (rows, 1, bins) series, a row block at a time, and sums the rate
     # between report points
-    shapes, trapezoid_calls = [], []
+    shapes = []
     irfft = np.fft.irfft
 
     def recording_irfft(a, *args, **kwargs):
@@ -992,16 +996,16 @@ def test_uniform_bus_transforms_one_source_and_runs_no_integration(monkeypatch):
         return irfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", recording_irfft)
-    monkeypatch.setattr(
-        mcsim, "cumulative_trapezoid",
-        lambda *a, **k: trapezoid_calls.append(1) or cumulative_trapezoid(*a, **k),
-    )
+    cumsums = record_cumsums(monkeypatch)
     drive, pair = scan_family(4)
     cfg = McConfig(dt=0.5 / 128.0, n_steps=512, n_trajectories=1500, master_seed=7)
     simulate_bus_full(drive, pair, SCAN_BATH, NoiseTopology.uniform(), cfg, jobs=2)
     assert all(len(s) == 3 and s[1:] == (1, 257) for s in shapes), shapes
     assert sum(s[0] for s in shapes) == 1500
-    assert trapezoid_calls == []
+    # every row block sums its 256 segments between report points, and no
+    # sum runs along the 512-step grid
+    assert cumsums and all(length == 256 for _, length in cumsums), cumsums
+    assert sum(rows for rows, _ in cumsums) == 1500
 
 
 @pytest.mark.parametrize(
@@ -1033,13 +1037,18 @@ def test_bus_row_blocks_change_no_byte(monkeypatch, topology, series):
             assert getattr(trace, name).tobytes() == getattr(default, name).tobytes(), name
 
 
+# The pinned bus scan's L = 2 rate (600 trajectories, master seed 5), shared by
+# the scan pin and the quadratic scenario that runs the same L = 2 point.
+BUS_SCAN_L2_RATE = "0.15979586511298136"
+
+
 def test_bus_scan_stream_is_pinned():
     # rates recorded with row-local draws (each row's real parts, then its
     # imaginary parts), factor columns of a fixed sign and exp(i phase) formed
     # in float32: any change to the bus engine's draw layout or arithmetic
     # moves them
     exponent, fitted = mc_bus_scaling((2, 4), n_trajectories=600, master_seed=5)
-    assert [repr(gamma) for _, gamma in fitted] == ["0.15979586511298136", "0.5837221173264626"]
+    assert [repr(gamma) for _, gamma in fitted] == [BUS_SCAN_L2_RATE, "0.5837221173264626"]
     assert repr(exponent) == "1.8690516557179484"
 
 
@@ -1105,7 +1114,7 @@ def test_quadratic_scenario_runs_the_bus_engine_and_carries_its_trace():
         assert getattr(report.trace, name).tobytes() == getattr(trace, name).tobytes(), name
     estimate = fit_rate(trace, cfg.absolute_fit_window(scenario.gamma_analytic))
     assert report.gamma_hat == estimate.gamma_hat
-    assert repr(report.gamma_hat) == "0.15979586511298136"  # the pinned scan's L = 2 rate
+    assert repr(report.gamma_hat) == BUS_SCAN_L2_RATE
     # the trace is not one of the verdict's columns
     assert "trace" not in report.to_dict() and "trace" not in repr(report)
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from gatenoise.noise import OhmicBath
 from gatenoise.rates import (
+    ARCHITECTURES,
     ArchKind,
     ArchitectureModel,
     NoiseKind,
@@ -190,11 +191,12 @@ NUMPY_BATH = OhmicBath(coupling=np.float64(1e300), cutoff=1.0, temperature=np.fl
          "register length must be an integer"),
         (lambda: scaling_scan(ArchKind.BUS, NoiseKind.CENTRAL, [2.5]),
          "register length must be an integer"),
-        # integer lengths whose relative rate is beyond the float range
+        # integer lengths whose relative rate would be beyond the float range
+        # lie past the register's length bound
         (lambda: scaling_scan(ArchKind.FSA_UNIFORM, NoiseKind.CENTRAL, [10**100]),
-         "overflows the float range"),
+         "register length must be <="),
         (lambda: scaling_scan(ArchKind.HYPERCUBE, NoiseKind.INDEPENDENT, [2**1023]),
-         "overflows the float range"),
+         "register length must be <="),
         # a model's length is a whole number of qubits: NaN and 2.5 gave gate counts
         (lambda: ArchitectureModel(ArchKind.FSA_UNIFORM, math.nan),
          "register length must be an integer"),
@@ -220,6 +222,22 @@ def test_rate_refusals(call, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize(
+    "kind, noise", [(k, n) for k in ArchKind for n in ARCHITECTURES[k].laws],
+    ids=lambda v: v.value,
+)
+def test_every_law_is_finite_at_the_longest_register(kind, noise):
+    # the length bound 2^63 - 1 (2^62 where L = 2^d) keeps every law a finite
+    # float, so the scan needs no overflow path; the largest is (L^2 - 1)^2 ~ 7e75
+    n = 2**62 if ARCHITECTURES[kind].power_of_two else 2**63 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (point,) = scaling_scan(kind, noise, [n])
+    assert point.n_qubits == n
+    assert math.isfinite(point.relative_rate)
+    assert point.relative_rate == ARCHITECTURES[kind].laws[noise](n)
 
 
 @pytest.mark.parametrize("kind", list(ArchKind), ids=lambda k: k.value)

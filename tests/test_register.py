@@ -1,7 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gatenoise.couplings import drive_enhancement
+from gatenoise.mcsim import mc_bus_scaling
+from gatenoise.noise import OhmicBath
+from gatenoise.rates import ArchitectureModel, ArchKind, NoiseKind, scaling_scan, worst_case_pair
 from gatenoise.register import (
     CoherencePair,
     GateDrive,
@@ -160,6 +167,46 @@ def test_counts_take_numpy_integers():
     assert GateDrive.idle(np.int64(3)) == GateDrive.idle(3)
     assert (GateDrive.two_qubit_gate(np.int64(4), np.int64(0), np.int64(1))
             == GateDrive.two_qubit_gate(4, 0, 1))
+
+
+LENGTH_RULE = "register length must be"
+INDEX_RULE = "qubit k must be|need 0 <= j < k"
+BATH = OhmicBath(coupling=1.0, cutoff=1.0, temperature=1.0)
+# Every public entry point that takes a register length or a gate index:
+# (call with the value in that place, the rule its refusal names).
+RULE_ENTRY_POINTS = {
+    "model": (lambda n: ArchitectureModel(ArchKind.FSA_UNIFORM, n), LENGTH_RULE),
+    "worst_case_pair": (lambda n: worst_case_pair(ArchKind.FSA_UNIFORM, n), LENGTH_RULE),
+    "scaling_scan": (lambda n: scaling_scan(ArchKind.BUS, NoiseKind.CENTRAL, [n]), LENGTH_RULE),
+    "idle": (GateDrive.idle, LENGTH_RULE),
+    "two_qubit_gate": (lambda n: GateDrive.two_qubit_gate(n, 0, 1), LENGTH_RULE),
+    "two_qubit_gate_index": (lambda k: GateDrive.two_qubit_gate(4, 0, k), INDEX_RULE),
+    "label_with_total_spin": (lambda n: label_with_total_spin(n, 0), LENGTH_RULE),
+    "enumerate_labels": (enumerate_labels, LENGTH_RULE),
+    "drive_enhancement": (lambda n: drive_enhancement(n, BATH), LENGTH_RULE),
+    "mc_bus_scaling": (lambda n: mc_bus_scaling((n, 4), n_trajectories=100), LENGTH_RULE),
+    "pointer_fsa_pair": (lambda k: pointer_fsa_pair(RegisterLabel((1, -1, 1, 1)), 0, k),
+                         INDEX_RULE),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [2**63, 10**5000, 0, -1, 2.5, True, math.nan],
+    ids=["2**63", "10**5000", "zero", "minus_one", "fraction", "bool", "nan"],
+)
+@pytest.mark.parametrize("entry", list(RULE_ENTRY_POINTS))
+def test_length_and_gate_index_rules_refuse_everywhere(entry, value):
+    call, rule = RULE_ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rule):
+            call(value)
+
+
+@pytest.mark.parametrize("entry", list(RULE_ENTRY_POINTS))
+def test_length_and_gate_index_rules_take_numpy_integers(entry):
+    call, _ = RULE_ENTRY_POINTS[entry]
+    assert call(np.int64(2)) == call(2)
 
 
 @given(labels)
