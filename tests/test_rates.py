@@ -246,6 +246,8 @@ def test_lengths_take_numpy_integers(kind):
     arch = ArchitectureModel(kind, np.int64(4), drive if kind is ArchKind.BUS else None)
     assert gate_count(arch) == gate_count(ArchitectureModel(kind, 4, arch.drive))
     assert worst_case_pair(kind, np.int64(4), arch.drive) == worst_case_pair(kind, 4, arch.drive)
+    for noise in ARCHITECTURES[kind].laws:
+        assert scaling_scan(kind, noise, [np.int64(4)]) == scaling_scan(kind, noise, [4])
 
 
 @given(label_pairs(max_qubits=5), st.floats(0.1, 4.0), st.floats(0.1, 4.0))
