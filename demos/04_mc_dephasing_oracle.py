@@ -2,9 +2,14 @@
 """The Monte-Carlo dephasing oracle against the analytic rate laws.
 
 For each noise realization the accumulated phase difference between the two
-labels of a coherence pair is integrated along synthesized trajectories;
-averaging exp(i phase) gives the coherence decay.  In the white-noise regime
-(cutoff >> rate) the fitted decay rate must land on the closed-form value.
+labels of a coherence pair is a Gaussian variable under this linear coupling:
+the engine (``simulate_dephasing``) draws it at the report points from its
+exact covariance, with no time series and no integration.  (The quadratic bus
+coupler, ``simulate_bus_full``, instead synthesizes noise trajectories and
+integrates its phase rate along them.)  Averaging exp(i phase) gives the
+coherence decay.  In the white-noise regime (cutoff >> rate) the fitted decay
+rate must land on the closed-form value; the verdict refuses a cutoff under
+20 times the rate, while the engines simulate any cutoff.
 """
 import numpy as np
 

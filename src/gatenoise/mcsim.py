@@ -5,19 +5,22 @@ noise realization the phase difference accumulated between the two labels of
 a coherence pair is the trapezoidal time integral of the noise it couples to,
 and the coherence is estimated as the ensemble mean of exp(i * phase).  For noise
 whose spectrum is flat over the decay bandwidth, |coherence| decays
-exponentially at the analytic rate; validation scenarios therefore require
-cutoff >= 20 * analytic rate and are rejected otherwise.  A scenario's noise
-sources, analytic rate and default topology come from its architecture's
-record (:data:`gatenoise.rates.ARCHITECTURES`).
+exponentially at the analytic rate.  A scenario's noise sources, analytic
+rate and default topology come from its architecture's record
+(:data:`gatenoise.rates.ARCHITECTURES`).
 
-One function simulates, fits and judges: :func:`validate_against_analytic`.
-A :class:`ValidationScenario` names its engine (the linear coupling of
+The engines only simulate: they take any cutoff and read no rate law.  One
+function judges: :func:`validate_against_analytic`.  A
+:class:`ValidationScenario` names its engine (the linear coupling of
 :func:`simulate_dephasing` or the quadratic bus coupler of
-:func:`simulate_bus_full`), its grid, seed and reference rate; the function
-checks that the grid covers three decay times, runs the engine, fits the
-trace (:func:`fit_rate`) and returns the verdict with the trace.  This
-module owns the grid bound: :class:`McConfig` refuses more than 2^20 steps
-(``_MAX_GRID_STEPS``), and the CLI reads the same constant.  The CLI's
+:func:`simulate_bus_full`), its grid and seed, and derives its reference
+rate from its own architecture, pair, bath and engine, so a replaced field
+moves the reference with it.  The verdict refuses a grid shorter than three
+decay times of that rate and a cutoff under 20 times it (the flat-spectrum
+limit, :class:`WhiteNoiseLimitError`) before any engine runs, then runs the
+engine, fits the trace (:func:`fit_rate`) and returns the verdict with the
+trace.  This module owns the grid bound: :class:`McConfig` refuses more than
+2^20 steps (``_MAX_GRID_STEPS``), and the CLI reads the same constant.  The CLI's
 ``mc`` writes that trace and fit and its ``validate`` the verdicts, and
 :func:`mc_bus_scaling` runs one quadratic scenario per register length.
 
@@ -130,7 +133,6 @@ from .rates import (
     ARCHITECTURES,
     ArchKind,
     ArchitectureModel,
-    rate_bus,
     rate_fsa_independent,
     worst_case_pair,
 )
@@ -163,9 +165,12 @@ __all__ = [
 
 DEFAULT_MASTER_SEED = 20260810
 
-# Validation scenarios must satisfy cutoff >= this multiple of the analytic
-# rate, otherwise the flat-spectrum assumption behind the rate formulas fails.
+# A verdict needs cutoff >= this multiple of its reference rate, otherwise the
+# flat-spectrum assumption behind the rate formulas fails.
 WHITE_NOISE_CUTOFF_RATIO = 20.0
+# The quadratic bus coupler's linear-response rate is this share of the bus
+# rate law: the coupler's cross term carries a factor 1/4 on each side.
+_COUPLER_SHARE = 1.0 / 16.0
 _MIN_DECAY_SPANS = 3.0
 # Relative slack of a time compared with a fit-window edge or a required
 # duration: a report time that equals an edge up to round-off is inside it.
@@ -173,18 +178,19 @@ _TIME_RTOL = 1e-9
 
 
 class WhiteNoiseLimitError(ValueError):
-    """Scenario violates the flat-spectrum (cutoff >> rate) requirement."""
+    """Scenario violates the flat-spectrum (cutoff >> rate) requirement of its verdict."""
 
 
 class FitWindowError(ValueError):
     """No usable trace points in the requested fit window."""
 
 
-def _check_fit_window(fit_window: tuple[float, float]) -> None:
-    """A window 0 <= lo < hi with a finite upper edge."""
-    lo, hi = fit_window
-    if not (math.isfinite(hi) and 0 <= lo < hi):
+def _check_fit_window(fit_window: Sequence[float]) -> tuple[float, float]:
+    """A window of two edges 0 <= lo < hi with a finite upper edge, as two floats."""
+    if not (len(fit_window) == 2 and math.isfinite(fit_window[1])
+            and 0 <= fit_window[0] < fit_window[1]):
         raise ValueError(f"invalid fit window {fit_window}")
+    return float(fit_window[0]), float(fit_window[1])
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,8 @@ class McConfig:
     """Monte-Carlo run settings.
 
     ``fit_window`` is expressed in units of 1 / (analytic rate guess) and is
-    converted to absolute times by the validation harness.  The integration
+    converted to absolute times by the validation harness; it is held as a
+    tuple of two floats, so a config built from a list hashes.  The integration
     grid is (n_steps, dt), n_steps a power of two of at most 2^20
     (``_MAX_GRID_STEPS``), and n_trajectories is an integer in [100, 2^53].
     The trace is reported at 257 of its points and the trajectories are
@@ -213,7 +220,7 @@ class McConfig:
         _check_seed(self.master_seed)
         _check_integer("n_steps", self.n_steps, hi=_MAX_GRID_STEPS)
         _check_grid(self.dt, self.n_steps)
-        _check_fit_window(self.fit_window)
+        object.__setattr__(self, "fit_window", _check_fit_window(self.fit_window))
 
     @property
     def duration(self) -> float:
@@ -469,7 +476,16 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
     )
 
 
-def _check_white_noise_limit(bath: OhmicBath, gamma: float) -> None:
+def _check_reference_limits(cfg: McConfig, bath: OhmicBath, gamma: float) -> None:
+    """Refuse a verdict that its reference rate ``gamma`` cannot judge: first a
+    grid shorter than three decay times, then a cutoff under
+    ``WHITE_NOISE_CUTOFF_RATIO`` times the rate (the flat-spectrum limit).  A
+    zero rate has no decay time and no limit."""
+    if gamma > 0 and cfg.duration < _MIN_DECAY_SPANS / gamma * (1.0 - _TIME_RTOL):
+        raise ValueError(
+            f"run too short: duration {cfg.duration:g} covers fewer than "
+            f"{_MIN_DECAY_SPANS:g} decay times of the analytic rate {gamma:g}"
+        )
     if gamma > 0 and bath.cutoff < WHITE_NOISE_CUTOFF_RATIO * gamma:
         raise WhiteNoiseLimitError(
             f"cutoff {bath.cutoff:g} < {WHITE_NOISE_CUTOFF_RATIO:g} x analytic rate "
@@ -478,17 +494,14 @@ def _check_white_noise_limit(bath: OhmicBath, gamma: float) -> None:
         )
 
 
-def _check_duration(cfg: McConfig, gamma: float) -> None:
-    if gamma > 0 and cfg.duration < _MIN_DECAY_SPANS / gamma * (1.0 - _TIME_RTOL):
+def _check_scenario(arch: ArchitectureModel, pair: CoherencePair, topology: NoiseTopology) -> None:
+    """Refuse a pair whose length is not the architecture's, an architecture
+    with no noise sources, or a topology its record does not list: the noises
+    it would sum are not those of its rate law."""
+    if pair.n_qubits != arch.n_qubits:
         raise ValueError(
-            f"run too short: duration {cfg.duration:g} covers fewer than "
-            f"{_MIN_DECAY_SPANS:g} decay times of the analytic rate {gamma:g}"
+            f"pair length {pair.n_qubits} does not match architecture L = {arch.n_qubits}"
         )
-
-
-def _check_topology(arch: ArchitectureModel, topology: NoiseTopology) -> None:
-    """Refuse an architecture with no noise sources, or a topology its record
-    does not list: the noises it would sum are not those of its rate law."""
     record = arch.record
     if record.sources is None:
         raise ValueError(
@@ -517,18 +530,13 @@ def simulate_dephasing(
     the report points from its exact covariance
     (:func:`gatenoise.noise.trapezoid_phase_factor`).  The coherence is the
     ensemble mean of exp(i * phase).  Deterministic given ``cfg.master_seed``
-    at any ``jobs``.
+    at any ``jobs``.  It only simulates: it reads no rate law and takes any
+    cutoff; the flat-spectrum limit is the verdict's
+    (:func:`validate_against_analytic`).
     """
-    if pair.n_qubits != arch.n_qubits:
-        raise ValueError(
-            f"pair length {pair.n_qubits} does not match architecture L = {arch.n_qubits}"
-        )
-    _check_topology(arch, topology)
-    record = arch.record
-    weights = record.sources(pair, arch.drive)
-    gamma = record.rate(bath, pair, arch.drive).gamma
+    _check_scenario(arch, pair, topology)
+    weights = arch.record.sources(pair, arch.drive)
     amplitude, mix = functional_factor(bath, topology, weights, cfg.dt, cfg.n_steps)
-    _check_white_noise_limit(bath, gamma)
     report_idx = _report_indices(cfg.n_steps)
     power = amplitude**2 * (mix[..., 0, :] ** 2).sum(axis=-1)
     factor = trapezoid_phase_factor(power, cfg.dt, report_idx)
@@ -554,9 +562,11 @@ def simulate_bus_full(
     noise-squared term that is present even with all gates idle; the returned
     complex coherence carries both the decay (abs) and the systematic drift
     (arg) of the quadratic term.  The linear-response decay rate of this
-    coupler is 1/16 of the pointer-variable rate law (the coupler's cross
-    term carries a factor 1/4 on each side), so this engine validates scaling
-    shapes, not absolute prefactors.
+    coupler is 1/16 of the pointer-variable rate law (``_COUPLER_SHARE``),
+    so this engine validates scaling shapes, not absolute prefactors.  It
+    only simulates: it reads no rate law and takes any cutoff; a quadratic
+    :class:`ValidationScenario` derives that rate and its verdict guards
+    the flat-spectrum limit.
 
     The diagonal energy of label m is A_m^2 / 8 with
     A_m(t) = sum_j (phi_j + xi_j(t)) m_j, so with a = m . xi, b = m' . xi and
@@ -585,14 +595,12 @@ def simulate_bus_full(
         raise ValueError(
             f"pair length {pair.n_qubits} does not match drive length {len(drive)}"
         )
-    gamma_eff = rate_bus(bath, pair, drive).gamma / 16.0
     labels = np.array([pair.left.bits, pair.right.bits], dtype=float)
     amplitude, factor = functional_factor(bath, topology, labels, cfg.dt, cfg.n_steps)
     n_sources = factor.shape[-1]
     per_bin = factor.ndim == 3
     # separated sites: a and b are mixed per bin and transformed themselves
     mix = np.eye(2) if per_bin else factor
-    _check_white_noise_limit(bath, gamma_eff)
     const_left, const_right = labels @ np.asarray(drive.phi, dtype=float)
     # (b^2 + 2 c_R b - a^2 - 2 c_L a) / 8 with (a, b) = mix @ x
     quad = (np.outer(mix[1], mix[1]) - np.outer(mix[0], mix[0])) / 8.0
@@ -677,14 +685,17 @@ def fit_rate(trace: CoherenceTrace, window: tuple[float, float]) -> RateEstimate
 
 @dataclass(frozen=True)
 class ValidationScenario:
-    """One named Monte-Carlo scenario with its analytic reference rate.
+    """One named Monte-Carlo scenario; its analytic reference rate is derived.
 
-    ``quadratic`` names the engine: False runs the linear coupling of the
-    architecture's record (:func:`simulate_dephasing`), True the full
-    quadratic shared-line coupler of a bus's drive (:func:`simulate_bus_full`),
-    whose ``gamma_analytic`` is then the coupler's linear-response rate, 1/16
-    of the bus rate law.  Either way the topology must be one the
-    architecture's record lists, the rule :func:`simulate_dephasing` applies.
+    ``quadratic`` (keyword-only) names the engine: False runs the linear
+    coupling of the architecture's record (:func:`simulate_dephasing`), True
+    the full quadratic shared-line coupler of a bus's drive
+    (:func:`simulate_bus_full`).  ``gamma_analytic`` is no field: it is
+    computed from ``arch``, ``pair``, ``bath`` and ``quadratic``
+    (:func:`_reference_rate`), so a scenario whose fields are replaced is
+    judged against their rate.  Either way the pair must have the
+    architecture's length and the topology must be one the architecture's
+    record lists, the rules :func:`simulate_dephasing` applies.
     """
 
     name: str
@@ -693,13 +704,26 @@ class ValidationScenario:
     bath: OhmicBath
     topology: NoiseTopology
     cfg: McConfig
-    gamma_analytic: float
-    quadratic: bool = False
+    quadratic: bool = dataclasses.field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.quadratic and self.arch.record.default_drive is None:  # no gate drive
             raise ValueError(f"the quadratic coupler is a bus engine, not {self.arch.kind.value}")
-        _check_topology(self.arch, self.topology)
+        _check_scenario(self.arch, self.pair, self.topology)
+
+    @property
+    def gamma_analytic(self) -> float:
+        """The verdict's reference rate, derived from the scenario's own fields."""
+        return _reference_rate(self.arch, self.pair, self.bath, self.quadratic)
+
+
+def _reference_rate(
+    arch: ArchitectureModel, pair: CoherencePair, bath: OhmicBath, quadratic: bool = False
+) -> float:
+    """The record's rate law, or for the quadratic coupler its share of the bus
+    law (``_COUPLER_SHARE``); the rate is the same at any cutoff."""
+    gamma = arch.record.rate(bath, pair, arch.drive).gamma
+    return gamma * _COUPLER_SHARE if quadratic else gamma
 
 
 @dataclass(frozen=True)
@@ -780,7 +804,7 @@ def make_validation_scenario(
     :class:`McConfig` accepts; both are checked before the grid is sized.
     """
     _check_seed(master_seed)
-    _check_fit_window(fit_window)
+    fit_window = _check_fit_window(fit_window)
     kind = ArchKind(kind)
     n = pair.n_qubits
     if drive is None and ARCHITECTURES[kind].default_drive is not None:
@@ -789,7 +813,7 @@ def make_validation_scenario(
     probe_bath = OhmicBath(coupling=coupling, cutoff=1.0, temperature=temperature)
     if arch.record.sources is None:
         raise ValueError(f"no analytic Monte-Carlo scenario for {kind.value}")
-    gamma = arch.record.rate(probe_bath, pair, drive).gamma
+    gamma = _reference_rate(arch, pair, probe_bath)  # the scenario's own, at any cutoff
     topology = NoiseTopology(arch.record.topologies[0])
     scale = gamma if gamma > 0 else reference_rate
     if not scale or scale <= 0:
@@ -812,25 +836,25 @@ def make_validation_scenario(
         master_seed=scenario_seed,
         fit_window=fit_window,
     )
-    return ValidationScenario(
-        name=name, arch=arch, pair=pair, bath=bath, topology=topology,
-        cfg=cfg, gamma_analytic=gamma,
-    )
+    return ValidationScenario(name, arch, pair, bath, topology, cfg)
 
 
 def validate_against_analytic(scenario: ValidationScenario, jobs: int = 1) -> ValidationReport:
     """Run one scenario and compare the fitted rate to its analytic value.
 
-    The one Monte-Carlo path that simulates, fits and judges: the scenario's
-    engine (:attr:`ValidationScenario.quadratic`) runs on a grid that must
-    cover three decay times, and :func:`fit_rate` fits its trace in the
-    scenario's window.  PASS requires a relative error within 5% and a
-    z-score within 3 (for decoherence-free scenarios, just the z-score
-    criterion).
+    The one Monte-Carlo path that judges, against the scenario's derived
+    reference rate (:attr:`ValidationScenario.gamma_analytic`).  Before any
+    engine runs it refuses a grid that covers fewer than three decay times and
+    then a cutoff under 20 times the rate (:class:`WhiteNoiseLimitError`);
+    the engines themselves only simulate.  The scenario's engine
+    (:attr:`ValidationScenario.quadratic`) then runs, and :func:`fit_rate`
+    fits its trace in the scenario's window.  PASS requires a relative error
+    within 5% and a z-score within 3 (for decoherence-free scenarios, just
+    the z-score criterion).
     """
     gamma = scenario.gamma_analytic
     cfg = scenario.cfg
-    _check_duration(cfg, gamma)
+    _check_reference_limits(cfg, scenario.bath, gamma)
     engine, subject = (
         (simulate_bus_full, scenario.arch.drive) if scenario.quadratic
         else (simulate_dephasing, scenario.arch)
@@ -931,12 +955,12 @@ def mc_bus_scaling(
     for n in lengths:
         drive = GateDrive.two_qubit_gate(n, 0, 1, _SCAN_AMPLITUDE)
         pair = worst_case_pair(ArchKind.BUS, n, drive)
-        gamma_eff = rate_bus(_SCAN_BATH, pair, drive).gamma / 16.0
+        arch = ArchitectureModel(ArchKind.BUS, n, drive)
+        gamma_eff = _reference_rate(arch, pair, _SCAN_BATH, quadratic=True)
         dt, n_steps = _grid_for_rate(gamma_eff, _SCAN_BATH.cutoff, (0.5, 2.0))
         cfg = McConfig(dt, n_steps, n_trajectories=n_trajectories, master_seed=master_seed)
         scenario = ValidationScenario(
-            f"bus_scan_L{n}", ArchitectureModel(ArchKind.BUS, n, drive), pair, _SCAN_BATH,
-            NoiseTopology.uniform(), cfg, gamma_eff, quadratic=True,
+            f"bus_scan_L{n}", arch, pair, _SCAN_BATH, NoiseTopology.uniform(), cfg, quadratic=True
         )
         fitted.append((n, validate_against_analytic(scenario, jobs).gamma_hat))
     log_l = np.log([n for n, _ in fitted])

@@ -489,22 +489,19 @@ def test_failing_verdict_exits_1_from_validate_only(tmp_path, monkeypatch):
     assert columns == ["t", "abs_C", "arg_C", "stderr"] and len(rows) > 1
 
 
-def test_validate_white_noise_guard_exit_3(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        {
-            "scenarios": [
-                {
-                    "architecture": "fsa_uniform",
-                    "L": 2,
-                    "pair": {"left": "++", "right": "+-"},
-                    "cutoff_ratio": 1.0,  # cutoff == analytic rate
-                    "n_trajectories": 500,
-                }
-            ]
-        },
-    )
-    assert main(["validate", "--config", config]) == 3
+@pytest.mark.parametrize("command", ["mc", "validate"])
+def test_validate_white_noise_guard_exit_3(tmp_path, capsys, command):
+    # both Monte-Carlo commands reach the verdict's flat-spectrum guard
+    scenario = {
+        "architecture": "fsa_uniform",
+        "L": 2,
+        "pair": {"left": "++", "right": "+-"},
+        "cutoff_ratio": 1.0,  # cutoff == analytic rate
+        "n_trajectories": 500,
+    }
+    payload = {"scenario": scenario} if command == "mc" else {"scenarios": [scenario]}
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", config]) == 3
     assert "flat-spectrum" in capsys.readouterr().err
 
 

@@ -29,6 +29,7 @@ from gatenoise.mcsim import (
     validate_against_analytic,
 )
 from gatenoise.noise import (
+    Geometry,
     NoiseTopology,
     OhmicBath,
     functional_factor,
@@ -36,7 +37,13 @@ from gatenoise.noise import (
     trajectory_seed_sequence,
     trapezoid_phase_factor,
 )
-from gatenoise.rates import ArchKind, ArchitectureModel, rate_bus, worst_case_pair
+from gatenoise.rates import (
+    ArchKind,
+    ArchitectureModel,
+    rate_bus,
+    rate_fsa_uniform,
+    worst_case_pair,
+)
 from gatenoise.register import (
     CoherencePair,
     GateDrive,
@@ -78,6 +85,17 @@ def test_mcconfig_validation():
         McConfig(dt=0.01, n_steps=256, n_trajectories=10)
     with pytest.raises(ValueError):
         McConfig(dt=0.01, n_steps=256, fit_window=(2.0, 1.0))
+    # a window has two edges; one or three failed with Python's unpacking message
+    for window in [(0.5,), (0.5, 1.0, 2.0)]:
+        with pytest.raises(ValueError, match="invalid fit window"):
+            McConfig(dt=0.01, n_steps=256, fit_window=window)
+    # a list window is held as a tuple of floats, so the config and its
+    # scenario hash (a kept list raised "unhashable type: 'list'")
+    cfg = McConfig(dt=0.01, n_steps=256, fit_window=[1, 2.0])
+    assert cfg.fit_window == (1.0, 2.0) and type(cfg.fit_window[0]) is float
+    assert hash(cfg) == hash(McConfig(dt=0.01, n_steps=256, fit_window=(1.0, 2.0)))
+    listed = small_uniform_scenario(n_trajectories=200, fit_window=[0.5, 2.0])
+    assert hash(listed) == hash(small_uniform_scenario(n_trajectories=200))
 
 
 @pytest.mark.parametrize(
@@ -254,13 +272,24 @@ def test_topology_consistency_enforced():
         replace(quadratic_scan_scenario(4, cfg), topology=NoiseTopology.independent())
 
 
-def test_white_noise_guard_rejects_low_cutoff():
+def test_white_noise_guard_rejects_low_cutoff(monkeypatch):
+    # the flat-spectrum limit is the verdict's: the engine simulates any
+    # cutoff, and the verdict refuses this one before either engine runs
     pair = CoherencePair(label_with_total_spin(3, 3), label_with_total_spin(3, 1))
     bath = OhmicBath(coupling=1.0, cutoff=16.0, temperature=1.0)  # cutoff == rate
     cfg = McConfig(dt=0.03, n_steps=512, n_trajectories=200, master_seed=1)
     arch = ArchitectureModel(ArchKind.FSA_UNIFORM, 3)
-    with pytest.raises(WhiteNoiseLimitError):
-        simulate_dephasing(arch, pair, bath, NoiseTopology.uniform(), cfg)
+    trace = simulate_dephasing(arch, pair, bath, NoiseTopology.uniform(), cfg)
+    assert np.all(np.isfinite(trace.abs_coherence)) and np.all(np.isfinite(trace.stderr))
+    linear = ValidationScenario("low_cutoff", arch, pair, bath, NoiseTopology.uniform(), cfg)
+    # the bus scan's L = 2 coupler rate is 0.16: a cutoff of 3 is under 20 x it
+    quadratic = quadratic_scan_scenario(2, McConfig(dt=0.5 / 3.0, n_steps=512, n_trajectories=100))
+    quadratic = replace(quadratic, bath=replace(SCAN_BATH, cutoff=3.0))
+    monkeypatch.setattr(mcsim, "simulate_dephasing", None)
+    monkeypatch.setattr(mcsim, "simulate_bus_full", None)
+    for scenario in (linear, quadratic):
+        with pytest.raises(WhiteNoiseLimitError, match="flat-spectrum"):
+            validate_against_analytic(scenario)
 
 
 def test_validation_duration_guard():
@@ -373,12 +402,15 @@ _CFG = McConfig(dt=0.005, n_steps=256, n_trajectories=300)
          "n_trajectories must be <= 9007199254740992"),
         # a bus scan length needs a two-qubit gate, checked before any run
         (lambda: mc_bus_scaling((1, 2), n_trajectories=100), "register length must be >= 2"),
+        # a scenario's reference rate needs a pair of its register's length
+        (lambda: replace(small_uniform_scenario(n_trajectories=200), pair=_PAIR_2),
+         "does not match architecture L = 3"),
     ],
     ids=["dephasing_pair_length", "bus_pair_length", "scenario_hypercube",
          "scenario_infinite_fit_window", "scenario_fit_window_past_grid_bound",
          "scenario_cutoff_ratio_past_grid_bound", "scenario_fit_window_overflows_grid",
          "config_grid_past_bound", "config_trajectories_past_int64",
-         "config_trajectories_past_2_53", "scaling_single_qubit"],
+         "config_trajectories_past_2_53", "scaling_single_qubit", "scenario_pair_length"],
 )
 def test_monte_carlo_refusals(call, message):
     with pytest.raises(ValueError, match=message):
@@ -878,14 +910,16 @@ def test_bus_full_idle_uniform_same_total_spin_is_silent():
     assert np.all(trace.arg_coherence == 0.0)
 
 
-def test_bus_full_drift_matches_classical_correlator():
+@pytest.mark.parametrize("r", [0.05, 0.2])
+@pytest.mark.parametrize("geometry", [Geometry.ONE_D, Geometry.THREE_D], ids=["1d", "3d"])
+def test_bus_full_drift_matches_classical_correlator(geometry, r):
     # idle drive, two spatially correlated sites: the noise-squared term
     # produces a linear mean phase drift at half the equal-time cross
     # correlator C(r) = (1/pi) int_0^inf S(w) f(w r / v) dw, and with the
     # classical S = 2 T J / w that integral is T mu_tr(r): the drift checks
-    # the transient coupling's kernel h
-    bath = OhmicBath(coupling=0.02, cutoff=20.0, temperature=1.0)
-    r = 0.05
+    # the transient coupling's kernel h, 1 / (1 + x^2) in 1D and arctan(x) / x
+    # in 3D
+    bath = OhmicBath(coupling=0.02, cutoff=20.0, temperature=1.0, geometry=geometry)
     pair = CoherencePair.from_strings("++", "+-")
     expected_slope = -bath.temperature * transient_coupling(bath, r) / 2.0
 
@@ -1097,10 +1131,9 @@ def test_bus_scaling_needs_two_distinct_lengths(lengths):
 def quadratic_scan_scenario(n_qubits, cfg):
     """``mc_bus_scaling``'s quadratic scenario at length n_qubits, on grid ``cfg``."""
     drive, pair = scan_family(n_qubits)
-    gamma_eff = rate_bus(SCAN_BATH, pair, drive).gamma / 16.0
     return ValidationScenario(
         f"bus_scan_L{n_qubits}", ArchitectureModel(ArchKind.BUS, n_qubits, drive), pair,
-        SCAN_BATH, NoiseTopology.uniform(), cfg, gamma_eff, quadratic=True,
+        SCAN_BATH, NoiseTopology.uniform(), cfg, quadratic=True,
     )
 
 
@@ -1123,6 +1156,32 @@ def test_quadratic_scenario_needs_a_bus():
     linear = small_uniform_scenario(n_trajectories=200)
     with pytest.raises(ValueError, match="quadratic coupler is a bus engine, not fsa_uniform"):
         replace(linear, quadratic=True)
+
+
+def test_reference_rate_is_derived_from_the_scenario():
+    # gamma_analytic is no field: a replaced bath, pair or engine moves it, and
+    # a rate passed where it once stood is refused
+    assert [f.name for f in fields(ValidationScenario)] == [
+        "name", "arch", "pair", "bath", "topology", "cfg", "quadratic"]
+    assert fields(ValidationScenario)[-1].kw_only
+    suite = {s.name: s for s in default_validation_suite()}
+    scn = suite["fsa_uniform_L3_M3_Mp1"]
+    with pytest.raises(TypeError):
+        ValidationScenario(scn.name, scn.arch, scn.pair, scn.bath, scn.topology, scn.cfg, 16.0)
+    # the temperature doubled: a stored 16.0 failed a correct MC at rel +93%
+    hot = replace(scn, bath=replace(scn.bath, temperature=2.0))
+    assert hot.gamma_analytic == rate_fsa_uniform(hot.bath, hot.pair).gamma == 32.0
+    report = validate_against_analytic(hot)
+    assert report.gamma_analytic == 32.0
+    assert report.rel_err == (report.gamma_hat - 32.0) / 32.0 and report.passed
+    bus = suite["bus_L4_active_gate"]
+    coupler = replace(bus, quadratic=True)
+    assert coupler.gamma_analytic == rate_bus(bus.bath, bus.pair, bus.arch.drive).gamma / 16
+    quartic = suite["fsa_uniform_L4_M4_Mp2"]
+    moved = replace(quartic, pair=CoherencePair(label_with_total_spin(4, 4),
+                                                label_with_total_spin(4, 0)))
+    assert (quartic.gamma_analytic, moved.gamma_analytic) == (36.0, 64.0)
+    assert moved.gamma_analytic == rate_fsa_uniform(moved.bath, moved.pair).gamma
 
 
 def test_quadratic_scenario_refuses_a_grid_shorter_than_three_decay_times(monkeypatch):
