@@ -28,7 +28,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,10 +58,10 @@ _GAUSS_ORDERS = (16, 32)
 # relative difference or to this absolute one.
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
-# Largest oscillation scale x = cutoff r / v a quadrature takes.  The first
-# level evaluates about 45 |1 - ix| / 8.97 panels at once, and above x ~ 3e3
-# the absolute tolerance keeps the 1d quadratures from meeting 1e-8 of their
-# closed forms; the far-apart tests verify x <= 1e3.
+# Largest oscillation scale x = cutoff r / v a quadrature takes.  The rule
+# evaluates about 45 |1 - ix| / 8.97 panels at once, and above x ~ 3e3 the
+# absolute tolerance keeps the 1d quadratures from meeting 1e-8 of their
+# closed forms; the far-apart tests verify x up to this bound.
 _MAX_OSCILLATION_SCALE = 2000.0
 # Base panel width times k = |1 - ix| (x the oscillation scale), about 8.97:
 # there the 16-point rule's error bound summed over the panels, c_16 (H k)^32
@@ -150,15 +150,30 @@ def kernel_h(x, geometry: Geometry) -> float | np.ndarray:
     return _finite(_scalar_like(out, x), "kernel h(x) has no value at x = NaN")
 
 
+class _Kind(NamedTuple):
+    """What sets a coupling kind apart: its prefactor, its distance kernel and
+    the weight of its frequency integrand in u = w / cutoff."""
+
+    prefactor: Callable[[OhmicBath], float]
+    kernel: Callable
+    weight: Callable[[np.ndarray], np.ndarray]
+
+
+_KINDS = {
+    # (1/pi) int_0^inf J_jk(w) dw: cutoff^2 coupling / pi times u e^{-u}
+    CouplingKind.SPURIOUS: _Kind(lambda b: b.cutoff * b.cutoff * b.coupling / math.pi, kernel_g,
+                                 lambda u: u * np.exp(-u)),
+    # (2/pi) int_0^inf J_kn(w) / w dw: 2 coupling cutoff / pi times e^{-u}
+    CouplingKind.TRANSIENT: _Kind(lambda b: 2.0 * b.coupling * b.cutoff / math.pi, kernel_h,
+                                  lambda u: np.exp(-u)),
+}
+
+
 def _coupling_scale(bath: OhmicBath, kind: CouplingKind) -> float:
-    """Prefactor of a coupling, checked finite (:func:`~gatenoise.noise._finite`):
-    cutoff^2 coupling / pi for the spurious one, 2 coupling cutoff / pi for
-    the transient one."""
-    if kind is CouplingKind.SPURIOUS:
-        scale = bath.cutoff * bath.cutoff * bath.coupling / math.pi
-    else:
-        scale = 2.0 * bath.coupling * bath.cutoff / math.pi
-    return _finite(scale, "{} coupling scale overflows for cutoff {:g} and coupling {:g}",
+    """Prefactor of a coupling (``_KINDS``), checked finite
+    (:func:`~gatenoise.noise._finite`)."""
+    return _finite(_KINDS[kind].prefactor(bath),
+                   "{} coupling scale overflows for cutoff {:g} and coupling {:g}",
                    kind.value, bath.cutoff, bath.coupling)
 
 
@@ -170,16 +185,21 @@ def _phase_scale(bath: OhmicBath, r: float) -> float:
     return bath.cutoff * r / bath.velocity
 
 
+def _closed_form(bath: OhmicBath, r: float, kind: CouplingKind) -> float:
+    """A coupling in closed form: the prefactor times the kind's distance
+    kernel at x = cutoff r / v (``_KINDS``)."""
+    x = _phase_scale(bath, r)
+    return _coupling_scale(bath, kind) * _KINDS[kind].kernel(x, bath.geometry)
+
+
 def spurious_coupling(bath: OhmicBath, r: float) -> float:
     """Permanent ZZ coupling induced between two idle qubits a distance r apart."""
-    x = _phase_scale(bath, r)
-    return _coupling_scale(bath, CouplingKind.SPURIOUS) * kernel_g(x, bath.geometry)
+    return _closed_form(bath, r, CouplingKind.SPURIOUS)
 
 
 def transient_coupling(bath: OhmicBath, r: float) -> float:
     """Four-qubit coupling strength while a gate is driven, vs qubit separation r."""
-    x = _phase_scale(bath, r)
-    return _coupling_scale(bath, CouplingKind.TRANSIENT) * kernel_h(x, bath.geometry)
+    return _closed_form(bath, r, CouplingKind.TRANSIENT)
 
 
 @functools.cache
@@ -203,9 +223,10 @@ def _oscillatory_integral(
     Numerical Integration*, 1984), and the m-th derivative of e^{-u} f(xu) is
     at most k^m e^{-u}, k = |1 - ix|.  So equal panels of width
     ``_PANEL_REACH / k`` hold the 16-point rule's error far below the
-    convergence target.  Both orders come from one integrand call on those
-    panels; their difference is the error estimate, and the panel count
-    doubles until it converges.  An oscillation scale above
+    convergence target, and the integral is evaluated once on them: both
+    orders come from one integrand call, and their difference is the error
+    estimate, which must meet the target or the rule raises
+    :class:`QuadratureError`.  An oscillation scale above
     ``_MAX_OSCILLATION_SCALE`` (or infinite) raises ValueError before any
     evaluation.
     """
@@ -213,23 +234,26 @@ def _oscillatory_integral(
         raise ValueError(f"quadrature needs cutoff r / v <= {_MAX_OSCILLATION_SCALE:g}, got "
                          f"{oscillation_scale!r}: use the closed forms spurious_coupling and "
                          "transient_coupling")
-    span = _CUTOFF_UNITS_SPAN
     (low_nodes, low_weights), (high_nodes, high_weights) = map(_gauss_legendre, _GAUSS_ORDERS)
-    nodes = np.concatenate([low_nodes, high_nodes])
-    base_panels = math.ceil(span * math.hypot(1.0, oscillation_scale) / _PANEL_REACH)
-    result = error = math.nan
-    for level in range(4):
-        n_panels = base_panels << level
-        half = 0.5 * span / n_panels
-        mid = (2.0 * np.arange(n_panels) + 1.0) * half
-        # every panel has the same width, so each node's values sum over panels first
-        node_sums = integrand(mid[:, None] + half * nodes).sum(axis=0)
-        low = half * float(node_sums[: low_nodes.size] @ low_weights)
-        result = half * float(node_sums[low_nodes.size:] @ high_weights)
-        error = abs(result - low)
-        if error <= max(_ABS_TOL, _REL_TOL * abs(result)):
-            return result
-    raise QuadratureError("oscillatory quadrature did not converge", result, error)
+    n_panels = math.ceil(_CUTOFF_UNITS_SPAN * math.hypot(1.0, oscillation_scale) / _PANEL_REACH)
+    half = 0.5 * _CUTOFF_UNITS_SPAN / n_panels
+    mid = (2.0 * np.arange(n_panels) + 1.0) * half
+    # every panel has the same width, so each node's values sum over panels first
+    node_sums = integrand(mid[:, None] + half * np.concatenate([low_nodes, high_nodes])).sum(axis=0)
+    low = half * float(node_sums[: low_nodes.size] @ low_weights)
+    result = half * float(node_sums[low_nodes.size:] @ high_weights)
+    error = abs(result - low)
+    if not error <= max(_ABS_TOL, _REL_TOL * abs(result)):  # a NaN error too
+        raise QuadratureError("oscillatory quadrature did not converge", result, error)
+    return result
+
+
+def _quadrature(bath: OhmicBath, r: float, kind: CouplingKind) -> float:
+    """A coupling from its frequency integral: the prefactor times the
+    integral of the kind's weight times f(xu) (``_KINDS``)."""
+    x = _phase_scale(bath, r)
+    return _coupling_scale(bath, kind) * _oscillatory_integral(
+        lambda u: _KINDS[kind].weight(u) * propagation_kernel_f(x * u, bath.geometry), x)
 
 
 def spurious_coupling_quadrature(bath: OhmicBath, r: float) -> float:
@@ -238,26 +262,12 @@ def spurious_coupling_quadrature(bath: OhmicBath, r: float) -> float:
     Zero-temperature symmetrized correlator; agrees with the closed form to
     better than 1e-8 relative.
     """
-    x = _phase_scale(bath, r)
-    geometry = bath.geometry
-    scale = _coupling_scale(bath, CouplingKind.SPURIOUS)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return u * np.exp(-u) * propagation_kernel_f(x * u, geometry)
-
-    return scale * _oscillatory_integral(integrand, x)
+    return _quadrature(bath, r, CouplingKind.SPURIOUS)
 
 
 def transient_coupling_quadrature(bath: OhmicBath, r: float) -> float:
     """Transient coupling from its integral definition, (2/pi) int_0^inf J_kn(w)/w dw."""
-    x = _phase_scale(bath, r)
-    geometry = bath.geometry
-    scale = _coupling_scale(bath, CouplingKind.TRANSIENT)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return np.exp(-u) * propagation_kernel_f(x * u, geometry)
-
-    return scale * _oscillatory_integral(integrand, x)
+    return _quadrature(bath, r, CouplingKind.TRANSIENT)
 
 
 def coupling_matrix(bath: OhmicBath, positions: Sequence, kind: CouplingKind) -> CouplingMatrix:
@@ -269,12 +279,11 @@ def coupling_matrix(bath: OhmicBath, positions: Sequence, kind: CouplingKind) ->
     raises ValueError (:func:`~gatenoise.noise._finite`).
     """
     kind = CouplingKind(kind)
-    kernel = kernel_g if kind is CouplingKind.SPURIOUS else kernel_h
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         x = bath.cutoff * _distance_matrix(positions) / bath.velocity
         scale = _coupling_scale(bath, kind)
     x = _finite(x, "{} coupling overflows: check the positions and the bath", kind.value)
-    return CouplingMatrix(kind=kind, values=scale * kernel(x, bath.geometry))
+    return CouplingMatrix(kind=kind, values=scale * _KINDS[kind].kernel(x, bath.geometry))
 
 
 def transient_energy_shift(

@@ -395,23 +395,18 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
     soon as it is formed, so memory does not grow with the number of
     trajectories and each thread holds one chunk's z and one block.
     ``None`` means no noise reaches the phase, which then stays exactly zero
-    (exp(i 0) = 1 + 0j): the trace is known without a chunk (|C| = 1, arg 0,
-    stderr 0, block sums equal to the block counts) and is returned with no
-    stream opened, the same bytes a sampler that writes zeros gives.
-    ``jobs`` is the number of engine threads, an integer >= 1.
+    (exp(i 0) = 1 + 0j): the accumulators start at their noise-free values
+    (count n, every total n, zero second moments, block sums equal to the
+    block counts) and no chunk runs, so no stream is opened and the trace
+    (|C| = 1, arg 0, stderr 0) comes from the same tail as any other, the
+    same bytes a sampler that writes zeros gives.  ``jobs`` is the number of
+    engine threads, an integer >= 1.
     """
     _check_integer("jobs", jobs, lo=1)
     n = cfg.n_trajectories
     report_idx = _report_indices(cfg.n_steps)
     bounds = np.linspace(0, n, _N_BLOCKS + 1).astype(int)
     counts = np.diff(bounds)
-    if sample_phase is None:
-        ones = np.ones(report_idx.size)
-        return CoherenceTrace(
-            times=report_idx * cfg.dt, abs_coherence=ones, arg_coherence=np.zeros_like(ones),
-            stderr=np.zeros_like(ones), n_samples=n,
-            block_sums=np.outer(counts, ones).astype(complex), block_counts=counts,
-        )
 
     def work(chunk: int) -> tuple:
         start = chunk * _CHUNK
@@ -435,15 +430,17 @@ def _run_engine(sample_phase: PhaseSampler | None, cfg: McConfig, jobs: int) -> 
 
     # Merge in chunk order (Chan, Golub & LeVeque 1983 pairwise update); both
     # map and pool.map yield in that order, so the bytes do not depend on jobs.
-    count = 0
-    total = np.zeros(report_idx.size, dtype=complex)
+    # Without a sampler no chunk runs and the sums start at their noise-free
+    # values: every z is exactly 1, so the total is n and a block's sum its count.
+    count = n if sample_phase is None else 0
+    total = np.full(report_idx.size, count, dtype=complex)
     moments = np.zeros((3, report_idx.size))
-    block_sums = np.zeros((_N_BLOCKS, report_idx.size), dtype=complex)
+    block_sums = np.outer(counts, total / n)  # all zero, or each block's count
     # With engine threads, BLAS runs on one thread inside each of them: its
     # helper threads would otherwise spin on the cores the pool needs.
     pinned = _one_blas_thread() if jobs > 1 else contextlib.nullcontext()
     with pinned, ThreadPoolExecutor(max_workers=jobs) as pool:
-        chunks = range(-(-n // _CHUNK))
+        chunks = range(0 if sample_phase is None else -(-n // _CHUNK))
         for nt, chunk_total, chunk_moments, first, partial in (
             pool.map(work, chunks) if jobs > 1 else map(work, chunks)
         ):
@@ -691,11 +688,14 @@ class ValidationScenario:
     coupling of the architecture's record (:func:`simulate_dephasing`), True
     the full quadratic shared-line coupler of a bus's drive
     (:func:`simulate_bus_full`).  ``gamma_analytic`` is no field: it is
-    computed from ``arch``, ``pair``, ``bath`` and ``quadratic``
-    (:func:`_reference_rate`), so a scenario whose fields are replaced is
-    judged against their rate.  Either way the pair must have the
-    architecture's length and the topology must be one the architecture's
-    record lists, the rules :func:`simulate_dephasing` applies.
+    computed once, when the scenario is built, from ``arch``, ``pair``,
+    ``bath`` and ``quadratic`` (:func:`_reference_rate`), so a scenario
+    whose fields are replaced (``dataclasses.replace`` builds it anew) is
+    judged against their rate, and one with no rate (a bath at zero
+    temperature) is refused when it is built.  Either way the pair must have
+    the architecture's length and the topology must be one the
+    architecture's record lists, the rules :func:`simulate_dephasing`
+    applies.
     """
 
     name: str
@@ -710,11 +710,13 @@ class ValidationScenario:
         if self.quadratic and self.arch.record.default_drive is None:  # no gate drive
             raise ValueError(f"the quadratic coupler is a bus engine, not {self.arch.kind.value}")
         _check_scenario(self.arch, self.pair, self.topology)
+        gamma = _reference_rate(self.arch, self.pair, self.bath, self.quadratic)
+        object.__setattr__(self, "_gamma", gamma)
 
     @property
     def gamma_analytic(self) -> float:
         """The verdict's reference rate, derived from the scenario's own fields."""
-        return _reference_rate(self.arch, self.pair, self.bath, self.quadratic)
+        return self._gamma
 
 
 def _reference_rate(

@@ -620,8 +620,12 @@ class SpectralSynthesizer:
     Uniform and independent topologies draw one or L white sources at the
     amplitude of one site's noise (the factor of one identity functional,
     :func:`functional_factor`); a spatial topology mixes its sources by the
-    factor of the L identity functionals, per bin (:func:`mix_per_bin`)
-    unless the sites are co-located (all distances zero).
+    factor of the L identity functionals, per bin (:func:`mix_per_bin`),
+    co-located sites (all distances zero) by the same factor in every bin.
+    The topology is read once, when the synthesizer is built: both methods
+    draw the bundle's distinct rows (the one shared source, one per site, or
+    the L mixed sites) and return them as L read-only rows, a uniform bundle
+    as L views of one row.
     """
 
     def __init__(
@@ -634,36 +638,34 @@ class SpectralSynthesizer:
     ) -> None:
         self.n_sites = _check_integer("n_sites", n_sites, lo=1)
         self.n_steps = _check_integer("n_steps", n_steps)
-        self._uniform = topology.kind is TopologyKind.UNIFORM
-        self._spatial = topology.kind is TopologyKind.SPATIAL
-        eye = np.eye(self.n_sites if self._spatial else 1)
-        self._amplitude, self._factor = functional_factor(bath, topology, eye, dt, n_steps)
-        self._n_sources = self._factor.shape[-1] if self._spatial or self._uniform else self.n_sites
+        kind = topology.kind
+        eye = np.eye(self.n_sites if kind is TopologyKind.SPATIAL else 1)
+        self._amplitude, factor = functional_factor(bath, topology, eye, dt, n_steps)
+        self._n_sources = self.n_sites if kind is TopologyKind.INDEPENDENT else factor.shape[-1]
+        # spatial sites are mixed per bin, co-located ones by the same factor in every bin
+        self._mix = None
+        if kind is TopologyKind.SPATIAL:
+            self._mix = np.broadcast_to(factor, (self._amplitude.size, *factor.shape[-2:]))
+
+    def _bundle(self, rng: np.random.Generator, time_domain: bool) -> np.ndarray:
+        """The bundle's distinct rows (the one shared source, one per site, or
+        the L mixed sites), in time or frequency, as L read-only rows."""
+        white = draw_white(rng, 1, self._n_sources, self._amplitude)
+        rows = white[0] if self._mix is None else mix_per_bin(white, self._mix)[0]
+        rows = np.fft.irfft(rows, n=self.n_steps) if time_domain else rows
+        return np.broadcast_to(rows, (self.n_sites, rows.shape[-1]))
 
     def draw_spectrum(self, rng: np.random.Generator) -> np.ndarray:
-        """One bundle in the frequency domain: complex array (L, n_bins).
+        """One bundle in the frequency domain: complex array (L, n_bins), read-only.
 
         The inverse rfft of each row is one real trajectory.  The draw order
         is fixed, so a given generator state always yields the same bundle.
         """
-        white = draw_white(rng, 1, self._n_sources, self._amplitude)
-        if self._uniform:
-            return np.broadcast_to(white[0, 0], (self.n_sites, self._amplitude.size))
-        if not self._spatial:
-            return white[0]
-        if self._factor.ndim == 3:
-            return mix_per_bin(white, self._factor)[0]
-        return self._factor @ white[0]
+        return self._bundle(rng, time_domain=False)
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One bundle in the time domain: real array (L, n_steps), read-only."""
-        z = self.draw_spectrum(rng)
-        if self._uniform:
-            row = np.fft.irfft(z[0], n=self.n_steps)
-            return np.broadcast_to(row, (self.n_sites, self.n_steps))
-        samples = np.fft.irfft(z, n=self.n_steps)
-        samples.setflags(write=False)
-        return samples
+        return self._bundle(rng, time_domain=True)
 
 
 def _check_integer(name: str, value: object, lo: int | None = None, hi: int | None = None) -> int:

@@ -259,8 +259,7 @@ def rate_fsa_independent(bath: OhmicBath, pair: CoherencePair) -> RateResult:
     return RateResult(gamma=gamma, pointer_delta_sq=float((n - nd) * nd))
 
 
-def _fsa_pair_sum(bath: OhmicBath, pair: CoherencePair, calibration: float) -> tuple[float, float, dict]:
-    s0 = 2.0 * bath.temperature * bath.coupling
+def _fsa_pair_sum(s0: float, pair: CoherencePair, calibration: float) -> tuple[float, float, dict]:
     total = 0.0
     delta_sq = 0.0
     breakdown: dict[tuple[int, int], float] = {}
@@ -286,7 +285,7 @@ def fsa_pair_calibration() -> float:
     """
     bath = OhmicBath(coupling=1.0, cutoff=1.0, temperature=1.0)
     anchor = CoherencePair(RegisterLabel((1, 1)), RegisterLabel((1, -1)))
-    raw, _, _ = _fsa_pair_sum(bath, anchor, 1.0)
+    raw, _, _ = _fsa_pair_sum(_thermal_power(bath), anchor, 1.0)
     return rate_fsa_independent(bath, anchor).gamma / raw
 
 
@@ -298,10 +297,10 @@ def rate_fsa_independent_bruteforce(bath: OhmicBath, pair: CoherencePair) -> Rat
     ``fsa_pair_calibration``.  Serves as an independent check of the closed
     form; guarded to L <= 12.
     """
-    _require_thermal(bath)
+    s0 = _thermal_power(bath)
     if pair.n_qubits > 12:
         raise ValueError(f"brute force guarded to L <= 12, got {pair.n_qubits}")
-    total, delta_sq, breakdown = _fsa_pair_sum(bath, pair, fsa_pair_calibration())
+    total, delta_sq, breakdown = _fsa_pair_sum(s0, pair, fsa_pair_calibration())
     gamma = _finite(total, "dephasing rate overflows the float range")
     return RateResult(gamma=gamma, pointer_delta_sq=delta_sq, breakdown=breakdown)
 

@@ -129,15 +129,16 @@ def test_quadrature_matches_closed_forms_on_log_grid(geometry):
 
 @pytest.mark.parametrize("geometry", list(Geometry))
 def test_quadrature_matches_closed_forms_far_apart(geometry):
-    # x in (100, 1000]: the integrand oscillates over hundreds of panels and the
-    # 1d spurious coupling cancels to -1/x^2 of its scale
+    # x in (100, 2000], up to the largest oscillation scale: the integrand
+    # oscillates over hundreds of panels and the 1d spurious coupling cancels
+    # to -1/x^2 of its scale
     b = OhmicBath(coupling=0.7, cutoff=1.3, geometry=geometry, velocity=0.9)
     for closed_fn, quad_fn in (
         (spurious_coupling, spurious_coupling_quadrature),
         (transient_coupling, transient_coupling_quadrature),
     ):
         scale = abs(closed_fn(b, 0.0))
-        for x in np.logspace(2, 3, 11)[1:]:
+        for x in np.geomspace(100.0, 2000.0, 15)[1:]:
             r = x * b.velocity / b.cutoff
             closed = closed_fn(b, r)
             rel = abs(quad_fn(b, r) - closed) / max(abs(closed), 1e-12 * scale)
@@ -146,7 +147,7 @@ def test_quadrature_matches_closed_forms_far_apart(geometry):
 
 @pytest.mark.parametrize("geometry", list(Geometry))
 def test_quadrature_refuses_far_apart_sites_before_evaluating(geometry):
-    # above x = 2000 the first level would evaluate about x / 4 panels in one
+    # above x = 2000 the rule would evaluate about x / 4 panels in one
     # call (gigabytes at x = 1e6), and from x ~ 3e3 the 1d quadratures miss
     # 1e-8 of their closed forms; x = 2000 itself is still taken and met
     b = OhmicBath(coupling=0.7, cutoff=1.3, geometry=geometry, velocity=0.9)
@@ -171,8 +172,8 @@ def test_quadrature_refuses_far_apart_sites_before_evaluating(geometry):
 def test_quadrature_that_never_converges_raises_with_its_estimate():
     from gatenoise import couplings
 
-    # a jump at u = 1/3, never a panel edge: the 16- and 32-point sums on the
-    # panel that holds it differ at every refinement level
+    # a jump at u = 1/3, never a panel edge: the 16- and 32-point sums differ
+    # on the panel that holds it
     def step(u):
         return np.where(u < 1.0 / 3.0, 1.0, 0.0)
 

@@ -405,12 +405,18 @@ _CFG = McConfig(dt=0.005, n_steps=256, n_trajectories=300)
         # a scenario's reference rate needs a pair of its register's length
         (lambda: replace(small_uniform_scenario(n_trajectories=200), pair=_PAIR_2),
          "does not match architecture L = 3"),
+        # a scenario exists only with its reference rate: a bath at zero
+        # temperature has none, and is refused when the scenario is built
+        (lambda: replace(small_uniform_scenario(n_trajectories=200),
+                         bath=replace(_BATH, temperature=0.0)),
+         "thermal dephasing rates require temperature > 0"),
     ],
     ids=["dephasing_pair_length", "bus_pair_length", "scenario_hypercube",
          "scenario_infinite_fit_window", "scenario_fit_window_past_grid_bound",
          "scenario_cutoff_ratio_past_grid_bound", "scenario_fit_window_overflows_grid",
          "config_grid_past_bound", "config_trajectories_past_int64",
-         "config_trajectories_past_2_53", "scaling_single_qubit", "scenario_pair_length"],
+         "config_trajectories_past_2_53", "scaling_single_qubit", "scenario_pair_length",
+         "scenario_zero_temperature"],
 )
 def test_monte_carlo_refusals(call, message):
     with pytest.raises(ValueError, match=message):

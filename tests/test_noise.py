@@ -216,6 +216,21 @@ def test_independent_trajectories_uncorrelated():
     assert abs(z) < 5.0
 
 
+@pytest.mark.parametrize(
+    "topology",
+    [NoiseTopology.uniform(), NoiseTopology.independent(), NoiseTopology.spatial([0.0, 0.3, 1.1]),
+     NoiseTopology.spatial([0.5, 0.5, 0.5])],
+    ids=["uniform", "independent", "separated", "co_located"],
+)
+def test_bundles_are_read_only(topology):
+    synth = SpectralSynthesizer(bath_1d(cutoff=8.0), topology, n_sites=3, dt=0.05, n_steps=64)
+    rng = np.random.Generator(np.random.PCG64(trajectory_seed_sequence(9, 0)))
+    for bundle in (synth.draw(rng), synth.draw_spectrum(rng)):
+        assert bundle.shape[0] == 3 and not bundle.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bundle[0, 0] = 0.0
+
+
 def test_bundle_means_are_unbiased():
     bath = bath_1d(cutoff=8.0)
     synth = SpectralSynthesizer(bath, NoiseTopology.independent(), n_sites=1, dt=0.05, n_steps=256)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -173,7 +174,9 @@ NUMPY_BATH = OhmicBath(coupling=np.float64(1e300), cutoff=1.0, temperature=np.fl
          "pointer separation overflows"),
         (lambda: rate_fsa_independent_bruteforce(
             OhmicBath(coupling=1e308, cutoff=1.0, temperature=10.0),
-            CoherencePair.from_strings("++", "+-")), "noise power must be finite"),
+            CoherencePair.from_strings("++", "+-")),
+         re.escape("noise power S(0) at temperature 10 and coupling 1e+308 overflows the float "
+                   "range")),
         # a bath given numpy scalars holds Python floats, which overflow quietly
         (lambda: rate_fsa_uniform(NUMPY_BATH, CoherencePair.from_strings("++", "+-")),
          "overflows the float range"),

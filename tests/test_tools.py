@@ -43,7 +43,9 @@ def test_line_counter_leaves_out_docstrings_comments_and_blank_lines(tmp_path, c
 # The listing of tools/output_digests.py.  The Monte-Carlo digests (mc_bus,
 # validate_two) hold for the engines' random streams and arithmetic; a logged
 # stream or arithmetic change re-pins them.  The others, the noise-free mc
-# traces among them, change only with the program's output.
+# traces and the library lines (quadratures, synthesizer, brute force) among
+# them, change only with the program's output; like the Monte-Carlo lines, the
+# quadrature and synthesizer lines also hang on numpy's SIMD exp and cos.
 OUTPUT_DIGESTS = """\
 f2fabdd5c716878cc60eafcd375dd7272398107b05a7b391ea8ef50f52918611  rates_bus.csv exit 0
 4f8a03a0d699bb61def0640595dfcc1a4c8da312e4b945568cffd4c592f65232  rates_bus.json exit 0
@@ -63,6 +65,9 @@ b716fbd13f3394b45137ae0da6797dc99542da1f384b76ac15682569cbfdf5f8  mc_decoherence
 fe4d18171b50d57f3bcce83df9d7210582ce1c7b8a28d4d11c4b9d0f63e6b5b3  mc_decoherence_free_chunks.json exit 0
 a44277990bcfe5e797e5b033937e32f54ee75c99bfa50cf92af8c8405722ff57  validate_two.csv exit 1
 458bbcde6e3862ace75a5aced6d5b8006f899c2647f5a1f8a9799793eeccea7f  validate_two.json exit 1
+6c08e6a139bbb29f867dc3335b595f5daf734aa09739444e4f3fdf83f6826823  couplings.repr
+16571725e8c92b11289768e0d922457541487c92c60785bdffff96b9977276f8  synthesizer.repr
+39c84403111bb17befe7183b0359c5b764ac58d495dede0b75b68affa106440d  bruteforce.repr
 """
 
 
